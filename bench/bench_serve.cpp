@@ -197,12 +197,11 @@ int main(int argc, char** argv) {
   // armed-failpoint row once *beat* the disarmed one purely because it ran
   // second against a pre-warmed process.)
   constexpr std::size_t kTotalCacheBytes = std::size_t{64} << 20;
-  const auto make_opt = [&](std::size_t shards, int threads, bool planner) {
+  const auto make_opt = [&](std::size_t shards, int threads) {
     serve::ForestOptions opt;
     opt.shards = shards;
     opt.threads = threads;
     opt.cache_bytes_per_shard = kTotalCacheBytes / shards;
-    opt.planner = planner;
     return opt;
   };
   // Loads the forest and runs the fixed warm-up (two full passes over the
@@ -233,9 +232,8 @@ int main(int argc, char** argv) {
   // and the noise is one-sided slowdown: more best-of windows push both
   // sides of a comparison toward the true ceiling.
   constexpr int kReps = 5;
-  const auto run_config = [&](std::size_t shards, int threads,
-                              bool planner = true) {
-    serve::ForestIndex index(make_opt(shards, threads, planner));
+  const auto run_config = [&](std::size_t shards, int threads) {
+    serve::ForestIndex index(make_opt(shards, threads));
     prime(index);
     double best = 0;
     for (int r = 0; r < kReps; ++r) best = std::max(best, window_qps(index));
@@ -251,37 +249,6 @@ int main(int argc, char** argv) {
   for (const int t : {1, 2}) {
     const double qps = run_config(4, t);
     add("batch_shards4_t" + std::to_string(t), qps, last_fanout);
-  }
-
-  // Planner A/B: the identical config with the batch query planner on
-  // (requests stable-sorted by tree within each shard, one entry lookup
-  // and one contiguous label walk per group, prefetch ahead) vs off
-  // (requests answered in arrival order within their shard). CI asserts
-  // on >= off within noise. Both sides get their own fresh primed index,
-  // and the measurement windows ALTERNATE between them: on a shared host
-  // the background load drifts on minute timescales, so back-to-back
-  // measurements hand whichever side runs second a different machine —
-  // interleaving shows both sides the same minutes.
-  {
-    serve::ForestIndex on_index(make_opt(4, 4, /*planner=*/true));
-    serve::ForestIndex off_index(make_opt(4, 4, /*planner=*/false));
-    prime(on_index);
-    prime(off_index);
-    double on = 0, off = 0;
-    for (int r = 0; r < kReps; ++r) {
-      // Alternate which side goes first: the second window of a pair runs
-      // against a slightly warmer process, and a fixed order hands that
-      // edge to the same side every rep.
-      if (r % 2 == 0) {
-        on = std::max(on, window_qps(on_index));
-        off = std::max(off, window_qps(off_index));
-      } else {
-        off = std::max(off, window_qps(off_index));
-        on = std::max(on, window_qps(on_index));
-      }
-    }
-    add("planner_on_shards4_t4", on, on_index.planned_fanout(batch));
-    add("planner_off_shards4_t4", off, off_index.planned_fanout(batch));
   }
 
   // Failpoint overhead. First the microcost of one disarmed check (the
@@ -304,16 +271,20 @@ int main(int argc, char** argv) {
   }
   // The off/armed pair shares ONE primed index (arming a failpoint is the
   // only difference between the sides, so identical cache state is exactly
-  // right) and alternates disarmed/armed measurement windows, same
-  // reasoning as the planner A/B above. The published numbers once showed
-  // the armed row *beating* the disarmed one — pure measurement-order
-  // bias: the armed row ran second against a warmer, luckier process.
+  // right) and ALTERNATES disarmed/armed measurement windows: on a shared
+  // host the background load drifts on minute timescales, so back-to-back
+  // measurements hand whichever side runs second a different machine. The
+  // published numbers once showed the armed row *beating* the disarmed one
+  // — pure measurement-order bias: the armed row ran second against a
+  // warmer, luckier process.
   {
-    serve::ForestIndex index(make_opt(2, 2, /*planner=*/true));
+    serve::ForestIndex index(make_opt(2, 2));
     prime(index);
     double off = 0, armed = 0;
     for (int r = 0; r < kReps; ++r) {
-      // Alternate sides per rep, same reasoning as the planner A/B.
+      // Alternate which side goes first: the second window of a pair runs
+      // against a slightly warmer process, and a fixed order hands that
+      // edge to the same side every rep.
       for (const bool measure_armed : {r % 2 != 0, r % 2 == 0}) {
         if (measure_armed) {
           util::failpoint::arm("bench.unrelated.site", util::FailMode::kError);

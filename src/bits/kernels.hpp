@@ -86,15 +86,4 @@ struct Ops {
                                            const std::uint64_t* words,
                                            std::size_t nwords) noexcept;
 
-/// Read-intent prefetch of the cache line holding `p` (no-op where the
-/// compiler has no builtin). The serving batch planner uses this to pull
-/// mapped label words a few queries ahead of the decode cursor.
-inline void prefetch(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
 }  // namespace treelab::bits::kernels

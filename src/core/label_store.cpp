@@ -13,6 +13,7 @@
 #include "bits/bitio.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
+#include "util/hash.hpp"
 #include "util/io_error.hpp"
 
 namespace treelab::core {
@@ -319,22 +320,14 @@ LabelStore::LoadedArena LabelStore::load_arena(std::istream& is) {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+using util::fnv1a;
+using util::kFnvOffset;
 
-std::uint64_t fnv1a_bytes(std::uint64_t h, const unsigned char* p,
-                          std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+/// FNV-1a over x's eight little-endian bytes, continuing from `h`.
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t x) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(x >> (8 * i));
-  return fnv1a_bytes(h, b, 8);
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(x >> (8 * i));
+  return fnv1a(b, 8, h);
 }
 
 /// In-memory little-endian reader over a fully buffered delta, with
@@ -523,10 +516,7 @@ void LabelStore::save_delta(std::ostream& os, const LabelDelta& d) {
     put64(e.a);
     put64(e.b);
   }
-  const std::uint64_t sum = fnv1a_bytes(
-      kFnvOffset, reinterpret_cast<const unsigned char*>(out.data()),
-      out.size());
-  put64(sum);
+  put64(fnv1a(out.data(), out.size()));
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
@@ -653,9 +643,7 @@ LabelDelta LabelStore::load_delta(std::istream& is) {
   const auto want = c.get_le<std::uint64_t>();
   if (c.off != c.n)
     throw std::runtime_error("LabelStore: trailing bytes after delta");
-  const std::uint64_t got = fnv1a_bytes(
-      kFnvOffset, reinterpret_cast<const unsigned char*>(buf.data()), hashed);
-  if (got != want)
+  if (fnv1a(buf.data(), hashed) != want)
     throw std::runtime_error("LabelStore: delta checksum mismatch");
   validate_delta(d);
   return d;

@@ -24,12 +24,11 @@ void QueryClient::close() noexcept {
   fd_ = -1;
 }
 
-QueryClient::BatchStatus QueryClient::query_batch(
-    std::span<const serve::Request> reqs,
-    std::vector<serve::QueryResult>& out, int timeout_ms) {
-  if (fd_ < 0) return BatchStatus::kError;
-  std::string frame =
-      encode_frame(MsgType::kQueryBatch, encode_query_batch(reqs));
+std::optional<Frame> QueryClient::round_trip(MsgType type,
+                                             std::string_view payload,
+                                             int timeout_ms) {
+  if (fd_ < 0) return std::nullopt;
+  std::string frame = encode_frame(type, payload);
   maybe_corrupt_frame(frame);
   std::size_t sent = 0;
   while (sent < frame.size()) {
@@ -37,7 +36,7 @@ QueryClient::BatchStatus QueryClient::query_batch(
         write_some(fd_, frame.data() + sent, frame.size() - sent);
     if (w.status != IoStatus::kOk) {
       close();
-      return BatchStatus::kError;
+      return std::nullopt;
     }
     sent += w.n;
   }
@@ -47,14 +46,10 @@ QueryClient::BatchStatus QueryClient::query_batch(
       Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     const FrameReader::Status st = reader.next(f);
-    if (st == FrameReader::Status::kBad) {
+    if (st == FrameReader::Status::kFrame) return f;
+    if (st == FrameReader::Status::kBad || Clock::now() >= deadline) {
       close();
-      return BatchStatus::kError;
-    }
-    if (st == FrameReader::Status::kFrame) break;
-    if (Clock::now() >= deadline) {
-      close();
-      return BatchStatus::kError;
+      return std::nullopt;
     }
     if (!wait_readable(fd_, 100)) continue;
     char buf[64 * 1024];
@@ -63,11 +58,19 @@ QueryClient::BatchStatus QueryClient::query_batch(
       reader.feed(buf, r.n);
     else if (r.status != IoStatus::kWouldBlock) {
       close();
-      return BatchStatus::kError;
+      return std::nullopt;
     }
   }
-  if (f.type == MsgType::kOverloaded) return BatchStatus::kOverloaded;
-  if (f.type != MsgType::kQueryReply || !decode_query_reply(f.payload, out) ||
+}
+
+QueryClient::BatchStatus QueryClient::query_batch(
+    std::span<const serve::Request> reqs,
+    std::vector<serve::QueryResult>& out, int timeout_ms) {
+  const std::optional<Frame> f =
+      round_trip(MsgType::kQueryBatch, encode_query_batch(reqs), timeout_ms);
+  if (!f) return BatchStatus::kError;
+  if (f->type == MsgType::kOverloaded) return BatchStatus::kOverloaded;
+  if (f->type != MsgType::kQueryReply || !decode_query_reply(f->payload, out) ||
       out.size() != reqs.size()) {
     close();
     return BatchStatus::kError;
@@ -76,45 +79,9 @@ QueryClient::BatchStatus QueryClient::query_batch(
 }
 
 bool QueryClient::stats(std::vector<StatLine>& out, int timeout_ms) {
-  if (fd_ < 0) return false;
-  std::string frame = encode_frame(MsgType::kStats, {});
-  maybe_corrupt_frame(frame);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const IoResult w =
-        write_some(fd_, frame.data() + sent, frame.size() - sent);
-    if (w.status != IoStatus::kOk) {
-      close();
-      return false;
-    }
-    sent += w.n;
-  }
-  FrameReader reader;
-  Frame f;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const FrameReader::Status st = reader.next(f);
-    if (st == FrameReader::Status::kBad) {
-      close();
-      return false;
-    }
-    if (st == FrameReader::Status::kFrame) break;
-    if (Clock::now() >= deadline) {
-      close();
-      return false;
-    }
-    if (!wait_readable(fd_, 100)) continue;
-    char buf[64 * 1024];
-    const IoResult r = read_some(fd_, buf, sizeof(buf));
-    if (r.status == IoStatus::kOk)
-      reader.feed(buf, r.n);
-    else if (r.status != IoStatus::kWouldBlock) {
-      close();
-      return false;
-    }
-  }
-  if (f.type != MsgType::kStatsReply || !decode_stats_reply(f.payload, out)) {
+  const std::optional<Frame> f = round_trip(MsgType::kStats, {}, timeout_ms);
+  if (!f) return false;
+  if (f->type != MsgType::kStatsReply || !decode_stats_reply(f->payload, out)) {
     close();
     return false;
   }

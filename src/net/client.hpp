@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -45,6 +47,12 @@ class QueryClient {
   void close() noexcept;
 
  private:
+  /// Sends one frame and waits for the reply frame. nullopt on a send,
+  /// read, framing or timeout failure, which also closes the connection.
+  [[nodiscard]] std::optional<Frame> round_trip(MsgType type,
+                                                std::string_view payload,
+                                                int timeout_ms);
+
   int fd_ = -1;
 };
 

@@ -5,10 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "bits/kernels.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/io_error.hpp"
@@ -41,16 +39,12 @@ struct ServeMetrics {
   obs::Histogram& query_ns;
   obs::Histogram& batch_ns;
   obs::Histogram& batch_size;
-  obs::Counter& planner_batches;
-  obs::Counter& planner_groups;
   static ServeMetrics& get() {
     static ServeMetrics m = [] {
       obs::Registry& r = obs::Registry::global();
       return ServeMetrics{r.histogram("serve.query.latency_ns"),
                           r.histogram("serve.batch.latency_ns"),
-                          r.histogram("serve.batch.size"),
-                          r.counter("serve.planner.batches"),
-                          r.counter("serve.planner.groups")};
+                          r.histogram("serve.batch.size")};
     }();
     return m;
   }
@@ -511,15 +505,8 @@ int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
   return static_cast<int>(std::max<std::size_t>(t, 1));
 }
 
-Dist ForestIndex::query_entry_locked(Shard& sh, const Request& r,
-                                     const TreeEntry& e) const {
-  return query_resolved_locked(sh, r.tree, r, resolve(e, r.u),
-                               resolve(e, r.v), e);
-}
-
-Dist ForestIndex::query_resolved_locked(Shard& sh, TreeId tree,
-                                        const Request& r, tree::NodeId iu,
-                                        tree::NodeId iv,
+Dist ForestIndex::query_resolved_locked(Shard& sh, const Request& r,
+                                        tree::NodeId iu, tree::NodeId iv,
                                         const TreeEntry& e) const {
   // Cache lookup-or-attach for both labels, used in place on hits — no
   // shared_ptr refcount traffic on the all-hits fast path. The only
@@ -527,8 +514,8 @@ Dist ForestIndex::query_resolved_locked(Shard& sh, TreeId tree,
   // eviction sweep may drop u's entry: pin u with a strong reference
   // before that one insert (the entry just inserted — v itself — is never
   // evicted by its own put).
-  const std::uint64_t ku = cache_key(tree, r.u);
-  const std::uint64_t kv = cache_key(tree, r.v);
+  const std::uint64_t ku = cache_key(r.tree, r.u);
+  const std::uint64_t kv = cache_key(r.tree, r.v);
   AnyScheme::AttachedPtr hold_u;
   AnyScheme::AttachedPtr hold_v;
   const AnyScheme::Attached* au = nullptr;
@@ -558,14 +545,6 @@ Dist ForestIndex::query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                         e.labels.view(static_cast<std::size_t>(iv)));
 }
 
-Dist ForestIndex::query_locked(Shard& sh, const Request& r) const {
-  // Load the slot *under the shard lock*: anything this query inserts into
-  // the cache belongs to the labeling a concurrent update() will (or did)
-  // invalidate against — see swap_entry().
-  const EntryPtr e = trees_[r.tree]->entry.load(std::memory_order_acquire);
-  return query_entry_locked(sh, r, *e);
-}
-
 Dist ForestIndex::query(const Request& r) const {
   const obs::ScopedTimer timer(ServeMetrics::get().query_ns);
   const Slot& sl = slot(r.tree);
@@ -573,197 +552,124 @@ Dist ForestIndex::query(const Request& r) const {
     throw QuarantinedError(r.tree);
   Shard& sh = *shards_[shard_of(r.tree)];
   const util::MutexLock lock(sh.mu);
-  return query_locked(sh, r);
+  // Load the slot *under the shard lock*: anything this query inserts into
+  // the cache belongs to the labeling a concurrent update() will (or did)
+  // invalidate against — see swap_entry().
+  const EntryPtr e = sl.entry.load(std::memory_order_acquire);
+  const tree::NodeId iu = resolve(*e, r.u);
+  const tree::NodeId iv = resolve(*e, r.v);
+  return query_resolved_locked(sh, r, iu, iv, *e);
 }
 
-ForestIndex::BatchPlan ForestIndex::plan_batch(std::span<const Request> reqs,
-                                               QueryResult* results) const {
+ForestIndex::BatchPlan ForestIndex::plan_batch(
+    std::span<const Request> reqs, std::span<QueryResult> results) const {
   BatchPlan plan;
-  // Throwing mode tracks the first offender in REQUEST order across both
-  // passes: a bad node at request 1 (found while resolving groups) must
-  // beat a bad tree at request 3 (found in the serial scan), exactly as
-  // the old request-ordered pre-pass reported it.
-  std::size_t first_err = reqs.size();
-  std::exception_ptr err;
-
-  // Pass 1 (request order): tree bound + quarantine, partition by shard.
-  std::vector<std::vector<std::uint32_t>> by_shard(shards_.size());
+  plan.t0 = obs::now_ns();
+  plan.by_shard.resize(shards_.size());
+  // One serial pass in request order, so the first non-OK status is the
+  // first offender in request order. A tree's first request loads its entry
+  // snapshot; the rest of the batch resolves against the same one.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Request& r = reqs[i];
     if (r.tree >= trees_.size()) {
-      if (results != nullptr) {
-        results[i].status = QueryStatus::kBadTree;
-      } else if (i < first_err) {
-        first_err = i;
-        err = std::make_exception_ptr(
-            std::out_of_range("ForestIndex: tree id out of range"));
-      }
+      results[i].status = QueryStatus::kBadTree;
       continue;
     }
     if (health_of(*trees_[r.tree]) == TreeHealth::kQuarantined) {
-      if (results != nullptr) {
-        results[i].status = QueryStatus::kQuarantined;
-      } else if (i < first_err) {
-        first_err = i;
-        err = std::make_exception_ptr(QuarantinedError(r.tree));
-      }
+      results[i].status = QueryStatus::kQuarantined;
       continue;
     }
-    by_shard[shard_of(r.tree)].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Pass 2 (grouped): sort each shard's requests by tree (the planner's
-  // locality move — off, they keep arrival order, the pre-planner
-  // behavior), then walk the tree runs loading ONE entry snapshot per
-  // distinct tree and resolving every node id exactly once. The snapshot
-  // is shared across a tree's runs, so a batch still sees one labeling
-  // per tree even when the planner is off and a tree's requests are
-  // scattered.
-  plan.order.reserve(reqs.size());
-  plan.iu.assign(reqs.size(), tree::kNoNode);
-  plan.iv.assign(reqs.size(), tree::kNoNode);
-  plan.shard_groups.assign(shards_.size() + 1, 0);
-  std::unordered_map<TreeId, EntryPtr> snap;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    plan.shard_groups[s] = static_cast<std::uint32_t>(plan.groups.size());
-    std::vector<std::uint32_t>& idxs = by_shard[s];
-    if (opt_.planner) {
-      std::stable_sort(idxs.begin(), idxs.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return reqs[a].tree < reqs[b].tree;
-                       });
-    }
-    for (std::size_t k = 0; k < idxs.size();) {
-      const TreeId tree = reqs[idxs[k]].tree;
-      EntryPtr& e = snap[tree];  // load each referenced slot once per batch
-      if (e == nullptr)
-        e = trees_[tree]->entry.load(std::memory_order_acquire);
-      BatchPlan::Group g;
-      g.begin = static_cast<std::uint32_t>(plan.order.size());
-      g.tree = tree;
-      g.entry = e.get();
-      for (; k < idxs.size() && reqs[idxs[k]].tree == tree; ++k) {
-        const std::uint32_t i = idxs[k];
-        try {
-          plan.iu[i] = resolve(*e, reqs[i].u);
-          plan.iv[i] = resolve(*e, reqs[i].v);
-        } catch (const std::out_of_range&) {
-          if (results != nullptr) {
-            results[i].status = QueryStatus::kBadNode;
-          } else if (i < first_err) {
-            first_err = i;
-            err = std::current_exception();
-          }
-          continue;
-        }
-        plan.order.push_back(i);
-      }
-      g.end = static_cast<std::uint32_t>(plan.order.size());
-      if (g.end > g.begin) plan.groups.push_back(g);
+    const auto [it, fresh] = plan.snap_of.try_emplace(
+        r.tree, static_cast<std::uint32_t>(plan.snaps.size()));
+    if (fresh)
+      plan.snaps.push_back(
+          {r.tree, trees_[r.tree]->entry.load(std::memory_order_acquire)});
+    const TreeEntry& e = *plan.snaps[it->second].entry;
+    try {
+      plan.by_shard[shard_of(r.tree)].push_back(
+          {static_cast<std::uint32_t>(i), it->second, resolve(e, r.u),
+           resolve(e, r.v)});
+    } catch (const std::out_of_range&) {
+      results[i].status = QueryStatus::kBadNode;
     }
   }
-  plan.shard_groups[shards_.size()] =
-      static_cast<std::uint32_t>(plan.groups.size());
-  if (results == nullptr && err != nullptr) std::rethrow_exception(err);
-  plan.snap.reserve(snap.size());
-  for (auto& [tree, e] : snap) plan.snap.push_back(std::move(e));
   return plan;
 }
 
-template <typename Sink>
-void ForestIndex::execute_plan(const BatchPlan& plan,
-                               std::span<const Request> reqs,
-                               Sink&& sink) const {
+void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
+                               std::span<QueryResult> out) const {
   util::parallel_for_chunks(
       shards_.size(), shards_.size(), planned_fanout(reqs.size()),
       [&](std::size_t s, std::size_t, std::size_t) {
-        const std::uint32_t gb = plan.shard_groups[s];
-        const std::uint32_t ge = plan.shard_groups[s + 1];
-        if (gb == ge) return;
+        if (plan.by_shard[s].empty()) return;
         Shard& sh = *shards_[s];
         const util::MutexLock lock(sh.mu);
-        // Answers come from the planned snapshot entries, so the batch
-        // sees one labeling per tree. The shard cache may only be used
-        // while the snapshot still IS the live entry (checked per group,
-        // under the lock): if an update swapped the tree mid-batch,
-        // finish this batch's requests from the snapshot without touching
-        // the cache — caching attachments of a replaced labeling would
-        // undo the update's invalidation.
+        // Answers come from the planned snapshots, so the batch sees one
+        // labeling per tree. The shard cache may only be used while a
+        // snapshot still IS the live entry: if an update swapped the tree
+        // after planning, finish its requests from the snapshot without
+        // touching the cache — caching attachments of a replaced labeling
+        // would undo the update's invalidation. Writers swap under this
+        // lock, so one check per tree holds for the whole lock hold; a
+        // tree lives in one shard, so no other worker touches its Snap.
+        for (BatchPlan::Snap& sn : plan.snaps)
+          if (shard_of(sn.tree) == s)
+            sn.live = trees_[sn.tree]->entry.load(std::memory_order_acquire) ==
+                      sn.entry;
         std::size_t answered = 0;
-        for (std::uint32_t gi = gb; gi < ge; ++gi) {
-          const BatchPlan::Group& g = plan.groups[gi];
-          const TreeEntry& e = *g.entry;
-          const bool cacheable =
-              trees_[g.tree]->entry.load(std::memory_order_acquire).get() ==
-              &e;
-          for (std::uint32_t k = g.begin; k < g.end; ++k) {
-            if (opt_.planner && k + kPrefetchAhead < g.end) {
-              // Pull the label words and cache slots of the request a few
-              // slots ahead — mapped pages especially benefit; by the time
-              // the decode cursor arrives the lines are in flight or
-              // resident.
-              const std::uint32_t j = plan.order[k + kPrefetchAhead];
-              bits::kernels::prefetch(e.labels.label_words(
-                  static_cast<std::size_t>(plan.iu[j])));
-              bits::kernels::prefetch(e.labels.label_words(
-                  static_cast<std::size_t>(plan.iv[j])));
-              sh.cache.prefetch(cache_key(g.tree, reqs[j].u));
-              sh.cache.prefetch(cache_key(g.tree, reqs[j].v));
-            }
-            const std::uint32_t i = plan.order[k];
-            const bool sampled =
-                obs::kEnabled && (answered++ % kLatencySampleEvery) == 0;
-            const std::uint64_t q0 = sampled ? obs::now_ns() : 0;
-            const Dist d =
-                cacheable
-                    ? query_resolved_locked(sh, g.tree, reqs[i], plan.iu[i],
-                                            plan.iv[i], e)
-                    : query_resolved_uncached(plan.iu[i], plan.iv[i], e);
-            if (sampled)
-              ServeMetrics::get().query_ns.record(obs::now_ns() - q0);
-            sink(i, d);
-          }
+        for (const BatchPlan::Item& it : plan.by_shard[s]) {
+          const BatchPlan::Snap& sn = plan.snaps[it.snap];
+          const bool sampled =
+              obs::kEnabled && (answered++ % kLatencySampleEvery) == 0;
+          const std::uint64_t q0 = sampled ? obs::now_ns() : 0;
+          out[it.req].dist =
+              sn.live ? query_resolved_locked(sh, reqs[it.req], it.iu, it.iv,
+                                              *sn.entry)
+                      : query_resolved_uncached(it.iu, it.iv, *sn.entry);
+          if (sampled)
+            ServeMetrics::get().query_ns.record(obs::now_ns() - q0);
         }
       });
+  if constexpr (obs::kEnabled) {
+    ServeMetrics& m = ServeMetrics::get();
+    m.batch_ns.record(obs::now_ns() - plan.t0);
+    m.batch_size.record(reqs.size());
+  }
 }
 
 std::vector<Dist> ForestIndex::query_batch(
     std::span<const Request> reqs) const {
-  const std::uint64_t t0 = obs::now_ns();
-  std::vector<Dist> out(reqs.size());
-  // Plan serially (validation in request order — a bad request throws the
-  // first offender deterministically, before any query work), then fan the
-  // (shard, tree)-grouped plan out across shards.
-  const BatchPlan plan = plan_batch(reqs, nullptr);
-  execute_plan(plan, reqs, [&out](std::uint32_t i, Dist d) { out[i] = d; });
-  if constexpr (obs::kEnabled) {
-    ServeMetrics& m = ServeMetrics::get();
-    m.batch_ns.record(obs::now_ns() - t0);
-    m.batch_size.record(reqs.size());
-    m.planner_batches.add(1);
-    m.planner_groups.add(plan.groups.size());
+  std::vector<QueryResult> res(reqs.size());
+  BatchPlan plan = plan_batch(reqs, res);
+  // Throw for the first rejected request in request order, before any
+  // query runs or any label attaches. Re-running the check that rejected
+  // it (against the batch's own snapshot) throws exactly what query()
+  // would.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const Request& r = reqs[i];
+    const QueryStatus st = res[i].status;
+    if (st == QueryStatus::kQuarantined) throw QuarantinedError(r.tree);
+    if (st == QueryStatus::kBadTree) (void)slot(r.tree);
+    if (st == QueryStatus::kBadNode) {
+      const TreeEntry& e = *plan.snaps[plan.snap_of.at(r.tree)].entry;
+      (void)resolve(e, r.u);
+      (void)resolve(e, r.v);
+    }
   }
+  execute_plan(plan, reqs, res);
+  std::vector<Dist> out(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) out[i] = res[i].dist;
   return out;
 }
 
 std::vector<QueryResult> ForestIndex::query_batch_checked(
     std::span<const Request> reqs) const {
-  const std::uint64_t t0 = obs::now_ns();
+  // A bad request is *recorded* (typed status, request order) instead of
+  // aborting the batch: one quarantined tree or one bad client id must not
+  // cost every other request its answer.
   std::vector<QueryResult> out(reqs.size());
-  // Same plan as query_batch(), but a bad request is *recorded* (typed
-  // status, request order) instead of aborting the batch: one quarantined
-  // tree or one bad client id must not cost every other request its
-  // answer.
-  const BatchPlan plan = plan_batch(reqs, out.data());
-  execute_plan(plan, reqs,
-               [&out](std::uint32_t i, Dist d) { out[i].dist = d; });
-  if constexpr (obs::kEnabled) {
-    ServeMetrics& m = ServeMetrics::get();
-    m.batch_ns.record(obs::now_ns() - t0);
-    m.batch_size.record(reqs.size());
-    m.planner_batches.add(1);
-    m.planner_groups.add(plan.groups.size());
-  }
+  BatchPlan plan = plan_batch(reqs, out);
+  execute_plan(plan, reqs, out);
   return out;
 }
 

@@ -63,6 +63,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "bits/mapped_arena.hpp"
@@ -138,14 +139,6 @@ struct ForestOptions {
   /// chain) on one tree before it is quarantined. <= 0 quarantines on the
   /// first integrity failure.
   int quarantine_after = 3;
-  /// Batch query planner: stable-sort each shard's requests by tree before
-  /// fan-out (one entry lookup and one contiguous attachment/label walk per
-  /// tree group) and software-prefetch mapped label words a few queries
-  /// ahead. Off = requests keep arrival order within their shard (the
-  /// pre-planner behavior) — the A/B lever the bench rows and the CI
-  /// planner-on >= planner-off assert use. Answers and error reporting are
-  /// identical either way (pinned by tests).
-  bool planner = true;
 };
 
 class ForestIndex {
@@ -255,11 +248,6 @@ class ForestIndex {
   /// Below this many requests per thread, fan-out overhead beats the win.
   static constexpr std::size_t kFanoutBatchPerThread = 256;
 
-  /// The planner prefetches the mapped label words of the request this many
-  /// slots ahead inside each tree group — far enough to cover a memory
-  /// fetch, near enough to stay inside the group's working set.
-  static constexpr std::size_t kPrefetchAhead = 4;
-
   /// The batch path records every this-many-th per-query latency into
   /// `serve.query.latency_ns` (sampling keeps the clock off the per-query
   /// hot path; the single-query API still records exactly).
@@ -274,11 +262,12 @@ class ForestIndex {
   [[nodiscard]] Dist query(const Request& r) const;
 
   /// Answers every request, one result per request in request order.
-  /// Requests are grouped by shard (hence by tree), each group attaches its
-  /// hot labels once via the shard cache, and shards are fanned out across
-  /// `opt.threads`. Tree AND node ids are validated in a serial pre-pass:
-  /// a bad request throws std::out_of_range deterministically — the first
-  /// offender in request order — before any parallel work starts. The
+  /// Requests are partitioned by shard (keeping request order), each shard
+  /// attaches its hot labels once via its cache, and shards are fanned out
+  /// across `opt.threads`. Tree AND node ids are validated in a serial
+  /// pre-pass: a bad request throws deterministically — the first offender
+  /// in request order, with the exception query() throws for it
+  /// (std::out_of_range, QuarantinedError) — before any parallel work. The
   /// batch then answers from the entries it validated (one labeling per
   /// tree for the whole batch), so an update() landing mid-batch can never
   /// fail requests the pre-pass accepted — those answers come from the
@@ -398,55 +387,45 @@ class ForestIndex {
                            std::string_view params, bits::MappedArena labels,
                            const std::vector<tree::NodeId>* remap,
                            const std::uint64_t* chain = nullptr);
-  /// The batch planner's output: accepted request indices grouped
-  /// contiguously by (shard, tree) — sorted by tree within each shard when
-  /// opt_.planner is on, arrival order otherwise — with node ids resolved
-  /// to internal label indices exactly once. `snap` owns one entry
-  /// snapshot per referenced tree (the "one labeling per tree per batch"
-  /// guarantee); groups point into it.
+  /// A batch's accepted requests, partitioned by shard in request order,
+  /// each with its node ids resolved exactly once against its tree's entry
+  /// snapshot. `snaps` holds one snapshot per distinct tree: the "one
+  /// labeling per tree per batch" guarantee.
   struct BatchPlan {
-    struct Group {
-      std::uint32_t begin = 0;  ///< [begin, end) into `order`
-      std::uint32_t end = 0;
-      TreeId tree = 0;
-      const TreeEntry* entry = nullptr;  ///< owned by `snap`
+    struct Item {
+      std::uint32_t req = 0;   ///< request index
+      std::uint32_t snap = 0;  ///< index into `snaps`
+      tree::NodeId iu = 0;     ///< resolved internal ids
+      tree::NodeId iv = 0;
     };
-    std::vector<std::uint32_t> order;  ///< accepted request indices
-    std::vector<tree::NodeId> iu, iv;  ///< resolved ids, indexed by request
-    std::vector<Group> groups;
-    std::vector<std::uint32_t> shard_groups;  ///< per-shard range in groups
-    std::vector<EntryPtr> snap;               ///< keeps group entries alive
+    struct Snap {
+      TreeId tree = 0;
+      EntryPtr entry;
+      /// Whether `entry` is still the live one; set by execute_plan under
+      /// the tree's shard lock.
+      bool live = false;
+    };
+    std::vector<std::vector<Item>> by_shard;
+    std::vector<Snap> snaps;
+    std::unordered_map<TreeId, std::uint32_t> snap_of;  ///< tree -> snaps
+    std::uint64_t t0 = 0;  ///< planning start, for serve.batch.latency_ns
   };
-  /// Shared planning pass of query_batch()/query_batch_checked(): validate
-  /// every request, group by (shard, tree), load one entry snapshot per
-  /// tree, resolve node ids once. `results` null = throwing mode: the
-  /// plan throws the FIRST offender in request order (exact pinned
-  /// exceptions), before any query work. `results` non-null = checked
-  /// mode: offenders get their typed status and drop out of the plan.
+  /// Validates every request in request order: a rejected one gets its
+  /// typed status in `results` and stays out of the plan.
   [[nodiscard]] BatchPlan plan_batch(std::span<const Request> reqs,
-                                     QueryResult* results) const;
-  /// Fans a plan out across shards (one lock per shard, groups walked
-  /// contiguously, prefetch ahead) and hands each answer to
-  /// `sink(request_index, dist)` — results land in request order because
-  /// the sink writes out[i].
-  template <typename Sink>
-  void execute_plan(const BatchPlan& plan, std::span<const Request> reqs,
-                    Sink&& sink) const;
-  /// query_entry_locked for ids already resolved by the planner.
-  [[nodiscard]] Dist query_resolved_locked(Shard& sh, TreeId tree,
-                                           const Request& r, tree::NodeId iu,
-                                           tree::NodeId iv, const TreeEntry& e)
-      const TREELAB_REQUIRES(sh.mu);
+                                     std::span<QueryResult> results) const;
+  /// Answers a plan across shards (one lock hold per shard) into
+  /// out[request index].dist, then records the batch metrics.
+  void execute_plan(BatchPlan& plan, std::span<const Request> reqs,
+                    std::span<QueryResult> out) const;
+  /// A query through the shard cache, for ids already resolved against
+  /// `e`, which must be the tree's live entry.
+  [[nodiscard]] Dist query_resolved_locked(Shard& sh, const Request& r,
+                                           tree::NodeId iu, tree::NodeId iv,
+                                           const TreeEntry& e) const
+      TREELAB_REQUIRES(sh.mu);
   [[nodiscard]] Dist query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                                              const TreeEntry& e) const;
-
-  [[nodiscard]] Dist query_entry_locked(Shard& sh, const Request& r,
-                                        const TreeEntry& e) const
-      TREELAB_REQUIRES(sh.mu);
-  /// One query against the *current* entry of r.tree (re-loaded under the
-  /// shard lock, so cached attachments always match the live labeling).
-  [[nodiscard]] Dist query_locked(Shard& sh, const Request& r) const
-      TREELAB_REQUIRES(sh.mu);
 
   [[nodiscard]] Slot& slot(TreeId tree) const;
   [[nodiscard]] static TreeHealth health_of(const Slot& s) noexcept {

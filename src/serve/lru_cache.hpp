@@ -43,14 +43,6 @@ class LruCache {
     return &nodes_[i].value;
   }
 
-  /// Hints the table slot for `key` into cache ahead of a get() — the
-  /// serving layer issues this a few requests ahead while decoding the
-  /// current one.
-  void prefetch(const K& key) const {
-    if (!table_.empty())
-      __builtin_prefetch(&table_[home(key)], 0, 1);
-  }
-
   /// Inserts (or replaces) `key` at the hot end, charging `cost` bytes, then
   /// evicts least-recently-used entries while over capacity.
   void put(const K& key, V value, std::size_t cost) {

@@ -2,8 +2,7 @@
 // (all five schemes, mapped files and in-memory arenas mixed) must answer
 // exactly like the underlying schemes, for single queries and batches, at
 // any shard/thread count, under cache pressure, and fail loudly on bad
-// ids, unknown scheme tags, and cross-scheme attached labels. Plus unit
-// coverage for the byte-bounded LruCache the shards are built on.
+// ids, unknown scheme tags, and cross-scheme attached labels.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +23,6 @@
 #include "core/peleg_scheme.hpp"
 #include "obs/metrics.hpp"
 #include "serve/forest_index.hpp"
-#include "serve/lru_cache.hpp"
 #include "tree/generators.hpp"
 #include "tree/nca_index.hpp"
 #include "util/failpoint.hpp"
@@ -260,59 +258,11 @@ TEST(ForestIndex, BatchValidatesNodeIdsInRequestOrder) {
   cleanup(files);
 }
 
-TEST(ForestIndex, PlannerOffMatchesPlannerOn) {
-  // The batch planner (sort by (shard, tree), resolve each group against
-  // one entry lookup) is a pure execution-order optimization: answers,
-  // their request-order placement, and checked statuses must be identical
-  // with it disabled. Requests deliberately interleave trees so the
-  // planner's stable sort actually reorders work.
-  std::vector<std::string> files_on;
-  std::vector<std::string> files_off;
-  ForestOptions on_opt;
-  on_opt.shards = 4;
-  on_opt.threads = 4;
-  ASSERT_TRUE(on_opt.planner);  // the default
-  ForestOptions off_opt = on_opt;
-  off_opt.planner = false;
-  ForestIndex on(on_opt);
-  ForestIndex off(off_opt);
-  build_forest(on, files_on);
-  build_forest(off, files_off);
-
-  std::mt19937_64 rng(12);
-  std::vector<Request> reqs;
-  for (int i = 0; i < 400; ++i) {
-    const auto id = static_cast<TreeId>(i % 5);  // maximally interleaved
-    std::uniform_int_distribution<NodeId> pick(
-        0, static_cast<NodeId>(on.label_count(id)) - 1);
-    reqs.push_back({id, pick(rng), pick(rng)});
-  }
-  const std::vector<Dist> want = off.query_batch(reqs);
-  const std::vector<Dist> got = on.query_batch(reqs);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], want[i]) << "req " << i;
-
-  // Checked path too, with per-request failures mixed in.
-  reqs[3] = {99, 0, 0};
-  reqs[7] = {1, NodeId{100000}, 0};
-  const auto want_checked = off.query_batch_checked(reqs);
-  const auto got_checked = on.query_batch_checked(reqs);
-  ASSERT_EQ(got_checked.size(), want_checked.size());
-  for (std::size_t i = 0; i < got_checked.size(); ++i) {
-    EXPECT_EQ(got_checked[i].status, want_checked[i].status) << "req " << i;
-    if (got_checked[i].status == serve::QueryStatus::kOk) {
-      EXPECT_EQ(got_checked[i].dist, want_checked[i].dist) << "req " << i;
-    }
-  }
-  cleanup(files_on);
-  cleanup(files_off);
-}
-
-TEST(ForestIndex, PlannerReorderingPreservesErrorOrder) {
-  // The planner validates tree ids in a serial pre-pass but discovers bad
-  // node ids while walking groups in *sorted* order. The thrown error must
-  // still be the first offender in REQUEST order, whichever pass found it.
+TEST(ForestIndex, ReorderingPreservesErrorOrder) {
+  // The batch executes partitioned by shard, not in request order, and
+  // rejects bad trees and bad nodes by different checks. The thrown error
+  // must still be the first offender in REQUEST order, whichever check
+  // found it.
   ForestOptions opt;
   opt.shards = 4;
   opt.threads = 4;
@@ -320,7 +270,7 @@ TEST(ForestIndex, PlannerReorderingPreservesErrorOrder) {
   std::vector<std::string> files;
   build_forest(index, files);
 
-  // Bad node (group pass) before bad tree (pre-pass): node error wins.
+  // Bad node before bad tree: node error wins.
   std::vector<Request> reqs{
       {4, 0, 1}, {3, NodeId{100000}, 0}, {2, 0, 1}, {99, 0, 0}};
   try {
@@ -883,9 +833,21 @@ TEST(ForestIndexDegradation, CorruptFileStreakQuarantinesTypedErrorsRepair) {
   EXPECT_EQ(rig.index.cache_stats().quarantined, 1u);
   EXPECT_GE(rig.index.cache_stats().integrity_failures, 3u);
   EXPECT_EQ(rig.index.cache_stats().quarantine_events, 1u);
-  // Typed refusal from both query APIs; the other tree keeps serving.
+  // Typed refusal from every query API; the other tree keeps serving.
   EXPECT_THROW((void)rig.index.query({rig.t0, 0, 1}),
                serve::QuarantinedError);
+  // The throwing batch names the quarantined tree when it is the first
+  // offender in request order (the bad node after it does not win), and
+  // refuses before any label attaches.
+  const std::vector<Request> batch{
+      {rig.t1, 0, 1}, {rig.t0, 0, 1}, {rig.t1, 0, NodeId{100000}}};
+  try {
+    (void)rig.index.query_batch(batch);
+    FAIL() << "expected QuarantinedError";
+  } catch (const serve::QuarantinedError& e) {
+    EXPECT_EQ(e.tree(), rig.t0);
+  }
+  EXPECT_EQ(rig.index.cache_stats().entries, 0u);
   const std::vector<Request> reqs{{rig.t0, 0, 1}, {rig.t1, 0, 1}};
   const auto res = rig.index.query_batch_checked(reqs);
   EXPECT_EQ(res[0].status, QueryStatus::kQuarantined);
@@ -942,6 +904,32 @@ TEST(ForestIndexDegradation, CheckedBatchReportsBadIdsPerRequest) {
                    res[i].dist);
     EXPECT_EQ(res[i].dist, index.query(reqs[i]));
   }
+
+  // A bad tree and a bad node inside a batch that interleaves every tree
+  // cost only their own answers: every other request answers exactly as
+  // query_batch answers the clean batch.
+  std::mt19937_64 rng(12);
+  std::vector<Request> mixed;
+  for (int i = 0; i < 400; ++i) {
+    const auto id = static_cast<TreeId>(i % 5);
+    std::uniform_int_distribution<NodeId> pick(
+        0, static_cast<NodeId>(index.label_count(id)) - 1);
+    mixed.push_back({id, pick(rng), pick(rng)});
+  }
+  const std::vector<Dist> want = index.query_batch(mixed);
+  mixed[3] = {99, 0, 0};
+  mixed[7] = {1, NodeId{100000}, 0};
+  const auto got = index.query_batch_checked(mixed);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const QueryStatus expect = i == 3   ? QueryStatus::kBadTree
+                               : i == 7 ? QueryStatus::kBadNode
+                                        : QueryStatus::kOk;
+    EXPECT_EQ(got[i].status, expect) << "req " << i;
+    if (expect == QueryStatus::kOk) {
+      EXPECT_EQ(got[i].dist, want[i]) << "req " << i;
+    }
+  }
   cleanup(files);
 }
 
@@ -974,41 +962,6 @@ TEST(AnyScheme, CrossSchemeAttachedLabelsThrow) {
   const auto att_f2 = any_f.attach(f.label(40));
   EXPECT_EQ(any_f.query(*att_f, *att_f2).value,
             core::FgnwScheme::query(f.label(3), f.label(40)));
-}
-
-TEST(LruCache, EvictsLeastRecentlyUsedWithinByteBudget) {
-  serve::LruCache<int, std::string> cache(100);
-  cache.put(1, "a", 40);
-  cache.put(2, "b", 40);
-  ASSERT_NE(cache.get(1), nullptr);  // 1 is now hottest
-  cache.put(3, "c", 40);             // over budget: evicts 2, the coldest
-  EXPECT_EQ(cache.get(2), nullptr);
-  ASSERT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(*cache.get(1), "a");
-  ASSERT_NE(cache.get(3), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.bytes(), 80u);
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(LruCache, ReplacingAKeyRechargesItsCost) {
-  serve::LruCache<int, int> cache(100);
-  cache.put(1, 10, 60);
-  cache.put(1, 11, 30);  // replaces; old cost released
-  EXPECT_EQ(cache.bytes(), 30u);
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_NE(cache.get(1), nullptr);
-  EXPECT_EQ(*cache.get(1), 11);
-}
-
-TEST(LruCache, OversizedEntryIsKeptUntilTheNextInsert) {
-  serve::LruCache<int, int> cache(10);
-  cache.put(1, 10, 500);  // larger than the whole budget: still served
-  ASSERT_NE(cache.get(1), nullptr);
-  cache.put(2, 20, 4);  // next insert pushes the giant out
-  EXPECT_EQ(cache.get(1), nullptr);
-  ASSERT_NE(cache.get(2), nullptr);
-  EXPECT_EQ(cache.bytes(), 4u);
 }
 
 }  // namespace

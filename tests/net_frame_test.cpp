@@ -6,6 +6,10 @@
 // contract itself.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <random>
 #include <string>
 #include <vector>
@@ -87,6 +91,38 @@ TEST(NetFrame, FragmentedDelivery) {
   EXPECT_EQ(got[1].type, MsgType::kEnd);
   EXPECT_EQ(got[2].payload.size(), 1000u);
   EXPECT_EQ(r.buffered(), 0u);
+}
+
+TEST(NetFrame, ReadsEndingMidFrameDoNotGrowTheBuffer) {
+  // A peer whose reads keep ending just past the next frame header (a
+  // pipelining client, a follower catching up through a burst of deltas)
+  // never leaves less than a header buffered. The consumed prefix must be
+  // reclaimed anyway: feeding 80 MB this way may not grow the heap.
+#if !defined(__GLIBC__) || __GLIBC__ < 2 || \
+    (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33)
+  GTEST_SKIP() << "needs glibc mallinfo2()";
+#else
+  const auto heap_bytes = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const std::string frame =
+      net::encode_frame(MsgType::kDelta, std::string(4096, 'd'));
+  const std::size_t split = net::kFrameHeaderBytes + 1;
+  // One read: the rest of a frame, then the next frame's header + 1 byte.
+  const std::string read = frame.substr(split) + frame.substr(0, split);
+  FrameReader r;
+  Frame f;
+  r.feed(frame.data(), split);
+  const std::size_t before = heap_bytes();
+  for (int i = 0; i < 20000; ++i) {
+    r.feed(read.data(), read.size());
+    ASSERT_EQ(r.next(f), FrameReader::Status::kFrame) << "frame " << i;
+    ASSERT_EQ(r.next(f), FrameReader::Status::kNeedMore) << "frame " << i;
+    ASSERT_EQ(r.buffered(), split);
+  }
+  EXPECT_LT(heap_bytes(), before + (std::size_t{4} << 20));
+#endif
 }
 
 TEST(NetFrame, BadMagicIsSticky) {
