@@ -4,10 +4,12 @@
 //   treelab_cli gen <shape> <n> <seed>          > tree.txt
 //   treelab_cli label <scheme> tree.txt out.lbl   (scheme: fgnw|alstrup|
 //                                                  peleg|kdist:<k>|
-//                                                  approx:<1/eps>)
+//                                                  approx:<1/eps>; writes a
+//                                                  mappable container)
 //   treelab_cli query out.lbl <u> <v>             (labels only; the tree
 //                                                  file is NOT read)
-//   treelab_cli stats out.lbl                     (label-size statistics)
+//   treelab_cli stats out.lbl                     (label-size statistics and
+//                                                  storage, as `load`)
 //   treelab_cli stats <host>:<port> [--probe N]   (live metrics: send kStats
 //                                                  to a running server and
 //                                                  print its obs registry as
@@ -16,10 +18,10 @@
 //                                                  query batches first so
 //                                                  the latency histograms
 //                                                  are warm)
-//   treelab_cli save <in.lbl> <out.lbl> [v1|mappable]
-//                                                 (convert container
-//                                                  versions; mappable files
-//                                                  serve zero-copy)
+//   treelab_cli save <in.lbl> <out.lbl>          (rewrite any container as
+//                                                  a mappable one: the
+//                                                  upgrade path for
+//                                                  version-1 files)
 //   treelab_cli load <labels.lbl>                 (open for serving, report
 //                                                  mapped vs streamed)
 //   treelab_cli serve-bench <labels.lbl...> [--shards S] [--threads T]
@@ -106,8 +108,7 @@
 //   treelab_cli gen random 1000 7 > t.txt
 //   treelab_cli label fgnw t.txt t.lbl
 //   treelab_cli query t.lbl 12 900
-//   treelab_cli save t.lbl t.mlbl mappable
-//   treelab_cli serve-bench t.mlbl --shards 4
+//   treelab_cli serve-bench t.lbl --shards 4
 //   treelab_cli update t.txt t2.lbl --edits 500 --tree-out t2.txt
 //   treelab_cli delta-save t.txt base.lbl churn.delta --edits 200
 //   treelab_cli delta-apply base.lbl churn.delta patched.lbl
@@ -124,7 +125,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/alstrup_scheme.hpp"
@@ -138,6 +138,7 @@
 #include "net/client.hpp"
 #include "net/replicator.hpp"
 #include "net/server.hpp"
+#include "serve/any_scheme.hpp"
 #include "serve/forest_index.hpp"
 #include "util/fs.hpp"
 #include "tree/generators.hpp"
@@ -156,7 +157,7 @@ int usage() {
                "  treelab_cli query <labels.lbl> <u> <v>\n"
                "  treelab_cli stats <labels.lbl>\n"
                "  treelab_cli stats <host>:<port> [--probe N]\n"
-               "  treelab_cli save <in.lbl> <out.lbl> [v1|mappable]\n"
+               "  treelab_cli save <in.lbl> <out.lbl>\n"
                "  treelab_cli load <labels.lbl>\n"
                "  treelab_cli serve-bench <labels.lbl...> [--shards S] "
                "[--threads T] [--batch B] [--seed X]\n"
@@ -202,24 +203,26 @@ int cmd_label(int argc, char** argv) {
     return 1;
   }
   const tree::Tree t = tree::read_text(in);
-  std::ofstream out(argv[4], std::ios::binary);
+  const auto save = [&](const char* tag, const bits::LabelArena& labels,
+                        const std::string& params = {}) {
+    core::LabelStore::save_file(argv[4], tag, labels, params);
+  };
 
   if (scheme == "fgnw") {
-    core::LabelStore::save(out, "fgnw", core::FgnwScheme(t).labels());
+    save("fgnw", core::FgnwScheme(t).labels());
   } else if (scheme == "alstrup") {
-    core::LabelStore::save(out, "alstrup", core::AlstrupScheme(t).labels());
+    save("alstrup", core::AlstrupScheme(t).labels());
   } else if (scheme == "peleg") {
-    core::LabelStore::save(out, "peleg", core::PelegScheme(t).labels());
+    save("peleg", core::PelegScheme(t).labels());
   } else if (scheme.rfind("kdist:", 0) == 0) {
     const std::uint64_t k = std::stoull(scheme.substr(6));
-    core::LabelStore::save(out, "kdist", core::KDistanceScheme(t, k).labels(),
-                           "k=" + std::to_string(k));
+    save("kdist", core::KDistanceScheme(t, k).labels(),
+         "k=" + std::to_string(k));
   } else if (scheme.rfind("approx:", 0) == 0) {
     const std::uint64_t inv = std::stoull(scheme.substr(7));
-    core::LabelStore::save(
-        out, "approx",
-        core::ApproxScheme(t, 1.0 / static_cast<double>(inv)).labels(),
-        "inv_eps=" + std::to_string(inv));
+    save("approx",
+         core::ApproxScheme(t, 1.0 / static_cast<double>(inv)).labels(),
+         "inv_eps=" + std::to_string(inv));
   } else {
     std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
     return 2;
@@ -229,61 +232,32 @@ int cmd_label(int argc, char** argv) {
   return 0;
 }
 
-core::LabelStore::Loaded load_file(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw util::IoError(path, "open labels for reading",
-                        errno != 0 ? errno : ENOENT);
-  return core::LabelStore::load(in);
-}
-
 int cmd_query(int argc, char** argv) {
   if (argc != 5) return usage();
-  const auto store = load_file(argv[2]);
+  const auto opened = core::LabelStore::open_mapped(argv[2]);
   const auto u = static_cast<std::size_t>(std::stoull(argv[3]));
   const auto v = static_cast<std::size_t>(std::stoull(argv[4]));
-  if (u >= store.labels.size() || v >= store.labels.size()) {
-    std::fprintf(stderr, "node out of range (have %zu labels)\n",
-                 store.labels.size());
+  const std::size_t n = opened.labels.size();
+  if (u >= n || v >= n) {
+    std::fprintf(stderr, "node out of range (have %zu labels)\n", n);
     return 1;
   }
-  const auto& lu = store.labels[u];
-  const auto& lv = store.labels[v];
-  if (store.scheme == "fgnw") {
-    std::printf("d = %llu\n",
-                static_cast<unsigned long long>(core::FgnwScheme::query(lu, lv)));
-  } else if (store.scheme == "alstrup") {
-    std::printf("d = %llu\n", static_cast<unsigned long long>(
-                                  core::AlstrupScheme::query(lu, lv)));
-  } else if (store.scheme == "peleg") {
-    std::printf("d = %llu\n", static_cast<unsigned long long>(
-                                  core::PelegScheme::query(lu, lv)));
-  } else if (store.scheme == "kdist") {
-    const std::uint64_t k = std::stoull(store.params.substr(2));
-    const auto r = core::KDistanceScheme::query(k, lu, lv);
-    if (r.within)
-      std::printf("d = %llu (<= k = %llu)\n",
-                  static_cast<unsigned long long>(r.distance),
-                  static_cast<unsigned long long>(k));
-    else
-      std::printf("d > k = %llu\n", static_cast<unsigned long long>(k));
-  } else if (store.scheme == "approx") {
-    const double eps = 1.0 / std::stod(store.params.substr(8));
-    std::printf("d ~ %llu (within factor %.4f)\n",
-                static_cast<unsigned long long>(
-                    core::ApproxScheme::query(eps, lu, lv)),
-                1 + eps);
-  } else {
-    std::fprintf(stderr, "unknown scheme tag '%s'\n", store.scheme.c_str());
-    return 1;
-  }
+  // The scheme the server would answer with: any tag and params it serves.
+  const serve::Dist d =
+      serve::AnyScheme::make(opened.scheme, opened.params)
+          .query(opened.labels.view(u), opened.labels.view(v));
+  const std::string note =
+      opened.params.empty() ? "" : " (" + opened.params + ")";
+  if (d.within)
+    std::printf("d %s %llu%s\n", opened.scheme == "approx" ? "~" : "=",
+                static_cast<unsigned long long>(d.value), note.c_str());
+  else
+    std::printf("d > k%s\n", note.c_str());
   return 0;
 }
 
 int cmd_save(int argc, char** argv) {
-  if (argc != 4 && argc != 5) return usage();
-  const std::string format = argc == 5 ? argv[4] : "mappable";
-  if (format != "v1" && format != "mappable") return usage();
+  if (argc != 4) return usage();
   std::ifstream in(argv[2], std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", argv[2]);
@@ -291,16 +265,16 @@ int cmd_save(int argc, char** argv) {
   }
   const auto loaded = core::LabelStore::load_arena(in);
   core::LabelStore::save_file(argv[3], loaded.scheme, loaded.labels,
-                              loaded.params, format == "mappable");
-  std::printf("rewrote %zu %s labels -> %s (%s container)\n",
-              loaded.labels.size(), loaded.scheme.c_str(), argv[3],
-              format.c_str());
+                              loaded.params);
+  std::printf("rewrote %zu %s labels -> %s (mappable container)\n",
+              loaded.labels.size(), loaded.scheme.c_str(), argv[3]);
   return 0;
 }
 
-int cmd_load(int argc, char** argv) {
-  if (argc != 3) return usage();
-  const auto opened = core::LabelStore::open_mapped(argv[2]);
+/// `stats <file>` and `load`: label sizes, and whether the file serves
+/// zero-copy, as a server would open it.
+int print_label_file(const char* path) {
+  const auto opened = core::LabelStore::open_mapped(path);
   core::LabelStats st;
   for (std::size_t i = 0; i < opened.labels.size(); ++i)
     st.add(opened.labels.label_bits(i));
@@ -311,6 +285,11 @@ int cmd_load(int argc, char** argv) {
       st.avg_bits(),
       opened.labels.mapped() ? "mmap (zero-copy)" : "owned (streamed)");
   return 0;
+}
+
+int cmd_load(int argc, char** argv) {
+  if (argc != 3) return usage();
+  return print_label_file(argv[2]);
 }
 
 int cmd_serve_bench(int argc, char** argv) {
@@ -929,8 +908,8 @@ int cmd_follow(int argc, char** argv) {
     return 1;
   }
   const core::LabelStore::LoadedArena snap = index.snapshot_labels(tree0);
-  core::LabelStore::save_file(out_path, snap.scheme, snap.labels, snap.params,
-                              /*mappable=*/true);
+  core::LabelStore::save_file(out_path, snap.scheme, snap.labels,
+                              snap.params);
   std::printf("converged at chain %016llx: wrote %zu labels -> %s\n",
               static_cast<unsigned long long>(index.chain(tree0)),
               snap.labels.size(), out_path);
@@ -1005,13 +984,7 @@ int cmd_stats(int argc, char** argv) {
   // the wire; a plain path reports label-size statistics from a file.
   if (std::strchr(argv[2], ':') != nullptr) return cmd_stats_remote(argc, argv);
   if (argc != 3) return usage();
-  const auto store = load_file(argv[2]);
-  core::LabelStats st;
-  for (const auto& l : store.labels) st.add(l.size());
-  std::printf("scheme=%s params='%s' labels=%zu max=%zu bits avg=%.1f bits\n",
-              store.scheme.c_str(), store.params.c_str(), st.count,
-              st.max_bits, st.avg_bits());
-  return 0;
+  return print_label_file(argv[2]);
 }
 
 }  // namespace

@@ -8,11 +8,4 @@ std::size_t LabelArena::total_label_bits() const noexcept {
   return total;
 }
 
-std::vector<BitVec> LabelArena::to_vectors() const {
-  std::vector<BitVec> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.emplace_back(view(i));
-  return out;
-}
-
 }  // namespace treelab::bits

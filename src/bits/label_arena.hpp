@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "bits/bitio.hpp"
@@ -52,8 +53,11 @@ class LabelArena {
     return words_.data() + start_word_[i];
   }
 
-  /// Owning per-label copies (compatibility helper; O(total bits)).
-  [[nodiscard]] std::vector<BitVec> to_vectors() const;
+  /// The whole word buffer: every label in index order, each starting on a
+  /// word boundary — LabelStore's container payload layout.
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return words_;
+  }
 
   /// Builds an arena of `n` labels by running `emit(i, writer)` for every
   /// i in [0, n), on up to `threads` threads (0 = TREELAB_THREADS / hardware

@@ -6,10 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bits/mapped_arena.hpp"
 #include "obs/metrics.hpp"
+#include "util/bytes.hpp"
 #include "util/fs.hpp"
-#include "util/hash.hpp"
 #include "util/io_error.hpp"
 
 namespace treelab::core {
@@ -49,33 +48,23 @@ constexpr char kJournalMagic[4] = {'T', 'L', 'J', 'N'};
 constexpr char kRecordMagic[4] = {'T', 'L', 'R', 'C'};
 constexpr std::uint32_t kJournalVersion = 1;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
-constexpr std::size_t kFrameBytes = 4 + 4 + 8 + 8;
+constexpr std::size_t kFrameBytes = util::kFrameHeaderBytes;
 // A single record cannot meaningfully exceed this; anything larger in a
 // length field is a torn/garbage frame, not a real delta.
 constexpr std::uint64_t kMaxPayload = std::uint64_t{1} << 40;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
+/// Parses the kHeaderBytes journal header at `p`; false on a bad magic,
+/// version or checksum.
+bool read_journal_header(const char* p, std::uint64_t& chain,
+                         std::uint64_t& lens) {
+  if (std::memcmp(p, kJournalMagic, 4) != 0 ||
+      util::load_le<std::uint32_t>(p + 4) != kJournalVersion ||
+      util::load_le<std::uint64_t>(p + kHeaderBytes - 8) !=
+          fnv1a(p, kHeaderBytes - 8))
+    return false;
+  chain = util::load_le<std::uint64_t>(p + 8);
+  lens = util::load_le<std::uint64_t>(p + 16);
+  return true;
 }
 
 }  // namespace
@@ -107,10 +96,10 @@ void DeltaJournal::write_fresh_journal() {
   std::string hdr;
   hdr.reserve(kHeaderBytes);
   hdr.append(kJournalMagic, 4);
-  put_u32(hdr, kJournalVersion);
-  put_u64(hdr, chain_);
-  put_u64(hdr, LabelStore::lens_hash(labels_));
-  put_u64(hdr, fnv1a(hdr.data(), hdr.size()));
+  util::put_le(hdr, kJournalVersion);
+  util::put_le(hdr, chain_);
+  util::put_le(hdr, LabelStore::lens_hash(labels_));
+  util::put_le(hdr, fnv1a(hdr.data(), hdr.size()));
   util::atomic_write_file(journal_path_, hdr);
   record_count_ = 0;
   journal_bytes_ = hdr.size();
@@ -118,9 +107,7 @@ void DeltaJournal::write_fresh_journal() {
 }
 
 void DeltaJournal::apply_in_memory(const LabelDelta& d) {
-  bits::LabelArena base = labels_;
-  labels_ = LabelStore::apply_delta(bits::MappedArena::adopt(std::move(base)),
-                                    d);
+  labels_ = LabelStore::apply_delta(labels_, d);
 }
 
 DeltaJournal DeltaJournal::create(const std::string& base_path,
@@ -168,17 +155,14 @@ DeltaJournal DeltaJournal::open(const std::string& base_path,
   }
 
   const std::string jb = util::read_file(j.journal_path_);
+  std::uint64_t hdr_chain = 0;
+  std::uint64_t hdr_lens = 0;
   if (jb.size() < kHeaderBytes ||
-      std::memcmp(jb.data(), kJournalMagic, 4) != 0 ||
-      get_u32(jb.data() + 4) != kJournalVersion ||
-      get_u64(jb.data() + kHeaderBytes - 8) !=
-          fnv1a(jb.data(), kHeaderBytes - 8))
+      !read_journal_header(jb.data(), hdr_chain, hdr_lens))
     // Headers only ever land via atomic full-file writes, so a crash
     // cannot tear one: a bad header is real corruption.
     throw std::runtime_error("DeltaJournal: corrupt journal header in " +
                              j.journal_path_);
-  const std::uint64_t hdr_chain = get_u64(jb.data() + 8);
-  const std::uint64_t hdr_lens = get_u64(jb.data() + 16);
 
   if (hdr_lens != base_hash) {
     // The crash window inside checkpoint(): new base renamed in, journal
@@ -196,19 +180,17 @@ DeltaJournal DeltaJournal::open(const std::string& base_path,
   while (off < jb.size()) {
     // Frame-check, parse, and chain-check; the first failure is the torn
     // tail — stop, truncate, done.
-    if (jb.size() - off < kFrameBytes) break;
-    if (std::memcmp(jb.data() + off, kRecordMagic, 4) != 0) break;
-    const std::uint64_t len = get_u64(jb.data() + off + 8);
-    if (len > kMaxPayload || len > jb.size() - off - kFrameBytes) break;
-    const char* payload = jb.data() + off + kFrameBytes;
-    if (get_u64(jb.data() + off + 16) !=
-        fnv1a(payload, static_cast<std::size_t>(len)))
+    util::FrameHeader h;
+    if (jb.size() - off < kFrameBytes ||
+        !util::read_frame_header(jb.data() + off, kRecordMagic, h))
       break;
+    if (h.len > kMaxPayload || h.len > jb.size() - off - kFrameBytes) break;
+    const std::string_view payload(jb.data() + off + kFrameBytes,
+                                   static_cast<std::size_t>(h.len));
+    if (!h.verifies(payload)) break;
     LabelDelta d;
     try {
-      std::istringstream ps(
-          std::string(payload, static_cast<std::size_t>(len)),
-          std::ios::binary);
+      std::istringstream ps(std::string(payload), std::ios::binary);
       d = LabelStore::load_delta(ps);
     } catch (const std::runtime_error&) {
       break;
@@ -222,7 +204,7 @@ DeltaJournal DeltaJournal::open(const std::string& base_path,
     }
     j.chain_ = d.new_chain;
     ++j.recovery_.records_replayed;
-    off += kFrameBytes + static_cast<std::size_t>(len);
+    off += kFrameBytes + payload.size();
     committed_end = off;
   }
   if (committed_end < jb.size()) {
@@ -256,20 +238,12 @@ void DeltaJournal::append(const LabelDelta& d) {
 
   // Validate + materialize the successor epoch BEFORE any byte is
   // written: a bad delta must not reach the file.
-  bits::LabelArena base = labels_;
-  bits::LabelArena patched = LabelStore::apply_delta(
-      bits::MappedArena::adopt(std::move(base)), d);
+  bits::LabelArena patched = LabelStore::apply_delta(labels_, d);
 
   std::ostringstream ps(std::ios::binary);
   LabelStore::save_delta(ps, d);
-  const std::string payload = ps.str();
   std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  frame.append(kRecordMagic, 4);
-  put_u32(frame, 0);
-  put_u64(frame, payload.size());
-  put_u64(frame, fnv1a(payload.data(), payload.size()));
-  frame += payload;
+  util::append_frame(frame, kRecordMagic, 0, ps.str());
 
   JournalMetrics& m = JournalMetrics::get();
   const std::uint64_t t0 = obs::now_ns();
@@ -381,22 +355,23 @@ bool read_committed_record(std::ifstream& in, std::uint64_t off,
   char hdr[kFrameBytes];
   in.clear();
   in.seekg(static_cast<std::streamoff>(off));
-  if (!in.read(hdr, kFrameBytes)) return false;
-  if (std::memcmp(hdr, kRecordMagic, 4) != 0) return false;
-  const std::uint64_t len = get_u64(hdr + 8);
-  const std::uint64_t sum = get_u64(hdr + 16);
-  if (len > kMaxPayload || off + kFrameBytes + len > committed) return false;
-  std::string payload(static_cast<std::size_t>(len), '\0');
-  if (!in.read(payload.data(), static_cast<std::streamsize>(len)))
+  util::FrameHeader h;
+  if (!in.read(hdr, kFrameBytes) ||
+      !util::read_frame_header(hdr, kRecordMagic, h))
     return false;
-  if (fnv1a(payload.data(), payload.size()) != sum) return false;
+  if (h.len > kMaxPayload || off + kFrameBytes + h.len > committed)
+    return false;
+  std::string payload(static_cast<std::size_t>(h.len), '\0');
+  if (!in.read(payload.data(), static_cast<std::streamsize>(h.len)) ||
+      !h.verifies(payload))
+    return false;
   try {
     std::istringstream ps(payload, std::ios::binary);
     out = LabelStore::load_delta(ps);
   } catch (const std::exception&) {
     return false;
   }
-  next_off = off + kFrameBytes + len;
+  next_off = off + kFrameBytes + h.len;
   return true;
 }
 
@@ -446,13 +421,11 @@ std::optional<DeltaJournal::Tail> DeltaJournal::tail_from(
   // lint: allow(io-failpoint): lock-free; any failure degrades to nullopt
   std::ifstream in(journal_path_, std::ios::binary);
   char hdr[kHeaderBytes];
-  if (!in.is_open() || !in.read(hdr, kHeaderBytes)) return std::nullopt;
-  if (std::memcmp(hdr, kJournalMagic, 4) != 0 ||
-      get_u32(hdr + 4) != kJournalVersion ||
-      get_u64(hdr + kHeaderBytes - 8) != fnv1a(hdr, kHeaderBytes - 8))
+  std::uint64_t hdr_lens = 0;
+  if (!in.is_open() || !in.read(hdr, kHeaderBytes) ||
+      !read_journal_header(hdr, t.chain_, hdr_lens))
     return std::nullopt;
   t.offset_ = kHeaderBytes;
-  t.chain_ = get_u64(hdr + 8);
   // Walk the committed records until the running chain meets from_chain;
   // running off the committed end means that epoch predates this journal
   // (or was folded away): the reader needs a snapshot.

@@ -11,362 +11,302 @@
 #include <stdexcept>
 
 #include "bits/bitio.hpp"
+#include "util/bytes.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
-#include "util/hash.hpp"
 #include "util/io_error.hpp"
 
 namespace treelab::core {
 
 namespace {
 
-template <typename T>
-void put(std::ostream& os, T x) {
-  // Little-endian fixed-width integer.
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    os.put(static_cast<char>((x >> (8 * i)) & 0xff));
+using util::fnv1a;
+using util::kFnvOffset;
+
+constexpr char kMagic[4] = {'T', 'L', 'A', 'B'};
+constexpr std::uint32_t kVersion = 1;  // compact; read-only
+constexpr std::uint32_t kVersionMappable = 2;
+constexpr std::uint32_t kVersionDelta = 3;
+
+constexpr std::uint32_t kMaxSchemeBytes = 256;
+constexpr std::uint32_t kMaxParamsBytes = 4096;
+constexpr std::uint64_t kMaxLabels = std::uint64_t{1} << 32;
+constexpr std::uint64_t kMaxLabelBits = std::uint64_t{1} << 32;
+/// The longest v1/v2 header: both strings at their caps.
+constexpr std::size_t kMaxHeaderBytes =
+    4 + 4 + 4 + kMaxSchemeBytes + 4 + kMaxParamsBytes + 8;
+
+/// Zero bytes that bring offset `at` to the next multiple of 8 (where every
+/// container's word buffer starts).
+std::size_t pad8(std::size_t at) { return (8 - at % 8) % 8; }
+
+std::size_t words_of(std::uint64_t bits) {
+  return static_cast<std::size_t>(bits / 64 + (bits % 64 != 0 ? 1 : 0));
 }
 
-template <typename T>
-T get(std::istream& is) {
-  T x = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    const int c = is.get();
-    if (c < 0) throw std::runtime_error("LabelStore: truncated input");
-    x |= static_cast<T>(static_cast<unsigned char>(c)) << (8 * i);
-  }
-  return x;
-}
-
-void put_string(std::ostream& os, std::string_view s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string get_string(std::istream& is, std::uint32_t max_len) {
-  const auto len = get<std::uint32_t>(is);
-  if (len > max_len) throw std::runtime_error("LabelStore: oversized string");
-  std::string s(len, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(len));
-  if (!is) throw std::runtime_error("LabelStore: truncated string");
+/// Up to `n` bytes from `is` (fewer at end of stream).
+std::string read_upto(std::istream& is, std::size_t n) {
+  std::string s(n, '\0');
+  is.read(s.data(), static_cast<std::streamsize>(n));
+  s.resize(static_cast<std::size_t>(is.gcount()));
   return s;
 }
 
-/// Serialized header size through the count field — writer and reader must
-/// agree on it (the mappable container's word-buffer alignment hangs off
-/// this number).
-std::size_t header_bytes(std::string_view scheme, std::string_view params) {
-  return 4 + 4 + 4 + scheme.size() + 4 + params.size() + 8;
+/// The rest of `is`, read in bounded chunks.
+std::string read_all(std::istream& is) {
+  std::string buf;
+  char chunk[1 << 16];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
+    buf.append(chunk, static_cast<std::size_t>(is.gcount()));
+  return buf;
 }
 
-void write_header(std::ostream& os, std::string_view scheme,
-                  std::string_view params, std::uint64_t count,
-                  const char* magic, std::uint32_t version) {
-  os.write(magic, 4);
-  put<std::uint32_t>(os, version);
-  put_string(os, scheme);
-  put_string(os, params);
-  put<std::uint64_t>(os, count);
-}
-
-/// One label payload: `bits` bits out of a word array whose bit 0 is the
-/// label's first bit (true for standalone BitVecs and for arena views —
-/// both are word-aligned, with zero bits beyond the end). Bytes are the
-/// little-endian word bytes, truncated to ceil(bits/8).
-void put_label(std::ostream& os, std::string& buf, const std::uint64_t* words,
-               std::uint64_t bits) {
-  put<std::uint64_t>(os, bits);
-  const std::uint64_t nbytes = (bits + 7) / 8;
-  buf.resize(static_cast<std::size_t>(nbytes));
-  for (std::uint64_t j = 0; j < nbytes; ++j)
-    buf[static_cast<std::size_t>(j)] =
-        static_cast<char>((words[j >> 3] >> (8 * (j & 7))) & 0xff);
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-/// Appends `bitlen` bits decoded from little-endian `bytes` into a writer,
-/// a word at a time.
-void append_label_bits(bits::BitWriter& w, const std::string& bytes,
-                       std::uint64_t bitlen) {
-  std::uint64_t b = 0;
-  for (; b + 64 <= bitlen; b += 64) {
-    std::uint64_t word = 0;
-    for (int j = 7; j >= 0; --j)
-      word = (word << 8) |
-             static_cast<unsigned char>(bytes[static_cast<std::size_t>(b / 8) +
-                                              static_cast<std::size_t>(j)]);
-    w.put_bits(word, 64);
-  }
-  for (; b < bitlen; b += 8) {
-    const int take = static_cast<int>(std::min<std::uint64_t>(8, bitlen - b));
-    w.put_bits(
-        static_cast<unsigned char>(bytes[static_cast<std::size_t>(b / 8)]),
-        take);
-  }
-}
-
-/// Streams one label's `nbytes`-byte payload (word-multiple chunks) into
-/// `w`, appending exactly `bitlen` bits. Chunked so that a corrupt length
-/// field costs at most one bounded buffer before the truncation is
-/// detected — never a length-directory-sized allocation.
-constexpr std::size_t kPayloadChunkBytes = std::size_t{1} << 20;
-
-void read_label_payload(std::istream& is, bits::BitWriter& w,
-                        std::uint64_t nbytes, std::uint64_t bitlen,
-                        std::string& buf) {
-  std::uint64_t bits_left = bitlen;
-  while (nbytes > 0) {
-    const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(nbytes, kPayloadChunkBytes));
-    buf.resize(take);
-    is.read(buf.data(), static_cast<std::streamsize>(take));
-    if (!is) throw std::runtime_error("LabelStore: truncated label");
-    const std::uint64_t chunk_bits =
-        std::min<std::uint64_t>(bits_left, std::uint64_t{take} * 8);
-    append_label_bits(w, buf, chunk_bits);
-    bits_left -= chunk_bits;
-    nbytes -= take;
-  }
-}
-
-/// Length field of a version-1 label, bounds-checked.
-std::uint64_t get_label_bitlen(std::istream& is) {
-  const auto bitlen = get<std::uint64_t>(is);
-  if (bitlen > (std::uint64_t{1} << 32))
-    throw std::runtime_error("LabelStore: implausible label length");
-  return bitlen;
+/// magic | u32 version | u32-prefixed scheme | u32-prefixed params: the
+/// front all three container versions share.
+void put_header(std::string& out, std::uint32_t version,
+                std::string_view scheme, std::string_view params) {
+  out.append(kMagic, 4);
+  util::put_le(out, version);
+  util::put_le(out, static_cast<std::uint32_t>(scheme.size()));
+  out.append(scheme);
+  util::put_le(out, static_cast<std::uint32_t>(params.size()));
+  out.append(params);
 }
 
 struct Header {
+  std::uint32_t version = 0;
   std::string scheme;
   std::string params;
-  std::uint64_t count = 0;
-  std::uint32_t version = 0;
-  std::size_t bytes = 0;  ///< serialized header size, through the count field
 };
 
-/// Bounds a label count against the stream's remaining bytes when the
-/// stream is seekable (every label costs >= 8 bytes in either container
-/// version: a length prefix in v1, a directory entry in v2). A corrupt
-/// count field must fail loudly up front, not via count-sized allocations.
-void check_count_plausible(std::istream& is, std::uint64_t count) {
-  if (count == 0) return;
-  const auto pos = is.tellg();
-  if (pos < 0) return;  // non-seekable: streamed reads detect truncation
-  is.seekg(0, std::ios::end);
-  const auto end = is.tellg();
-  is.clear();
-  is.seekg(pos);
-  if (end < 0) return;
-  const std::uint64_t remaining =
-      end >= pos ? static_cast<std::uint64_t>(end - pos) : 0;
-  if (count > remaining / 8)
-    throw std::runtime_error("LabelStore: label count exceeds stream size");
+std::string read_string(util::ByteReader& r, std::uint32_t max_len) {
+  const auto len = r.get<std::uint32_t>();
+  r.require("LabelStore: truncated input");
+  if (len > max_len) throw std::runtime_error("LabelStore: oversized string");
+  const std::string_view s = r.bytes(len);
+  r.require("LabelStore: truncated string");
+  return std::string(s);
 }
 
-Header read_and_check_header(std::istream& is, const char* magic,
-                             std::uint32_t max_version) {
-  char got[4];
-  is.read(got, sizeof(got));
-  if (!is || std::memcmp(got, magic, 4) != 0)
+/// Parses put_header's fields, refusing a version outside [lo, hi].
+Header read_header(util::ByteReader& r, std::uint32_t lo, std::uint32_t hi) {
+  if (r.bytes(4) != std::string_view(kMagic, 4))
     throw std::runtime_error("LabelStore: bad magic");
   Header h;
-  h.version = get<std::uint32_t>(is);
-  if (h.version < 1 || h.version > max_version)
+  h.version = r.get<std::uint32_t>();
+  r.require("LabelStore: truncated input");
+  if (h.version < lo || h.version > hi)
     throw std::runtime_error("LabelStore: unsupported version");
-  h.scheme = get_string(is, 256);
-  h.params = get_string(is, 4096);
-  h.count = get<std::uint64_t>(is);
-  if (h.count > (std::uint64_t{1} << 32))
-    throw std::runtime_error("LabelStore: implausible label count");
-  h.bytes = header_bytes(h.scheme, h.params);
+  h.scheme = read_string(r, kMaxSchemeBytes);
+  h.params = read_string(r, kMaxParamsBytes);
   return h;
 }
 
-// --- version-2 (mappable) payload ------------------------------------------
+/// The v1/v2 label count, bounded by the `stream_bytes` the container
+/// spans: every label costs >= 8 bytes in either version (a v1 length
+/// prefix, a v2 directory entry), so a corrupt count fails here, not via
+/// count-sized allocations.
+std::uint64_t read_count(util::ByteReader& r, std::uint64_t stream_bytes) {
+  const auto count = r.get<std::uint64_t>();
+  r.require("LabelStore: truncated input");
+  if (count > kMaxLabels)
+    throw std::runtime_error("LabelStore: implausible label count");
+  if (count > (stream_bytes - r.offset()) / 8)
+    throw std::runtime_error("LabelStore: label count exceeds stream size");
+  return count;
+}
 
-/// Directory entries of a version-2 container, with the per-label bound of
-/// get_label_bytes applied — and, mirroring MappedArena::map's defence, a
-/// guard on the *accumulated* word count: the per-entry bound alone still
-/// lets an adversarial directory overflow a size_t accumulator downstream
-/// (32-bit hosts; or future arithmetic on the total).
-std::vector<std::size_t> read_lens(std::istream& is, std::uint64_t count) {
-  std::vector<std::size_t> lens(static_cast<std::size_t>(count));
-  std::uint64_t total_words = 0;
-  for (auto& l : lens) {
-    const auto bitlen = get<std::uint64_t>(is);
-    if (bitlen > (std::uint64_t{1} << 32))
+/// A length directory (v2 container, v3 delta payload): `count` u64 bit
+/// lengths, each at most 2^32 bits. Mirroring MappedArena::map's defence,
+/// the *accumulated* word count is guarded too: the per-entry bound alone
+/// still lets an adversarial directory overflow a size_t accumulator
+/// downstream (32-bit hosts; or future arithmetic on the total).
+struct Directory {
+  std::vector<std::size_t> lens;
+  std::uint64_t words = 0;
+};
+
+Directory read_lens(util::ByteReader& r, std::uint64_t count) {
+  if (count > r.remaining() / 8)
+    throw std::runtime_error("LabelStore: truncated length directory");
+  Directory d;
+  d.lens.resize(static_cast<std::size_t>(count));
+  for (std::size_t& l : d.lens) {
+    const auto bitlen = r.get<std::uint64_t>();
+    if (bitlen > kMaxLabelBits)
       throw std::runtime_error("LabelStore: implausible label length");
-    const std::uint64_t nw = bitlen / 64 + (bitlen % 64 != 0 ? 1 : 0);
-    if (total_words > std::numeric_limits<std::uint64_t>::max() - nw ||
-        total_words + nw >
+    const std::uint64_t nw = words_of(bitlen);
+    if (d.words > std::numeric_limits<std::uint64_t>::max() - nw ||
+        d.words + nw >
             std::numeric_limits<std::size_t>::max() / sizeof(std::uint64_t))
       throw std::runtime_error("LabelStore: length directory overflows");
-    total_words += nw;
+    d.words += nw;
     l = static_cast<std::size_t>(bitlen);
   }
-  return lens;
+  return d;
 }
 
-/// Bytes of zero padding between the directory and the word buffer, sized so
-/// the buffer starts at an 8-byte-aligned file offset.
-std::size_t pad_after_directory(std::size_t header_bytes, std::uint64_t count) {
-  const std::size_t before =
-      header_bytes + static_cast<std::size_t>(count) * 8;
-  return (8 - before % 8) % 8;
+/// Appends `bits` bits to `w` from `bytes`, which holds them little-endian
+/// from bit 0 in at least ceil(bits/8) bytes: a v1 label's byte string, or
+/// a v2/v3 label's word run.
+void append_bits(bits::BitWriter& w, std::string_view bytes,
+                 std::size_t bits) {
+  std::size_t b = 0;
+  for (; b + 64 <= bits; b += 64)
+    w.put_bits(util::load_le<std::uint64_t>(bytes.data() + b / 8), 64);
+  if (b < bits) {
+    char tail[8] = {};
+    std::memcpy(tail, bytes.data() + b / 8, (bits - b + 7) / 8);
+    w.put_bits(util::load_le<std::uint64_t>(tail), static_cast<int>(bits - b));
+  }
 }
 
-void skip_padding(std::istream& is, std::size_t pad) {
-  for (std::size_t i = 0; i < pad; ++i)
-    if (is.get() < 0) throw std::runtime_error("LabelStore: truncated padding");
+/// The word buffer behind a length directory: label i is ceil(lens[i]/64)
+/// little-endian words. Single-threaded build visits labels strictly in
+/// order, matching the buffer layout.
+bits::LabelArena read_words(util::ByteReader& r, const Directory& dir) {
+  if (dir.words > r.remaining() / 8)
+    throw std::runtime_error("LabelStore: truncated label payload");
+  return bits::LabelArena::build(
+      dir.lens.size(), 1, [&](std::size_t i, bits::BitWriter& w) {
+        append_bits(w, r.bytes(words_of(dir.lens[i]) * 8), dir.lens[i]);
+      });
 }
 
 }  // namespace
 
-void LabelStore::save(std::ostream& os, std::string_view scheme,
-                      std::span<const bits::BitVec> labels,
-                      std::string_view params) {
-  write_header(os, scheme, params, labels.size(), kMagic, kVersion);
-  std::string buf;
-  for (const auto& l : labels) put_label(os, buf, l.words().data(), l.size());
-}
-
-void LabelStore::save(std::ostream& os, std::string_view scheme,
-                      const bits::LabelArena& labels, std::string_view params) {
-  write_header(os, scheme, params, labels.size(), kMagic, kVersion);
-  std::string buf;
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    put_label(os, buf, labels.label_words(i), labels.label_bits(i));
-}
-
 void LabelStore::save_mappable(std::ostream& os, std::string_view scheme,
                                const bits::LabelArena& labels,
                                std::string_view params) {
-  write_header(os, scheme, params, labels.size(), kMagic, kVersionMappable);
+  std::string head;
+  put_header(head, kVersionMappable, scheme, params);
+  util::put_le<std::uint64_t>(head, labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i)
-    put<std::uint64_t>(os, labels.label_bits(i));
-  const std::size_t pad =
-      pad_after_directory(header_bytes(scheme, params), labels.size());
-  for (std::size_t i = 0; i < pad; ++i) os.put('\0');
-  std::string buf;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::uint64_t* words = labels.label_words(i);
-    const std::size_t nw = (labels.label_bits(i) + 63) / 64;
-    buf.resize(nw * 8);
-    for (std::size_t j = 0; j < buf.size(); ++j)
-      buf[j] = static_cast<char>((words[j >> 3] >> (8 * (j & 7))) & 0xff);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-}
-
-LabelStore::Loaded LabelStore::load(std::istream& is) {
-  const Header h = read_and_check_header(is, kMagic, kVersionMappable);
-  check_count_plausible(is, h.count);
-  Loaded out;
-  out.scheme = h.scheme;
-  out.params = h.params;
-  out.labels.reserve(static_cast<std::size_t>(h.count));
-  std::string bytes;
-  if (h.version == kVersion) {
-    for (std::uint64_t i = 0; i < h.count; ++i) {
-      const std::uint64_t bitlen = get_label_bitlen(is);
-      bits::BitWriter w;
-      read_label_payload(is, w, (bitlen + 7) / 8, bitlen, bytes);
-      out.labels.push_back(w.take());
-    }
-  } else {
-    const std::vector<std::size_t> lens = read_lens(is, h.count);
-    skip_padding(is, pad_after_directory(h.bytes, h.count));
-    for (const std::size_t bitlen : lens) {
-      bits::BitWriter w;
-      read_label_payload(is, w, ((std::uint64_t{bitlen} + 63) / 64) * 8,
-                         bitlen, bytes);
-      out.labels.push_back(w.take());
-    }
-  }
-  return out;
+    util::put_le<std::uint64_t>(head, labels.label_bits(i));
+  head.append(pad8(head.size()), '\0');
+  std::string scratch;
+  const std::string_view words = util::le_bytes(labels.words(), scratch);
+  os.write(head.data(), static_cast<std::streamsize>(head.size()));
+  os.write(words.data(), static_cast<std::streamsize>(words.size()));
 }
 
 LabelStore::LoadedArena LabelStore::load_arena(std::istream& is) {
-  const Header h = read_and_check_header(is, kMagic, kVersionMappable);
-  check_count_plausible(is, h.count);
-  LoadedArena out;
-  out.scheme = h.scheme;
-  out.params = h.params;
-  // Single-threaded build visits labels strictly in order, matching the
-  // stream layout.
-  std::string bytes;
-  if (h.version == kVersion) {
-    out.labels = bits::LabelArena::build(
-        static_cast<std::size_t>(h.count), 1,
-        [&](std::size_t, bits::BitWriter& w) {
-          const std::uint64_t bitlen = get_label_bitlen(is);
-          read_label_payload(is, w, (bitlen + 7) / 8, bitlen, bytes);
-        });
-  } else {
-    const std::vector<std::size_t> lens = read_lens(is, h.count);
-    skip_padding(is, pad_after_directory(h.bytes, h.count));
-    out.labels = bits::LabelArena::build(
-        static_cast<std::size_t>(h.count), 1,
-        [&](std::size_t i, bits::BitWriter& w) {
-          read_label_payload(is, w, ((std::uint64_t{lens[i]} + 63) / 64) * 8,
-                             lens[i], bytes);
-        });
+  const std::string buf = read_all(is);
+  util::ByteReader r(buf);
+  Header h = read_header(r, kVersion, kVersionMappable);
+  const std::uint64_t count = read_count(r, buf.size());
+  LoadedArena out{std::move(h.scheme), std::move(h.params), {}};
+  if (h.version == kVersionMappable) {
+    const Directory dir = read_lens(r, count);
+    (void)r.bytes(pad8(r.offset()));
+    r.require("LabelStore: truncated padding");
+    out.labels = read_words(r, dir);
+    return out;
   }
+  // Version 1: each label is a u64 bit length, then ceil(bits/8) bytes.
+  out.labels = bits::LabelArena::build(
+      static_cast<std::size_t>(count), 1,
+      [&](std::size_t, bits::BitWriter& w) {
+        const auto bitlen = r.get<std::uint64_t>();
+        if (bitlen > kMaxLabelBits)
+          throw std::runtime_error("LabelStore: implausible label length");
+        const std::string_view bytes = r.bytes((bitlen + 7) / 8);
+        r.require("LabelStore: truncated label");
+        append_bits(w, bytes, static_cast<std::size_t>(bitlen));
+      });
   return out;
+}
+
+LabelStore::MappedLoaded LabelStore::open_mapped(const std::string& path) {
+  if (auto fp = util::failpoint::check("label_store.open_mapped"))
+    util::failpoint::raise(*fp, "label_store.open_mapped", path);
+  {
+    // Only the header and the length directory are read: a mapped word
+    // buffer stays in the page cache.
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    if (!is)
+      throw util::IoError(path, "open labels for reading", errno);
+    const auto size = static_cast<std::uint64_t>(
+        std::max<std::streamoff>(is.tellg(), 0));
+    is.seekg(0);
+    const std::string head = read_upto(
+        is, static_cast<std::size_t>(std::min<std::uint64_t>(
+                size, kMaxHeaderBytes)));
+    util::ByteReader r(head);
+    Header h = read_header(r, kVersion, kVersionMappable);
+    const std::uint64_t count = read_count(r, size);
+    if (h.version == kVersionMappable) {
+      const std::size_t dir_at = r.offset();
+      is.clear();
+      is.seekg(static_cast<std::streamoff>(dir_at));
+      const std::string dir_bytes =
+          read_upto(is, static_cast<std::size_t>(count) * 8);
+      util::ByteReader dr(dir_bytes);
+      Directory dir = read_lens(dr, count);
+      const std::size_t words_at = dir_at + dir.lens.size() * 8;
+      if (auto mapped = bits::MappedArena::map(
+              path.c_str(), words_at + pad8(words_at), std::move(dir.lens)))
+        return {std::move(h.scheme), std::move(h.params), std::move(*mapped)};
+    }
+  }
+  // Streamed fallback: version-1 files, and version-2 files that could not
+  // be mapped (its validation also catches a word buffer shorter than the
+  // directory promises, which map() refuses silently).
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw util::IoError(path, "open labels for reading", errno);
+  LoadedArena la = load_arena(is);
+  return {std::move(la.scheme), std::move(la.params),
+          bits::MappedArena::adopt(std::move(la.labels))};
+}
+
+void LabelStore::save_file(const std::string& path, std::string_view scheme,
+                           const bits::LabelArena& labels,
+                           std::string_view params) {
+  std::ostringstream os(std::ios::binary);
+  save_mappable(os, scheme, labels, params);
+  util::atomic_write_file(path, os.str());
 }
 
 // --- version-3 (delta) container -------------------------------------------
 
 namespace {
 
-using util::fnv1a;
-using util::kFnvOffset;
-
 /// FNV-1a over x's eight little-endian bytes, continuing from `h`.
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t x) {
   char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(x >> (8 * i));
+  util::store_le(b, x);
   return fnv1a(b, 8, h);
 }
 
-/// In-memory little-endian reader over a fully buffered delta, with
-/// truncation-checked primitives. Buffering the whole container first keeps
-/// the trailing-checksum check trivial and makes every allocation below
-/// provably bounded by the buffer size.
-struct DeltaCursor {
-  const unsigned char* p;
-  std::size_t n;
-  std::size_t off = 0;
+void put_runs(std::string& out, const std::vector<IdRun>& runs) {
+  util::put_le<std::uint64_t>(out, runs.size());
+  for (const IdRun& r : runs) {
+    util::put_le(out, r.first);
+    util::put_le(out, r.count);
+  }
+}
 
-  [[nodiscard]] std::size_t remaining() const noexcept { return n - off; }
-  void need(std::size_t k) const {
-    if (k > remaining())
-      throw std::runtime_error("LabelStore: truncated delta");
+/// A u64 run count, then that many (first, count) pairs; `what` is the
+/// error for a count the remaining bytes cannot hold.
+std::vector<IdRun> read_runs(util::ByteReader& r, const char* what) {
+  const auto n = r.get<std::uint64_t>();
+  r.require("LabelStore: truncated delta");
+  if (n > r.remaining() / 16) throw std::runtime_error(what);
+  std::vector<IdRun> runs(static_cast<std::size_t>(n));
+  for (IdRun& run : runs) {
+    run.first = r.get<std::uint64_t>();
+    run.count = r.get<std::uint64_t>();
   }
-  std::uint8_t get_u8() {
-    need(1);
-    return p[off++];
-  }
-  template <typename T>
-  T get_le() {
-    need(sizeof(T));
-    T x = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      x |= static_cast<T>(p[off + i]) << (8 * i);
-    off += sizeof(T);
-    return x;
-  }
-  std::string get_string(std::uint32_t max_len) {
-    const auto len = get_le<std::uint32_t>();
-    if (len > max_len)
-      throw std::runtime_error("LabelStore: oversized string");
-    need(len);
-    std::string s(reinterpret_cast<const char*>(p + off), len);
-    off += len;
-    return s;
-  }
-};
+  return runs;
+}
+
+template <typename Arena>
+std::uint64_t lens_hash_of(const Arena& a) {
+  std::uint64_t h = fnv1a_u64(kFnvOffset, a.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    h = fnv1a_u64(h, a.label_bits(i));
+  return h;
+}
 
 /// Structural validation shared by load_delta (wire) and apply_delta
 /// (program-built deltas take the same scrutiny). Throws std::runtime_error
@@ -376,8 +316,7 @@ void validate_delta(const LabelDelta& d) {
     throw std::runtime_error(std::string("LabelStore: invalid delta: ") +
                              what);
   };
-  if (d.base_count > (std::uint64_t{1} << 32) ||
-      d.new_count > (std::uint64_t{1} << 32))
+  if (d.base_count > kMaxLabels || d.new_count > kMaxLabels)
     bad("implausible label count");
   std::uint64_t prev_end = 0;
   std::uint64_t total_dropped = 0;
@@ -413,248 +352,12 @@ void validate_delta(const LabelDelta& d) {
   if (expect != d.new_count) bad("appended ids not covered by dirty payload");
 }
 
-}  // namespace
-
-std::vector<IdRun> id_runs(const std::vector<std::uint64_t>& sorted_ids) {
-  std::vector<IdRun> runs;
-  for (const std::uint64_t id : sorted_ids) {
-    if (!runs.empty() && runs.back().first + runs.back().count == id)
-      ++runs.back().count;
-    else
-      runs.push_back({id, 1});
-  }
-  return runs;
-}
-
-std::uint64_t LabelStore::lens_hash(const bits::LabelArena& a) {
-  std::uint64_t h = fnv1a_u64(kFnvOffset, a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    h = fnv1a_u64(h, a.label_bits(i));
-  return h;
-}
-
-std::uint64_t LabelStore::lens_hash(const bits::MappedArena& a) {
-  std::uint64_t h = fnv1a_u64(kFnvOffset, a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    h = fnv1a_u64(h, a.label_bits(i));
-  return h;
-}
-
-std::uint64_t LabelStore::chain_hash(std::uint64_t base_chain,
-                                     const LabelDelta& d) {
-  std::uint64_t h = fnv1a_u64(kFnvOffset, base_chain);
-  h = fnv1a_u64(h, d.base_count);
-  h = fnv1a_u64(h, d.new_count);
-  for (const IdRun& r : d.dropped) {
-    h = fnv1a_u64(h, r.first);
-    h = fnv1a_u64(h, r.count);
-  }
-  for (const std::uint64_t id : d.dirty) h = fnv1a_u64(h, id);
-  for (std::size_t i = 0; i < d.payload.size(); ++i) {
-    const std::size_t bits = d.payload.label_bits(i);
-    h = fnv1a_u64(h, bits);
-    const std::uint64_t* w = d.payload.label_words(i);
-    for (std::size_t j = 0; j < (bits + 63) / 64; ++j) h = fnv1a_u64(h, w[j]);
-  }
-  return h;
-}
-
-void LabelStore::save_delta(std::ostream& os, const LabelDelta& d) {
-  try {
-    validate_delta(d);
-  } catch (const std::runtime_error& e) {
-    throw std::invalid_argument(e.what());  // caller bug, not wire corruption
-  }
-  // Mirror load_delta's string caps: a producer must not be able to write
-  // a container its own loader refuses.
-  if (d.scheme.size() > 256 || d.params.size() > 4096)
-    throw std::invalid_argument(
-        "LabelStore: scheme/params too long for the delta container");
-  std::string out;
-  const auto put8 = [&](std::uint8_t x) { out.push_back(static_cast<char>(x)); };
-  const auto put32 = [&](std::uint32_t x) {
-    for (int i = 0; i < 4; ++i) put8(static_cast<std::uint8_t>(x >> (8 * i)));
-  };
-  const auto put64 = [&](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) put8(static_cast<std::uint8_t>(x >> (8 * i)));
-  };
-  const auto puts = [&](std::string_view s) {
-    put32(static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-  };
-  out.append(kMagic, 4);
-  put32(kVersionDelta);
-  puts(d.scheme);
-  puts(d.params);
-  put64(d.base_count);
-  put64(d.new_count);
-  put64(d.base_lens_hash);
-  put64(d.base_chain);
-  put64(d.new_chain);
-  put64(d.dropped.size());
-  for (const IdRun& r : d.dropped) {
-    put64(r.first);
-    put64(r.count);
-  }
-  const std::vector<IdRun> dirty_runs = id_runs(d.dirty);
-  put64(dirty_runs.size());
-  for (const IdRun& r : dirty_runs) {
-    put64(r.first);
-    put64(r.count);
-  }
-  for (std::size_t i = 0; i < d.payload.size(); ++i)
-    put64(d.payload.label_bits(i));
-  while (out.size() % 8 != 0) put8(0);  // payload starts 8-byte aligned
-  for (std::size_t i = 0; i < d.payload.size(); ++i) {
-    const std::uint64_t* words = d.payload.label_words(i);
-    const std::size_t nw = (d.payload.label_bits(i) + 63) / 64;
-    for (std::size_t w = 0; w < nw; ++w) put64(words[w]);
-  }
-  put64(d.edits.size());
-  for (const LabelEdit& e : d.edits) {
-    put8(static_cast<std::uint8_t>(e.kind));
-    put64(e.a);
-    put64(e.b);
-  }
-  put64(fnv1a(out.data(), out.size()));
-  os.write(out.data(), static_cast<std::streamsize>(out.size()));
-}
-
-LabelDelta LabelStore::load_delta(std::istream& is) {
-  // Buffer the whole container: the checksum covers everything before the
-  // trailing hash, and every count below is then verifiably bounded by the
-  // buffer size before anything is allocated.
-  std::string buf;
-  {
-    char chunk[1 << 16];
-    while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
-      buf.append(chunk, static_cast<std::size_t>(is.gcount()));
-  }
-  DeltaCursor c{reinterpret_cast<const unsigned char*>(buf.data()),
-                buf.size()};
-  c.need(4);
-  if (std::memcmp(buf.data(), kMagic, 4) != 0)
-    throw std::runtime_error("LabelStore: bad magic");
-  c.off += 4;
-  const auto version = c.get_le<std::uint32_t>();
-  if (version != kVersionDelta)
-    throw std::runtime_error("LabelStore: unsupported version");
-  LabelDelta d;
-  d.scheme = c.get_string(256);
-  d.params = c.get_string(4096);
-  d.base_count = c.get_le<std::uint64_t>();
-  d.new_count = c.get_le<std::uint64_t>();
-  if (d.base_count > (std::uint64_t{1} << 32) ||
-      d.new_count > (std::uint64_t{1} << 32))
-    throw std::runtime_error("LabelStore: implausible label count");
-  d.base_lens_hash = c.get_le<std::uint64_t>();
-  d.base_chain = c.get_le<std::uint64_t>();
-  d.new_chain = c.get_le<std::uint64_t>();
-
-  const auto n_drop = c.get_le<std::uint64_t>();
-  if (n_drop > c.remaining() / 16)
-    throw std::runtime_error("LabelStore: dropped runs exceed stream size");
-  d.dropped.reserve(static_cast<std::size_t>(n_drop));
-  for (std::uint64_t i = 0; i < n_drop; ++i) {
-    IdRun r;
-    r.first = c.get_le<std::uint64_t>();
-    r.count = c.get_le<std::uint64_t>();
-    d.dropped.push_back(r);
-  }
-
-  const auto n_dirty_runs = c.get_le<std::uint64_t>();
-  if (n_dirty_runs > c.remaining() / 16)
-    throw std::runtime_error("LabelStore: dirty runs exceed stream size");
-  std::vector<IdRun> dirty_runs;
-  dirty_runs.reserve(static_cast<std::size_t>(n_dirty_runs));
-  std::uint64_t dirty_total = 0;
-  for (std::uint64_t i = 0; i < n_dirty_runs; ++i) {
-    IdRun r;
-    r.first = c.get_le<std::uint64_t>();
-    r.count = c.get_le<std::uint64_t>();
-    if (r.count == 0)
-      throw std::runtime_error("LabelStore: invalid delta: empty dirty run");
-    if (dirty_total >
-        std::numeric_limits<std::uint64_t>::max() - r.count)
-      throw std::runtime_error("LabelStore: dirty run count overflows");
-    dirty_total += r.count;
-    dirty_runs.push_back(r);
-  }
-  // Every dirty id owns an 8-byte length entry still ahead in the stream —
-  // the bound that keeps run expansion allocation-safe on corrupt counts.
-  if (dirty_total > c.remaining() / 8)
-    throw std::runtime_error("LabelStore: dirty ids exceed stream size");
-  d.dirty.reserve(static_cast<std::size_t>(dirty_total));
-  for (const IdRun& r : dirty_runs) {
-    if (r.first > d.new_count || r.count > d.new_count - r.first)
-      throw std::runtime_error(
-          "LabelStore: invalid delta: dirty run out of range");
-    for (std::uint64_t k = 0; k < r.count; ++k)
-      d.dirty.push_back(r.first + k);
-  }
-
-  std::vector<std::size_t> lens(static_cast<std::size_t>(dirty_total));
-  std::uint64_t total_words = 0;
-  for (auto& l : lens) {
-    const auto bitlen = c.get_le<std::uint64_t>();
-    if (bitlen > (std::uint64_t{1} << 32))
-      throw std::runtime_error("LabelStore: implausible label length");
-    const std::uint64_t nw = bitlen / 64 + (bitlen % 64 != 0 ? 1 : 0);
-    if (total_words > std::numeric_limits<std::uint64_t>::max() - nw ||
-        total_words + nw >
-            std::numeric_limits<std::size_t>::max() / sizeof(std::uint64_t))
-      throw std::runtime_error("LabelStore: length directory overflows");
-    total_words += nw;
-    l = static_cast<std::size_t>(bitlen);
-  }
-  while (c.off % 8 != 0) {
-    if (c.get_u8() != 0)
-      throw std::runtime_error("LabelStore: invalid delta: nonzero padding");
-  }
-  if (total_words > c.remaining() / 8)
-    throw std::runtime_error("LabelStore: truncated delta payload");
-  d.payload = bits::LabelArena::build(
-      lens.size(), 1, [&](std::size_t i, bits::BitWriter& w) {
-        std::size_t left = lens[i];
-        while (left > 0) {
-          const auto word = c.get_le<std::uint64_t>();
-          const int take = static_cast<int>(std::min<std::size_t>(64, left));
-          w.put_bits(word, take);
-          left -= static_cast<std::size_t>(take);
-        }
-      });
-
-  const auto n_edits = c.get_le<std::uint64_t>();
-  if (n_edits > c.remaining() / 17)
-    throw std::runtime_error("LabelStore: edit log exceeds stream size");
-  d.edits.reserve(static_cast<std::size_t>(n_edits));
-  for (std::uint64_t i = 0; i < n_edits; ++i) {
-    const std::uint8_t kind = c.get_u8();
-    if (kind > static_cast<std::uint8_t>(LabelEdit::Kind::kCompact))
-      throw std::runtime_error("LabelStore: invalid delta: unknown edit kind");
-    LabelEdit e;
-    e.kind = static_cast<LabelEdit::Kind>(kind);
-    e.a = c.get_le<std::uint64_t>();
-    e.b = c.get_le<std::uint64_t>();
-    d.edits.push_back(e);
-  }
-
-  const std::size_t hashed = c.off;
-  const auto want = c.get_le<std::uint64_t>();
-  if (c.off != c.n)
-    throw std::runtime_error("LabelStore: trailing bytes after delta");
-  if (fnv1a(buf.data(), hashed) != want)
-    throw std::runtime_error("LabelStore: delta checksum mismatch");
-  validate_delta(d);
-  return d;
-}
-
-bits::LabelArena LabelStore::apply_delta(const bits::MappedArena& base,
-                                         const LabelDelta& d) {
+template <typename Arena>
+bits::LabelArena apply_delta_to(const Arena& base, const LabelDelta& d) {
   validate_delta(d);
   if (base.size() != d.base_count)
     throw std::runtime_error("LabelStore: delta base count mismatch");
-  if (lens_hash(base) != d.base_lens_hash)
+  if (lens_hash_of(base) != d.base_lens_hash)
     throw std::runtime_error("LabelStore: delta does not match base labeling");
   // Source of each new label: the delta payload for dirty ids, the
   // (drop-shifted) base label otherwise. Survivors occupy the first
@@ -691,53 +394,162 @@ bits::LabelArena LabelStore::apply_delta(const bits::MappedArena& base,
   });
 }
 
-LabelStore::MappedLoaded LabelStore::open_mapped(const std::string& path) {
-  if (auto fp = util::failpoint::check("label_store.open_mapped"))
-    util::failpoint::raise(*fp, "label_store.open_mapped", path);
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-      throw util::IoError(path, "open labels for reading", errno);
-    const Header h = read_and_check_header(is, kMagic, kVersionMappable);
-    check_count_plausible(is, h.count);
-    if (h.version == kVersionMappable) {
-      std::vector<std::size_t> lens = read_lens(is, h.count);
-      const std::size_t words_offset = h.bytes +
-                                       static_cast<std::size_t>(h.count) * 8 +
-                                       pad_after_directory(h.bytes, h.count);
-      if (auto mapped =
-              bits::MappedArena::map(path.c_str(), words_offset,
-                                     std::move(lens))) {
-        MappedLoaded out;
-        out.scheme = h.scheme;
-        out.params = h.params;
-        out.labels = std::move(*mapped);
-        return out;
-      }
-    }
+}  // namespace
+
+std::vector<IdRun> id_runs(const std::vector<std::uint64_t>& sorted_ids) {
+  std::vector<IdRun> runs;
+  for (const std::uint64_t id : sorted_ids) {
+    if (!runs.empty() && runs.back().first + runs.back().count == id)
+      ++runs.back().count;
+    else
+      runs.push_back({id, 1});
   }
-  // Streamed fallback: version-1 files, and version-2 files that could not
-  // be mapped (its validation also catches a word buffer shorter than the
-  // directory promises, which map() refuses silently).
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw util::IoError(path, "open labels for reading", errno);
-  LoadedArena la = load_arena(is);
-  MappedLoaded out;
-  out.scheme = std::move(la.scheme);
-  out.params = std::move(la.params);
-  out.labels = bits::MappedArena::adopt(std::move(la.labels));
-  return out;
+  return runs;
 }
 
-void LabelStore::save_file(const std::string& path, std::string_view scheme,
-                           const bits::LabelArena& labels,
-                           std::string_view params, bool mappable) {
-  std::ostringstream os(std::ios::binary);
-  if (mappable)
-    save_mappable(os, scheme, labels, params);
-  else
-    save(os, scheme, labels, params);
-  util::atomic_write_file(path, os.str());
+std::uint64_t LabelStore::lens_hash(const bits::LabelArena& a) {
+  return lens_hash_of(a);
+}
+
+std::uint64_t LabelStore::lens_hash(const bits::MappedArena& a) {
+  return lens_hash_of(a);
+}
+
+std::uint64_t LabelStore::chain_hash(std::uint64_t base_chain,
+                                     const LabelDelta& d) {
+  std::uint64_t h = fnv1a_u64(kFnvOffset, base_chain);
+  h = fnv1a_u64(h, d.base_count);
+  h = fnv1a_u64(h, d.new_count);
+  for (const IdRun& r : d.dropped) {
+    h = fnv1a_u64(h, r.first);
+    h = fnv1a_u64(h, r.count);
+  }
+  for (const std::uint64_t id : d.dirty) h = fnv1a_u64(h, id);
+  for (std::size_t i = 0; i < d.payload.size(); ++i) {
+    const std::size_t bits = d.payload.label_bits(i);
+    h = fnv1a_u64(h, bits);
+    const std::uint64_t* w = d.payload.label_words(i);
+    for (std::size_t j = 0; j < words_of(bits); ++j) h = fnv1a_u64(h, w[j]);
+  }
+  return h;
+}
+
+void LabelStore::save_delta(std::ostream& os, const LabelDelta& d) {
+  try {
+    validate_delta(d);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument(e.what());  // caller bug, not wire corruption
+  }
+  // Mirror load_delta's string caps: a producer must not be able to write
+  // a container its own loader refuses.
+  if (d.scheme.size() > kMaxSchemeBytes || d.params.size() > kMaxParamsBytes)
+    throw std::invalid_argument(
+        "LabelStore: scheme/params too long for the delta container");
+  std::string out;
+  put_header(out, kVersionDelta, d.scheme, d.params);
+  for (const std::uint64_t x : {d.base_count, d.new_count, d.base_lens_hash,
+                                d.base_chain, d.new_chain})
+    util::put_le(out, x);
+  put_runs(out, d.dropped);
+  put_runs(out, id_runs(d.dirty));
+  for (std::size_t i = 0; i < d.payload.size(); ++i)
+    util::put_le<std::uint64_t>(out, d.payload.label_bits(i));
+  out.append(pad8(out.size()), '\0');  // payload starts 8-byte aligned
+  std::string scratch;
+  out.append(util::le_bytes(d.payload.words(), scratch));
+  util::put_le<std::uint64_t>(out, d.edits.size());
+  for (const LabelEdit& e : d.edits) {
+    out.push_back(static_cast<char>(e.kind));
+    util::put_le(out, e.a);
+    util::put_le(out, e.b);
+  }
+  util::put_le(out, fnv1a(out.data(), out.size()));
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+LabelDelta LabelStore::load_delta(std::istream& is) {
+  // Buffer the whole container: the checksum covers everything before the
+  // trailing hash, and every count below is then verifiably bounded by the
+  // buffer size before anything is allocated.
+  const std::string buf = read_all(is);
+  util::ByteReader c(buf);
+  Header h = read_header(c, kVersionDelta, kVersionDelta);
+  LabelDelta d;
+  d.scheme = std::move(h.scheme);
+  d.params = std::move(h.params);
+  d.base_count = c.get<std::uint64_t>();
+  d.new_count = c.get<std::uint64_t>();
+  d.base_lens_hash = c.get<std::uint64_t>();
+  d.base_chain = c.get<std::uint64_t>();
+  d.new_chain = c.get<std::uint64_t>();
+  c.require("LabelStore: truncated delta");
+  if (d.base_count > kMaxLabels || d.new_count > kMaxLabels)
+    throw std::runtime_error("LabelStore: implausible label count");
+
+  d.dropped = read_runs(c, "LabelStore: dropped runs exceed stream size");
+  const std::vector<IdRun> dirty_runs =
+      read_runs(c, "LabelStore: dirty runs exceed stream size");
+  std::uint64_t dirty_total = 0;
+  for (const IdRun& r : dirty_runs) {
+    if (r.count == 0)
+      throw std::runtime_error("LabelStore: invalid delta: empty dirty run");
+    if (dirty_total > std::numeric_limits<std::uint64_t>::max() - r.count)
+      throw std::runtime_error("LabelStore: dirty run count overflows");
+    dirty_total += r.count;
+  }
+  // Every dirty id owns an 8-byte length entry still ahead in the stream —
+  // the bound that keeps run expansion allocation-safe on corrupt counts.
+  if (dirty_total > c.remaining() / 8)
+    throw std::runtime_error("LabelStore: dirty ids exceed stream size");
+  d.dirty.reserve(static_cast<std::size_t>(dirty_total));
+  for (const IdRun& r : dirty_runs) {
+    if (r.first > d.new_count || r.count > d.new_count - r.first)
+      throw std::runtime_error(
+          "LabelStore: invalid delta: dirty run out of range");
+    for (std::uint64_t k = 0; k < r.count; ++k)
+      d.dirty.push_back(r.first + k);
+  }
+
+  const Directory dir = read_lens(c, dirty_total);
+  const std::string_view pad = c.bytes(pad8(c.offset()));
+  c.require("LabelStore: truncated delta");
+  if (pad.find_first_not_of('\0') != std::string_view::npos)
+    throw std::runtime_error("LabelStore: invalid delta: nonzero padding");
+  d.payload = read_words(c, dir);
+
+  const auto n_edits = c.get<std::uint64_t>();
+  c.require("LabelStore: truncated delta");
+  if (n_edits > c.remaining() / 17)
+    throw std::runtime_error("LabelStore: edit log exceeds stream size");
+  d.edits.resize(static_cast<std::size_t>(n_edits));
+  for (LabelEdit& e : d.edits) {
+    const auto kind = c.get<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(LabelEdit::Kind::kCompact))
+      throw std::runtime_error("LabelStore: invalid delta: unknown edit kind");
+    e.kind = static_cast<LabelEdit::Kind>(kind);
+    e.a = c.get<std::uint64_t>();
+    e.b = c.get<std::uint64_t>();
+  }
+
+  const std::size_t hashed = c.offset();
+  const auto want = c.get<std::uint64_t>();
+  c.require("LabelStore: truncated delta");
+  if (!c.done())
+    throw std::runtime_error("LabelStore: trailing bytes after delta");
+  if (fnv1a(buf.data(), hashed) != want)
+    throw std::runtime_error("LabelStore: delta checksum mismatch");
+  validate_delta(d);
+  return d;
+}
+
+bits::LabelArena LabelStore::apply_delta(const bits::LabelArena& base,
+                                         const LabelDelta& d) {
+  return apply_delta_to(base, d);
+}
+
+bits::LabelArena LabelStore::apply_delta(const bits::MappedArena& base,
+                                         const LabelDelta& d) {
+  return apply_delta_to(base, d);
 }
 
 void LabelStore::save_delta_file(const std::string& path,

@@ -2,36 +2,29 @@
 //
 // Labels are meant to be *shipped*: computed once centrally, then handed to
 // the nodes/devices/processes that will answer queries locally. LabelStore
-// is the wire format for that hand-off: a magic/version header, the scheme
-// name and its scheme-wide parameters (k, eps, ...) as strings, then
-// length-prefixed label bit strings. Loading validates the header and every
-// length field and throws std::runtime_error on any corruption.
+// is the format for that hand-off: a magic/version header, the scheme name
+// and its scheme-wide parameters (k, eps, ...) as strings, a directory of
+// label bit lengths, then one 8-byte-aligned word buffer holding every label
+// word-aligned and zero-padded — LabelArena's in-memory layout verbatim. So
+// open_mapped() can mmap a file and serve BitSpan views straight out of the
+// page cache (bits::MappedArena). Loading validates the header and every
+// length field and throws std::runtime_error on any corruption. Every
+// integer goes through util/bytes.hpp.
 //
-// The format is independent of how the labels are stored in memory: the
-// span<BitVec> and LabelArena save() overloads produce byte-identical
-// files, and load()/load_arena() read the same files into either
-// representation. Label payloads are streamed in bulk (word buffer <->
-// byte buffer), not bit by bit.
-//
-// Two container versions coexist:
-//   * version 1 — compact: each label is a length-prefixed byte string
-//     (ceil(bits/8) bytes). The shipping format.
-//   * version 2 — mappable: a directory of bit lengths up front, then one
-//     8-byte-aligned word buffer holding every label word-aligned and
-//     zero-padded, i.e. LabelArena's in-memory layout verbatim. ~1.5% larger
-//     on average (word padding), but open_mapped() can mmap it and serve
-//     BitSpan views straight out of the page cache (bits::MappedArena).
-// load()/load_arena() accept both; open_mapped() falls back to streamed
-// load_arena() whenever zero-copy is impossible.
+// Container versions:
+//   * version 2 — mappable, the one full-labeling writer (save_mappable,
+//     save_file).
+//   * version 1 — compact, each label a length-prefixed ceil(bits/8)-byte
+//     string. Read-only legacy: load_arena() and open_mapped()'s streamed
+//     fallback still open it; `treelab_cli save in out` rewrites it as v2.
+//   * version 3 — a delta against a base labeling (save_delta/load_delta).
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "bits/bitvec.hpp"
 #include "bits/label_arena.hpp"
 #include "bits/mapped_arena.hpp"
 
@@ -111,29 +104,12 @@ struct LabelDelta {
 
 class LabelStore {
  public:
-  struct Loaded {
-    std::string scheme;               ///< e.g. "fgnw", "kdistance"
-    std::string params;               ///< e.g. "k=4"; scheme-defined
-    std::vector<bits::BitVec> labels; ///< indexed by node id
-  };
-
-  /// Like Loaded, with the labels pooled into one arena — the serving-side
-  /// representation (views, no per-label allocations).
+  /// A loaded labeling in owned memory.
   struct LoadedArena {
-    std::string scheme;
-    std::string params;
-    bits::LabelArena labels;
+    std::string scheme;       ///< e.g. "fgnw", "kdistance"
+    std::string params;       ///< e.g. "k=4"; scheme-defined
+    bits::LabelArena labels;  ///< indexed by node id
   };
-
-  /// Writes all labels with the given scheme tag and parameter string.
-  static void save(std::ostream& os, std::string_view scheme,
-                   std::span<const bits::BitVec> labels,
-                   std::string_view params = {});
-
-  /// Same format, streamed straight out of a pooled arena.
-  static void save(std::ostream& os, std::string_view scheme,
-                   const bits::LabelArena& labels,
-                   std::string_view params = {});
 
   /// Writes the version-2 mappable container: directory of bit lengths,
   /// then the arena's word buffer verbatim (8-byte-aligned in the file).
@@ -141,12 +117,9 @@ class LabelStore {
                             const bits::LabelArena& labels,
                             std::string_view params = {});
 
-  /// Parses a container written by save() or save_mappable(). Throws
-  /// std::runtime_error on bad magic, unsupported version, or
+  /// Parses a version-1 or version-2 container from the rest of `is`.
+  /// Throws std::runtime_error on bad magic, unsupported version, or
   /// truncated/oversized fields.
-  [[nodiscard]] static Loaded load(std::istream& is);
-
-  /// Same validation, loading the labels into a pooled arena.
   [[nodiscard]] static LoadedArena load_arena(std::istream& is);
 
   /// Like LoadedArena, with the labels possibly served zero-copy from an
@@ -205,18 +178,19 @@ class LabelStore {
   /// survivor range carries a payload); throws std::runtime_error
   /// otherwise.
   [[nodiscard]] static bits::LabelArena apply_delta(
+      const bits::LabelArena& base, const LabelDelta& d);
+  [[nodiscard]] static bits::LabelArena apply_delta(
       const bits::MappedArena& base, const LabelDelta& d);
 
   // --- crash-safe file writes -----------------------------------------------
 
-  /// Serializes the labeling (save_mappable() when `mappable`, else the
-  /// compact save()) and writes `path` crash-safely: the bytes go to a
+  /// save_mappable() written to `path` crash-safely: the bytes go to a
   /// temp file that is fsync'd and atomically renamed over `path`, so a
   /// crash mid-save leaves either the old file or the new one, never a
   /// torn mix. I/O failures throw util::IoError (path + errno).
   static void save_file(const std::string& path, std::string_view scheme,
                         const bits::LabelArena& labels,
-                        std::string_view params = {}, bool mappable = true);
+                        std::string_view params = {});
 
   /// save_delta() with the same temp + fsync + rename discipline.
   static void save_delta_file(const std::string& path, const LabelDelta& d);
@@ -229,12 +203,6 @@ class LabelStore {
   /// crash, or a replica that reloaded a full file and restarted its
   /// chain at lens_hash).
   static void rechain(LabelDelta& d, std::uint64_t base_chain);
-
- private:
-  static constexpr char kMagic[4] = {'T', 'L', 'A', 'B'};
-  static constexpr std::uint32_t kVersion = 1;
-  static constexpr std::uint32_t kVersionMappable = 2;
-  static constexpr std::uint32_t kVersionDelta = 3;
 };
 
 }  // namespace treelab::core

@@ -1,8 +1,8 @@
 // net/frame — the wire protocol of treelab's serving layer.
 //
-// Every message is one length-prefixed, checksum-framed unit, reusing the
-// delta journal's TLRC framing discipline byte for byte (24-byte header,
-// little-endian integers, FNV-1a over the payload):
+// Every message is one length-prefixed, checksum-framed unit: the frame
+// header of util/bytes.hpp that delta journal records (TLRC) also use, byte
+// for byte (24 bytes, little-endian integers, FNV-1a over the payload):
 //
 //   "TLNF" | u32 type | u64 payload_len | u64 payload_fnv | payload
 //
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "serve/forest_index.hpp"
+#include "util/bytes.hpp"
 
 namespace treelab::net {
 
@@ -70,7 +71,7 @@ struct Frame {
   std::string payload;
 };
 
-inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 8;
+inline constexpr std::size_t kFrameHeaderBytes = util::kFrameHeaderBytes;
 /// A single message cannot meaningfully exceed this (the largest real
 /// payload is a full snapshot); a bigger length field is a framing error.
 inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 32;

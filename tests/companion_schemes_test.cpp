@@ -1,13 +1,9 @@
 // Ancestry and adjacency labelings (the companion problems of the paper's
-// introduction) and the LabelStore serialization container.
+// introduction).
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/adjacency_scheme.hpp"
 #include "core/ancestry_scheme.hpp"
-#include "core/fgnw_scheme.hpp"
-#include "core/label_store.hpp"
 #include "tree/generators.hpp"
 #include "tree/nca_index.hpp"
 
@@ -71,65 +67,6 @@ TEST(Adjacency, SelfIsNotAdjacent) {
   const core::AdjacencyScheme s(t);
   for (NodeId v = 0; v < t.size(); ++v)
     EXPECT_FALSE(core::AdjacencyScheme::adjacent(s.label(v), s.label(v)));
-}
-
-TEST(LabelStore, Roundtrip) {
-  const Tree t = tree::random_tree(200, 5);
-  const core::FgnwScheme f(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "fgnw", f.labels(), "v=1");
-  const auto loaded = core::LabelStore::load(ss);
-  EXPECT_EQ(loaded.scheme, "fgnw");
-  EXPECT_EQ(loaded.params, "v=1");
-  ASSERT_EQ(loaded.labels.size(), f.labels().size());
-  for (std::size_t i = 0; i < loaded.labels.size(); ++i)
-    ASSERT_TRUE(loaded.labels[i] == f.labels()[i]) << i;
-  // Loaded labels answer queries identically.
-  const tree::NcaIndex oracle(t);
-  for (NodeId u = 0; u < t.size(); u += 7)
-    for (NodeId v = 0; v < t.size(); v += 11)
-      ASSERT_EQ(core::FgnwScheme::query(loaded.labels[u], loaded.labels[v]),
-                oracle.distance(u, v));
-}
-
-TEST(LabelStore, EmptyAndOddSizes) {
-  std::vector<bits::BitVec> labels(3);
-  labels[1].append_bits(0b101, 3);
-  labels[2].append_bits(0xdeadbeef, 32);
-  labels[2].push_back(true);  // 33 bits: exercises non-byte-aligned tail
-  std::stringstream ss;
-  core::LabelStore::save(ss, "raw", labels, "");
-  const auto loaded = core::LabelStore::load(ss);
-  ASSERT_EQ(loaded.labels.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_TRUE(loaded.labels[i] == labels[i]) << i;
-}
-
-TEST(LabelStore, RejectsCorruptInput) {
-  const Tree t = tree::path(10);
-  const core::AncestryScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "ancestry", s.labels());
-  std::string data = ss.str();
-
-  {  // bad magic
-    std::string bad = data;
-    bad[0] = 'X';
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error);
-  }
-  {  // truncation at every prefix must throw, never crash
-    for (std::size_t cut : {std::size_t{4}, std::size_t{9}, std::size_t{17}, data.size() - 1}) {
-      std::stringstream in(data.substr(0, cut));
-      EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error);
-    }
-  }
-  {  // bad version
-    std::string bad = data;
-    bad[4] = 99;
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error);
-  }
 }
 
 }  // namespace

@@ -235,9 +235,7 @@ class FuzzDriver {
     core::LabelDelta d;
     try {
       d = LabelStore::load_delta(ss);
-      bits::LabelArena base_copy = shadow_;
-      applied = LabelStore::apply_delta(
-          bits::MappedArena::adopt(std::move(base_copy)), d);
+      applied = LabelStore::apply_delta(shadow_, d);
     } catch (const std::exception& e) {
       fail(std::string("delta round-trip: ") + e.what());
       return false;

@@ -77,7 +77,7 @@ std::vector<Tree> build_forest(ForestIndex& index,
                               const bits::LabelArena& labels,
                               const char* params) {
     std::stringstream ss;
-    core::LabelStore::save(ss, scheme, labels, params);
+    core::LabelStore::save_mappable(ss, scheme, labels, params);
     return index.add(core::LabelStore::load_arena(ss));
   };
   EXPECT_EQ(add_memory("approx", core::ApproxScheme(trees[3], kEps).labels(),

@@ -160,7 +160,7 @@ TEST(Fuzz, LabelStoreLoad) {
       junk[3] = 'B';
     }
     std::stringstream in(junk);
-    must_not_crash([&] { (void)core::LabelStore::load(in); });
+    must_not_crash([&] { (void)core::LabelStore::load_arena(in); });
   }
 }
 

@@ -436,9 +436,8 @@ TEST(EditModel, DeltaRoundTripMatchesLiveArena) {
   EXPECT_EQ(d.scheme, "alstrup");
   EXPECT_EQ(d.base_count, 250u);
   EXPECT_FALSE(d.edits.empty());
-  bits::LabelArena copy = base_arena;
-  const bits::LabelArena applied = core::LabelStore::apply_delta(
-      bits::MappedArena::adopt(std::move(copy)), d);
+  const bits::LabelArena applied =
+      core::LabelStore::apply_delta(base_arena, d);
   ASSERT_EQ(applied.size(), r.labels().size());
   for (std::size_t i = 0; i < applied.size(); ++i)
     ASSERT_TRUE(applied.view(i) == r.labels().view(i)) << i;

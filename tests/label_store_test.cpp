@@ -1,9 +1,10 @@
 // LabelStore round-trip coverage across every distance scheme: save from
-// the pooled arena, load into both representations (vector and arena),
-// verify bit-exact labels and query parity against a brute-force oracle —
-// plus truncation/corruption failure cases for the header and the payload.
-// This is the ship-and-serve loop: labels computed centrally must come back
-// from the wire indistinguishable from the originals.
+// the pooled arena, load both the written (version-2) container and a
+// legacy version-1 image of the same labels, verify bit-exact labels and
+// query parity against a brute-force oracle — plus truncation/corruption
+// failure cases for the header and the payload. This is the ship-and-serve
+// loop: labels computed centrally must come back from the wire
+// indistinguishable from the originals.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -24,6 +25,7 @@
 #include "core/tree_scaffold.hpp"
 #include "tree/generators.hpp"
 #include "tree/nca_index.hpp"
+#include "util/bytes.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_error.hpp"
 
@@ -35,31 +37,55 @@ using tree::Tree;
 
 constexpr NodeId kN = 300;
 
-/// Saves `labels`, loads them back through both load() and load_arena(),
-/// and checks scheme/params/bit-exactness.
-template <typename Labels>
-core::LabelStore::Loaded roundtrip(const Labels& labels, const char* scheme,
-                                   const char* params) {
+/// A version-1 image of `labels`: the compact legacy container LabelStore
+/// still reads but no longer writes — the v2 header with version 1, then
+/// each label as a u64 bit length and its ceil(bits/8) little-endian bytes.
+std::string v1_image(const bits::LabelArena& labels, std::string_view scheme,
+                     std::string_view params) {
+  std::string out = "TLAB";
+  util::put_le<std::uint32_t>(out, 1);
+  util::put_le(out, static_cast<std::uint32_t>(scheme.size()));
+  out += scheme;
+  util::put_le(out, static_cast<std::uint32_t>(params.size()));
+  out += params;
+  util::put_le<std::uint64_t>(out, labels.size());
+  std::string scratch;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const std::size_t bits = labels.label_bits(i);
+    util::put_le<std::uint64_t>(out, bits);
+    out += util::le_bytes({labels.label_words(i), (bits + 63) / 64}, scratch)
+               .substr(0, (bits + 7) / 8);
+  }
+  return out;
+}
+
+std::string v2_image(const bits::LabelArena& labels, std::string_view scheme,
+                     std::string_view params) {
   std::stringstream ss;
-  core::LabelStore::save(ss, scheme, labels, params);
-  const std::string wire = ss.str();
+  core::LabelStore::save_mappable(ss, scheme, labels, params);
+  return ss.str();
+}
 
-  std::stringstream in1(wire);
-  const auto loaded = core::LabelStore::load(in1);
-  EXPECT_EQ(loaded.scheme, scheme);
-  EXPECT_EQ(loaded.params, params);
-  EXPECT_EQ(loaded.labels.size(), labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    EXPECT_TRUE(loaded.labels[i] == labels[i]) << scheme << " label " << i;
+core::LabelStore::LoadedArena load(const std::string& wire) {
+  std::stringstream in(wire);
+  return core::LabelStore::load_arena(in);
+}
 
-  std::stringstream in2(wire);
-  const auto arena = core::LabelStore::load_arena(in2);
-  EXPECT_EQ(arena.scheme, scheme);
-  EXPECT_EQ(arena.params, params);
-  EXPECT_EQ(arena.labels.size(), labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    EXPECT_TRUE(arena.labels[i] == labels[i])
-        << scheme << " arena label " << i;
+/// Saves `labels`, loads them back from the written container and from a
+/// v1 image of the same labels, and checks scheme/params/bit-exactness.
+core::LabelStore::LoadedArena roundtrip(const bits::LabelArena& labels,
+                                        const char* scheme,
+                                        const char* params) {
+  core::LabelStore::LoadedArena loaded;
+  for (const std::string& wire :
+       {v1_image(labels, scheme, params), v2_image(labels, scheme, params)}) {
+    loaded = load(wire);
+    EXPECT_EQ(loaded.scheme, scheme);
+    EXPECT_EQ(loaded.params, params);
+    EXPECT_EQ(loaded.labels.size(), labels.size());
+    for (std::size_t i = 0; i < labels.size(); ++i)
+      EXPECT_TRUE(loaded.labels[i] == labels[i]) << scheme << " label " << i;
+  }
   return loaded;
 }
 
@@ -130,27 +156,32 @@ TEST(LabelStoreSchemes, ParallelBuiltLabelsShipIdentically) {
   // The wire bytes must not depend on construction thread count either.
   const Tree t = tree::random_tree(kN, 46);
   const core::TreeScaffold s1(t, 1), s4(t, 4);
-  std::stringstream a, b;
-  core::LabelStore::save(a, "fgnw", core::FgnwScheme(s1).labels());
-  core::LabelStore::save(b, "fgnw", core::FgnwScheme(s4).labels());
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(v2_image(core::FgnwScheme(s1).labels(), "fgnw", ""),
+            v2_image(core::FgnwScheme(s4).labels(), "fgnw", ""));
+}
+
+TEST(LabelStoreSchemes, EmptyAndOddSizes) {
+  // A zero-length label, a 3-bit one, and 33 bits (a non-byte-aligned
+  // tail) through both container versions.
+  const bits::LabelArena labels =
+      bits::LabelArena::build(3, 1, [](std::size_t i, bits::BitWriter& w) {
+        if (i == 1) w.put_bits(0b101, 3);
+        if (i == 2) w.put_bits(0x1deadbeefull, 33);
+      });
+  const auto loaded = roundtrip(labels, "raw", "");
+  EXPECT_EQ(loaded.labels.label_bits(0), 0u);
+  EXPECT_EQ(loaded.labels.label_bits(2), 33u);
 }
 
 TEST(LabelStoreFailure, TruncatedEverywhere) {
   const Tree t = tree::random_tree(60, 47);
   const core::FgnwScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "fgnw", s.labels(), "p=1");
-  const std::string wire = ss.str();
+  const std::string wire = v1_image(s.labels(), "fgnw", "p=1");
   // Every strict prefix must throw (the container has no trailing slack).
   for (std::size_t len = 0; len < wire.size();
        len += 1 + len / 9) {  // denser probing near the header
-    std::stringstream in(wire.substr(0, len));
-    EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error)
+    EXPECT_THROW((void)load(wire.substr(0, len)), std::runtime_error)
         << "prefix " << len;
-    std::stringstream in2(wire.substr(0, len));
-    EXPECT_THROW((void)core::LabelStore::load_arena(in2), std::runtime_error)
-        << "arena prefix " << len;
   }
 }
 
@@ -194,12 +225,9 @@ void bit_flip_sweep(const std::string& wire, const Load& load,
 TEST(LabelStoreFailure, BitFlippedV1ContainerNeverReadsOutOfBounds) {
   const Tree t = tree::random_tree(40, 49);
   const core::FgnwScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "fgnw", s.labels(), "p=1");
-  bit_flip_sweep(ss.str(), [](const std::string& wire) {
-    std::stringstream in(wire);
-    return core::LabelStore::load_arena(in).labels;
-  }, "v1 load_arena");
+  bit_flip_sweep(v1_image(s.labels(), "fgnw", "p=1"),
+                 [](const std::string& wire) { return load(wire).labels; },
+                 "v1 load_arena");
 }
 
 TEST(LabelStoreFailure, BitFlippedV2ContainerNeverReadsOutOfBounds) {
@@ -272,9 +300,7 @@ void expect_delta_throws_or_applies(const DeltaFixture& f,
   try {
     std::stringstream in(bad);
     const core::LabelDelta d = core::LabelStore::load_delta(in);
-    bits::LabelArena copy = f.base;
-    const bits::LabelArena out = core::LabelStore::apply_delta(
-        bits::MappedArena::adopt(std::move(copy)), d);
+    const bits::LabelArena out = core::LabelStore::apply_delta(f.base, d);
     for (std::size_t i = 0; i < out.size(); ++i) {
       const auto v = out.view(i);
       if (v.size() != 0) (void)v.get(v.size() - 1);
@@ -316,9 +342,7 @@ TEST(LabelStoreDelta, AdversarialRunDirectories) {
     std::stringstream ss;
     EXPECT_THROW(core::LabelStore::save_delta(ss, d), std::invalid_argument)
         << what;
-    bits::LabelArena copy = f.base;
-    EXPECT_THROW((void)core::LabelStore::apply_delta(
-                     bits::MappedArena::adopt(std::move(copy)), d),
+    EXPECT_THROW((void)core::LabelStore::apply_delta(f.base, d),
                  std::runtime_error)
         << what;
   };
@@ -374,16 +398,13 @@ TEST(LabelStoreDelta, ApplyRefusesTheWrongBase) {
   // must refuse it before any splicing happens.
   const core::AlstrupScheme other(
       tree::random_tree(80, 77), {nca::CodeWeights::kStablePow2, 1});
-  bits::LabelArena copy = other.labels();
-  EXPECT_THROW((void)core::LabelStore::apply_delta(
-                   bits::MappedArena::adopt(std::move(copy)), f.delta),
+  EXPECT_THROW((void)core::LabelStore::apply_delta(other.labels(), f.delta),
                std::runtime_error);
   // And a right-sized arena truncated by one label fails on the count.
   std::vector<std::size_t> ids(79);
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  bits::LabelArena short_base = bits::LabelArena::gathered(f.base, ids);
   EXPECT_THROW((void)core::LabelStore::apply_delta(
-                   bits::MappedArena::adopt(std::move(short_base)), f.delta),
+                   bits::LabelArena::gathered(f.base, ids), f.delta),
                std::runtime_error);
 }
 
@@ -446,35 +467,72 @@ TEST(LabelStorePersistence, MissingFileIsIoErrorWithPathAndErrno) {
 TEST(LabelStoreFailure, CorruptHeaderFields) {
   const Tree t = tree::random_tree(30, 48);
   const core::AlstrupScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "alstrup", s.labels());
-  const std::string wire = ss.str();
+  // The header is the same in both versions; only the version field
+  // differs.
+  for (const std::string& wire : {v1_image(s.labels(), "alstrup", ""),
+                                  v2_image(s.labels(), "alstrup", "")}) {
+    {  // bad magic
+      std::string bad = wire;
+      bad[2] ^= 0x40;
+      EXPECT_THROW((void)load(bad), std::runtime_error);
+    }
+    {  // unsupported version
+      std::string bad = wire;
+      bad[4] = 9;
+      EXPECT_THROW((void)load(bad), std::runtime_error);
+    }
+    {  // oversized scheme-string length
+      std::string bad = wire;
+      bad[10] = '\x7f';  // high byte of the scheme length field
+      EXPECT_THROW((void)load(bad), std::runtime_error);
+    }
+    {  // implausible label count (little-endian u64 right after the strings)
+      std::string bad = wire;
+      const std::size_t count_off = 4 + 4 + 4 + 7 /*"alstrup"*/ + 4;
+      bad[count_off + 7] = '\x01';  // 2^56 labels
+      EXPECT_THROW((void)load(bad), std::runtime_error);
+    }
+  }
+}
 
-  {  // bad magic
-    std::string bad = wire;
-    bad[2] ^= 0x40;
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error);
-  }
-  {  // unsupported version
-    std::string bad = wire;
-    bad[4] = 9;
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load_arena(in), std::runtime_error);
-  }
-  {  // oversized scheme-string length
-    std::string bad = wire;
-    bad[10] = '\x7f';  // high byte of the scheme length field
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load(in), std::runtime_error);
-  }
-  {  // implausible label count (little-endian u64 right after the strings)
-    std::string bad = wire;
-    const std::size_t count_off = 4 + 4 + 4 + 7 /*"alstrup"*/ + 4;
-    bad[count_off + 7] = '\x01';  // 2^56 labels
-    std::stringstream in(bad);
-    EXPECT_THROW((void)core::LabelStore::load_arena(in), std::runtime_error);
-  }
+// --- version-1 files still open ---------------------------------------------
+
+std::string temp_path(const char* name) {
+  return testing::TempDir() + "treelab_store_" + name + ".lbl";
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(LabelStoreV1, Version1AndVersion2LoadBitIdentical) {
+  const Tree t = tree::random_tree(260, 52);
+  const core::FgnwScheme s(t);
+  const auto l1 = load(v1_image(s.labels(), "fgnw", ""));
+  const auto l2 = load(v2_image(s.labels(), "fgnw", ""));
+  ASSERT_EQ(l1.labels.size(), l2.labels.size());
+  for (std::size_t i = 0; i < l1.labels.size(); ++i)
+    EXPECT_TRUE(l1.labels[i] == l2.labels[i]) << "label " << i;
+  // Rewriting the v1 file is the upgrade path: byte-identical to the
+  // container written from the original labels.
+  EXPECT_EQ(v2_image(l1.labels, l1.scheme, l1.params),
+            v2_image(s.labels(), "fgnw", ""));
+}
+
+TEST(LabelStoreV1, Version1FileFallsBackToOwnedArena) {
+  const Tree t = tree::random_tree(120, 53);
+  const core::FgnwScheme s(t);
+  const std::string path = temp_path("fgnw_v1");
+  write_file(path, v1_image(s.labels(), "fgnw", ""));
+
+  const auto opened = core::LabelStore::open_mapped(path);
+  EXPECT_FALSE(opened.labels.mapped());
+  ASSERT_EQ(opened.labels.size(), s.labels().size());
+  for (std::size_t i = 0; i < s.labels().size(); ++i)
+    EXPECT_TRUE(opened.labels.view(i) == s.labels().view(i)) << "label " << i;
+  std::remove(path.c_str());
 }
 
 }  // namespace

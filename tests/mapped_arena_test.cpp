@@ -1,8 +1,8 @@
 // Zero-copy serving coverage: the mappable (version-2) LabelStore container
-// must round-trip byte-identical with the streamed loaders through
-// bits::MappedArena — mmap'ed views, the owned-arena fallback, and version-1
-// files all serve the same bits — and every truncation/corruption of a
-// mappable file must fail loudly through open_mapped().
+// must round-trip byte-identical with the streamed loader through
+// bits::MappedArena — mmap'ed views and the owned-arena fallback serve the
+// same bits — and every truncation/corruption of a mappable file must fail
+// loudly through open_mapped(). Version-1 files are label_store_test's.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -111,46 +111,10 @@ TEST(MappedArena, MapFailureFallsBackToStreamedReadBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, Version2StreamsThroughBothLoaders) {
-  const Tree t = tree::random_tree(kN, 52);
-  const core::FgnwScheme s(t);
-  std::stringstream v1, v2;
-  core::LabelStore::save(v1, "fgnw", s.labels());
-  core::LabelStore::save_mappable(v2, "fgnw", s.labels());
-
-  const auto l1 = core::LabelStore::load(v1);
-  std::stringstream v2a(v2.str()), v2b(v2.str());
-  const auto l2 = core::LabelStore::load(v2a);
-  const auto a2 = core::LabelStore::load_arena(v2b);
-  ASSERT_EQ(l1.labels.size(), l2.labels.size());
-  ASSERT_EQ(l1.labels.size(), a2.labels.size());
-  for (std::size_t i = 0; i < l1.labels.size(); ++i) {
-    EXPECT_TRUE(l1.labels[i] == l2.labels[i]) << "label " << i;
-    EXPECT_TRUE(l1.labels[i] == a2.labels.view(i)) << "label " << i;
-  }
-}
-
-TEST(MappedArena, Version1FileFallsBackToOwnedArena) {
-  const Tree t = tree::random_tree(120, 53);
-  const core::FgnwScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "fgnw", s.labels());
-  const std::string path = temp_path("fgnw_v1");
-  write_file(path, ss.str());
-
-  const auto opened = core::LabelStore::open_mapped(path);
-  EXPECT_FALSE(opened.labels.mapped());
-  ASSERT_EQ(opened.labels.size(), s.labels().size());
-  for (std::size_t i = 0; i < s.labels().size(); ++i)
-    EXPECT_TRUE(opened.labels.view(i) == s.labels().view(i)) << "label " << i;
-  std::remove(path.c_str());
-}
-
 TEST(MappedArena, AdoptedArenaServesIdentically) {
   const Tree t = tree::random_tree(90, 54);
   const core::FgnwScheme s(t);
-  std::stringstream ss;
-  core::LabelStore::save(ss, "fgnw", s.labels());
+  std::stringstream ss(mappable_wire(s.labels(), "fgnw", ""));
   auto loaded = core::LabelStore::load_arena(ss);
   const std::size_t n = loaded.labels.size();
   const bits::MappedArena adopted =
