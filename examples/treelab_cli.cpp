@@ -362,10 +362,11 @@ int cmd_serve_bench(int argc, char** argv) {
   const auto st = index.cache_stats();
   std::printf(
       "batch_qps=%.0f (shards=%zu threads=%d batch=%zu)\n"
-      "cache: %zu entries, %zu bytes, %zu hits, %zu misses, %zu evictions\n",
+      "cache: %zu entries, %zu bytes, %zu hits, %zu misses, %zu evictions, "
+      "%zu refused\n",
       static_cast<double>(done) / dt, index.shard_count(),
       opt.threads, batch, st.entries, st.bytes, st.hits, st.misses,
-      st.evictions);
+      st.evictions, st.refused);
   return 0;
 }
 

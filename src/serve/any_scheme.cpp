@@ -77,8 +77,11 @@ double parse_double(std::string_view s, const char* what) {
 }
 
 /// Cache-accounting estimate: attached forms hold the raw bits plus decoded
-/// arrays roughly proportional to them; 4x raw bytes tracks the measured
-/// footprint of the five schemes well enough for a byte budget.
+/// arrays roughly proportional to them, charged as 4x raw bytes. This
+/// under-charges: real heap per charged byte (mallinfo2 around priming a
+/// never-evicting index, 2^14 and 2^16 labels per scheme) measured 2.0x
+/// for fgnw, 1.6-1.7x for alstrup, kdist and approx, and 1.2-1.6x for
+/// peleg, so a full cache holds roughly 1.5-2x its byte budget.
 constexpr std::size_t kAttachedExpansion = 4;
 
 /// The per-scheme dispatchers. Each carries the scheme-wide constants and

@@ -75,6 +75,7 @@ void ForestIndex::register_metrics() {
   stat("serve.cache.hits", &CacheStats::hits);
   stat("serve.cache.misses", &CacheStats::misses);
   stat("serve.cache.evictions", &CacheStats::evictions);
+  stat("serve.cache.refused", &CacheStats::refused);
   stat("serve.cache.entries", &CacheStats::entries);
   stat("serve.cache.bytes", &CacheStats::bytes);
   stat("serve.cache.invalidated", &CacheStats::invalidated);
@@ -508,12 +509,15 @@ int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
 Dist ForestIndex::query_resolved_locked(Shard& sh, const Request& r,
                                         tree::NodeId iu, tree::NodeId iv,
                                         const TreeEntry& e) const {
-  // Cache lookup-or-attach for both labels, used in place on hits — no
-  // shared_ptr refcount traffic on the all-hits fast path. The only
-  // mutation between the u lookup and the query is the v-side put(), whose
-  // eviction sweep may drop u's entry: pin u with a strong reference
-  // before that one insert (the entry just inserted — v itself — is never
-  // evicted by its own put).
+  // Cache lookup for both labels, used in place on hits — no shared_ptr
+  // refcount traffic on the all-hits fast path. A miss attaches and inserts
+  // its label only when the cache admits it: a full cache refuses a label
+  // on its first miss, since attaching pays only if the label is queried
+  // again before eviction. A query left with either side unattached
+  // answers from the raw labels. The only mutation between the u lookup
+  // and the query is the v-side put(), whose eviction sweep may drop u's
+  // entry: pin u with a strong reference before that one insert (the entry
+  // just inserted — v itself — is never evicted by its own put).
   const std::uint64_t ku = cache_key(r.tree, r.u);
   const std::uint64_t kv = cache_key(r.tree, r.v);
   AnyScheme::AttachedPtr hold_u;
@@ -522,7 +526,7 @@ Dist ForestIndex::query_resolved_locked(Shard& sh, const Request& r,
   AnyScheme::AttachedPtr* pu = sh.cache.get(ku);
   if (pu != nullptr) {
     au = pu->get();
-  } else {
+  } else if (sh.cache.admit(ku)) {
     hold_u = e.scheme.attach(e.labels.view(static_cast<std::size_t>(iu)));
     au = hold_u.get();
     sh.cache.put(ku, hold_u, hold_u->cost_bytes());
@@ -530,12 +534,14 @@ Dist ForestIndex::query_resolved_locked(Shard& sh, const Request& r,
   const AnyScheme::Attached* av = nullptr;
   if (AnyScheme::AttachedPtr* pv = sh.cache.get(kv); pv != nullptr) {
     av = pv->get();
-  } else {
+  } else if (sh.cache.admit(kv)) {
     hold_v = e.scheme.attach(e.labels.view(static_cast<std::size_t>(iv)));
     av = hold_v.get();
     if (pu != nullptr) hold_u = *pu;
     sh.cache.put(kv, hold_v, hold_v->cost_bytes());
   }
+  if (au == nullptr || av == nullptr)
+    return query_resolved_uncached(iu, iv, e);
   return e.scheme.query(*au, *av);
 }
 
@@ -680,6 +686,7 @@ ForestIndex::CacheStats ForestIndex::cache_stats() const {
     st.hits += sh->cache.hits();
     st.misses += sh->cache.misses();
     st.evictions += sh->cache.evictions();
+    st.refused += sh->cache.refused();
     st.entries += sh->cache.size();
     st.bytes += sh->cache.bytes();
     st.invalidated += sh->invalidated;

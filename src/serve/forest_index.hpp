@@ -9,7 +9,10 @@
 //     bits::MappedArena — a mappable file costs one mmap, not a copy),
 //   * trees sharded by id across S shards, each shard owning a
 //     byte-bounded LRU cache of attached (pre-parsed) labels, so hot
-//     labels are parsed once and queried many times,
+//     labels are parsed once and queried many times. Once the cache is
+//     full it admits only labels that recur (LruCache::admit: a label
+//     refused on one miss gets in on its next), and a query with a
+//     refused side answers from the raw labels, as every scheme can,
 //   * a batch front end: query_batch() partitions requests by shard and
 //     fans the shards out across threads (util/parallel), filling one
 //     result slot per request — deterministic for any thread count. Both
@@ -125,7 +128,10 @@ struct ForestOptions {
   /// Shard count (trees are assigned round-robin by id). 0 = one shard per
   /// hardware thread.
   std::size_t shards = 0;
-  /// Attached-label cache budget per shard, in (estimated) bytes.
+  /// Attached-label cache budget per shard, in bytes as AnyScheme's
+  /// attach estimate charges them. The estimate under-charges real heap
+  /// by 1.2-2.0x depending on the scheme, so a full cache holds roughly
+  /// 1.5-2x this much memory.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;
   /// Threads for query_batch fan-out: at most one per shard is useful.
   /// 0 = TREELAB_THREADS / hardware default.
@@ -263,8 +269,9 @@ class ForestIndex {
 
   /// Answers every request, one result per request in request order.
   /// Requests are partitioned by shard (keeping request order), each shard
-  /// attaches its hot labels once via its cache, and shards are fanned out
-  /// across `opt.threads`. Tree AND node ids are validated in a serial
+  /// attaches its recurring labels once via its cache (a full cache answers
+  /// a label's first miss raw instead), and shards are fanned out across
+  /// `opt.threads`. Tree AND node ids are validated in a serial
   /// pre-pass: a bad request throws deterministically — the first offender
   /// in request order, with the exception query() throws for it
   /// (std::out_of_range, QuarantinedError) — before any parallel work. The
@@ -290,6 +297,7 @@ class ForestIndex {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t evictions = 0;
+    std::size_t refused = 0;  ///< misses a full cache answered raw
     std::size_t entries = 0;
     std::size_t bytes = 0;
     std::size_t invalidated = 0;  ///< attached labels dropped by update()
@@ -419,11 +427,13 @@ class ForestIndex {
   void execute_plan(BatchPlan& plan, std::span<const Request> reqs,
                     std::span<QueryResult> out) const;
   /// A query through the shard cache, for ids already resolved against
-  /// `e`, which must be the tree's live entry.
+  /// `e`, which must be the tree's live entry. When the cache refuses
+  /// either label it answers through query_resolved_uncached().
   [[nodiscard]] Dist query_resolved_locked(Shard& sh, const Request& r,
                                            tree::NodeId iu, tree::NodeId iv,
                                            const TreeEntry& e) const
       TREELAB_REQUIRES(sh.mu);
+  /// The raw-label answer: serves a replaced snapshot and refused misses.
   [[nodiscard]] Dist query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                                              const TreeEntry& e) const;
 

@@ -7,6 +7,16 @@
 // a query for an oversized label still gets its attach-once benefit within
 // the batch that touched it.
 //
+// Admission: put() always inserts, but a caller that pays to build a value
+// on a miss asks admit() first. While the cache has room for one more
+// average-sized entry every key is admitted. Once an insert would evict, a
+// key is admitted only if admit() already refused it within the current
+// doorkeeper window — TinyLFU's doorkeeper (Einziger, Friedman and Manes,
+// ACM TOS 2017): a bitset over a second hash of the key, cleared after
+// max(size(), 1024) refusals. A full cache then stops trading a resident
+// entry for a key that is touched once and never again; a key that recurs
+// gets in on its second miss.
+//
 // Internals are built for the serving hot path, where get() runs twice per
 // query: an open-addressing table (power-of-two, linear probing, tombstone
 // deletion) holding indices into a node slab, and an intrusive index-linked
@@ -17,6 +27,8 @@
 // Not thread-safe: ForestIndex serializes access per shard.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -71,6 +83,27 @@ class LruCache {
     }
   }
 
+  /// Whether a key that just missed should be built and put(): true while
+  /// the cache has room for one more average-sized entry, and at budget
+  /// true only for a key refused once already within the doorkeeper
+  /// window. A refusal is remembered and counted in refused().
+  [[nodiscard]] bool admit(const K& key) {
+    if (size_ == 0 || bytes_ + bytes_ / size_ <= capacity_) return true;
+    if (!doorkeeper_.empty() && test_and_set(key)) return true;
+    if (window_left_ == 0) {
+      // The window is spent (or never opened): forget it, sized to the
+      // entry count so a big cache remembers as many refusals as it holds.
+      const std::size_t window = std::max<std::size_t>(size_, 1024);
+      doorkeeper_.assign(std::bit_ceil(window) * kDoorkeeperBitsPerKey / 64,
+                         0);
+      window_left_ = window;
+      (void)test_and_set(key);
+    }
+    --window_left_;
+    ++refused_;
+    return false;
+  }
+
   /// Removes every entry whose key satisfies `pred`, releasing its cost.
   /// Returns the number of entries removed. Not counted as evictions (the
   /// caller is invalidating, not budgeting) — ForestIndex uses this to drop
@@ -99,10 +132,14 @@ class LruCache {
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
   [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
+  [[nodiscard]] std::size_t refused() const noexcept { return refused_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffff;   // empty table slot
   static constexpr std::uint32_t kTomb = 0xfffffffe;  // deleted table slot
+  // Doorkeeper bits per key of its window: a full window leaves at most
+  // 1/16 of the bits set, so few one-off keys pass on a collision.
+  static constexpr std::size_t kDoorkeeperBitsPerKey = 16;
 
   struct Node {
     K key;
@@ -123,6 +160,22 @@ class LruCache {
     x *= 0xc4ceb9fe1a85ec53ULL;
     x ^= x >> 33;
     return static_cast<std::size_t>(x) & (table_.size() - 1);
+  }
+
+  /// Sets the key's doorkeeper bit; returns whether it was already set.
+  /// The bit index is a second hash of the key, mixed apart from home()'s.
+  bool test_and_set(const K& key) {
+    std::uint64_t x = Hash{}(key) * 0x9e3779b97f4a7c15ULL;
+    x ^= x >> 31;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 29;
+    const std::size_t bit =
+        static_cast<std::size_t>(x) & (doorkeeper_.size() * 64 - 1);
+    std::uint64_t& word = doorkeeper_[bit / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    const bool seen = (word & mask) != 0;
+    word |= mask;
+    return seen;
   }
 
   [[nodiscard]] std::uint32_t find(const K& key) const {
@@ -224,11 +277,14 @@ class LruCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t evictions_ = 0;
+  std::size_t refused_ = 0;
+  std::size_t window_left_ = 0;  // refusals left in the doorkeeper window
   std::uint32_t head_ = kNil;  // most recently used
   std::uint32_t tail_ = kNil;  // least recently used
   std::uint32_t free_ = kNil;  // node-slab free list, linked through next
   std::vector<std::uint32_t> table_;  // open-addressing: node index per slot
   std::vector<Node> nodes_;
+  std::vector<std::uint64_t> doorkeeper_;  // bitset, see test_and_set()
 };
 
 }  // namespace treelab::serve

@@ -1,9 +1,10 @@
 // LruCache unit tests: recency order under get/put interleavings,
 // byte-budget accounting through inserts, replacements, evictions and
-// erase_if, the never-evict-the-just-inserted-entry rule, and the
-// degenerate budgets (zero, and entries larger than the whole cache).
-// ForestIndex relies on each of these when it serves attached labels out
-// of its per-shard caches.
+// erase_if, the never-evict-the-just-inserted-entry rule, the degenerate
+// budgets (zero, and entries larger than the whole cache), and the
+// admission contract (everything below budget; at budget, a key on its
+// second miss within the doorkeeper window). ForestIndex relies on each of
+// these when it serves attached labels out of its per-shard caches.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -179,6 +180,57 @@ TEST(LruCache, BudgetInvariantUnderChurn) {
     EXPECT_LE(c.bytes(), std::max<std::size_t>(64, last_cost))
         << "after put " << i;
     EXPECT_GE(c.size(), 1u);
+  }
+}
+
+TEST(LruCache, BelowBudgetAdmitsEveryKey) {
+  Cache c(100);
+  for (int k = 0; k < 9; ++k) {
+    ASSERT_TRUE(c.admit(k)) << "key " << k;
+    c.put(k, "v", 10);
+  }
+  // 90 of 100 bytes: room for one more average-sized (10-byte) entry.
+  EXPECT_TRUE(c.admit(42));
+  EXPECT_TRUE(c.admit(42));
+  EXPECT_EQ(c.refused(), 0u);
+  EXPECT_EQ(c.evictions(), 0u);
+}
+
+TEST(LruCache, AtBudgetRefusesAOneOffThenAdmitsItsNextMiss) {
+  Cache c(30);
+  c.put(1, "a", 10);
+  c.put(2, "b", 10);
+  c.put(3, "c", 10);  // full: one more entry would evict
+  EXPECT_FALSE(c.admit(4));
+  EXPECT_EQ(c.refused(), 1u);
+  EXPECT_EQ(c.evictions(), 0u);  // refusing leaves the residents alone
+  EXPECT_TRUE(contains(c, 1));
+  EXPECT_TRUE(c.admit(4));  // the key recurred: let it in
+  EXPECT_EQ(c.refused(), 1u);
+  c.put(4, "d", 10);
+  EXPECT_EQ(c.evictions(), 1u);
+  EXPECT_TRUE(contains(c, 4));
+  EXPECT_FALSE(c.admit(5));
+  EXPECT_EQ(c.refused(), 2u);
+}
+
+TEST(LruCache, DoorkeeperForgetsAfterAFullWindowOfRefusals) {
+  // The window is max(entries, 1024) refusals. A key refused at its start
+  // is still remembered after 1023 further refusals, and forgotten once
+  // the 1024th opens the next window.
+  constexpr std::size_t kWindow = 1024;
+  const auto refuse = [](Cache& c, std::size_t n) {
+    int next = 1000;
+    for (const std::size_t goal = c.refused() + n; c.refused() < goal;)
+      (void)c.admit(next++);
+  };
+  for (const std::size_t further : {kWindow - 1, kWindow}) {
+    Cache c(10);
+    c.put(1, "a", 10);  // full from the first insert
+    ASSERT_FALSE(c.admit(7));
+    refuse(c, further);
+    EXPECT_EQ(c.refused(), further + 1);
+    EXPECT_EQ(c.admit(7), further < kWindow) << further << " refusals";
   }
 }
 
