@@ -26,7 +26,6 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <random>
@@ -104,17 +103,11 @@ int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  // Clamp the build fan-out by the hardware the same way serving's
-  // planned_fanout does: a TREELAB_THREADS (or scaling-row request) above
-  // hardware_concurrency would only time-slice one core and publish
-  // oversubscription as a parallel regression. Every row records the
-  // fan-out it actually ran, so a 1-core run shows `fanout: 1` instead of
-  // masquerading as a scaling measurement.
-  const auto clamp_threads = [hw](int threads) {
-    return hw > 0 ? std::min(threads, hw) : threads;
-  };
-  const int par = clamp_threads(util::thread_count());
+  // Fan-out is clamped to the CPUs this process may use (thread_count()
+  // already is): more threads would only time-slice them. Every row records
+  // the fan-out it ran, so a 1-core run shows `fanout: 1`.
+  const int cpus = util::usable_cpus();
+  const int par = util::thread_count();
 
   const tree::Tree t = tree::random_tree(n, seed);
   std::vector<Row> rows;
@@ -123,9 +116,9 @@ int main(int argc, char** argv) {
     std::printf("  %-34s %10.1f ms\n", rows.back().name.c_str(), ms);
   };
 
-  std::printf("build-time bench: n=%d seed=%llu threads=%d (hw=%d)\n",
+  std::printf("build-time bench: n=%d seed=%llu threads=%d (cpus=%d)\n",
               static_cast<int>(n), static_cast<unsigned long long>(seed), par,
-              hw);
+              cpus);
 
   // Per-scheme, own scaffold (the Tree-ctor path), serial.
   add("fgnw_own_serial", measure_ms([&] {
@@ -169,7 +162,7 @@ int main(int argc, char** argv) {
   // hardware; on a 1-core box every row runs (and records) fanout 1.
   std::vector<Row> scaling;
   for (const int threads : {1, 2, 4}) {
-    const int fanout = clamp_threads(threads);
+    const int fanout = std::min(threads, cpus);
     const double ms = measure_ms_best([&] {
       const core::TreeScaffold sc(t, fanout);
       const core::FgnwScheme s(sc);
@@ -186,7 +179,7 @@ int main(int argc, char** argv) {
     const tree::Graph g =
         tree::Graph::random_connected(n_oracle, 2 * n_oracle, seed);
     for (const int threads : {1, 2, 4}) {
-      const int fanout = clamp_threads(threads);
+      const int fanout = std::min(threads, cpus);
       setenv("TREELAB_THREADS", std::to_string(fanout).c_str(), 1);
       const double ms =
           measure_ms_best([&] { const core::SpanningOracle o(g, 4); });

@@ -4,7 +4,7 @@
 // practical trade-off a downstream user of the library faces; plus the
 // serving regime: batch throughput of a node answering a query stream from
 // its attached cache (query_many) vs re-decoding raw states per call.
-// Emits BENCH_oracle.json (same shape as BENCH_build/BENCH_serve).
+// Emits BENCH_oracle.json (same shape as BENCH_build/BENCH_query).
 //
 // Usage: bench_oracle [--quick]   (--quick: CI-sized configs)
 #include <algorithm>

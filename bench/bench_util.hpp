@@ -10,39 +10,30 @@
 #include <cstdio>
 #include <ctime>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bits/kernels.hpp"
+#include "util/parallel.hpp"
 
 namespace treelab::bench {
 
 /// Shared throughput harness: runs `f(batch)` repeatedly (after one warmup
 /// call) until `min_seconds` elapsed; returns operations/sec assuming each
-/// call performs `batch` operations. `reps` takes the best of that many
-/// independent measurement windows: on a shared host the noise is almost
-/// entirely one-sided (a neighbor steals the core and a window reads slow,
-/// nothing ever reads fast), so the max is the honest estimate of what the
-/// code costs — single-window comparative rows once published an armed
-/// failpoint *beating* the disarmed run on scheduling luck alone.
+/// call performs `batch` operations.
 template <typename F>
 inline double measure_qps(F&& f, std::size_t batch = 4096,
-                          double min_seconds = 0.2, int reps = 1) {
+                          double min_seconds = 0.2) {
   using clock = std::chrono::steady_clock;
   f(batch / 4 + 1);  // warmup
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = clock::now();
-    std::size_t done = 0;
-    double dt = 0;
-    do {
-      f(batch);
-      done += batch;
-      dt = std::chrono::duration<double>(clock::now() - t0).count();
-    } while (dt < min_seconds);
-    best = std::max(best, static_cast<double>(done) / dt);
-  }
-  return best;
+  const auto t0 = clock::now();
+  std::size_t done = 0;
+  double dt = 0;
+  do {
+    f(batch);
+    done += batch;
+    dt = std::chrono::duration<double>(clock::now() - t0).count();
+  } while (dt < min_seconds);
+  return static_cast<double>(done) / dt;
 }
 
 /// UTC wall-clock provenance stamp, e.g. "2026-08-08T12:34:56Z".
@@ -55,16 +46,15 @@ inline std::string timestamp_utc() {
   return buf;
 }
 
-/// The shared BENCH_*.json provenance header: when the run happened, how
-/// many hardware threads the machine offered, the fan-out the bench
-/// planned to drive (0 = single-threaded / not applicable), and the decode
-/// kernel dispatch level the process resolved (scalar/popcnt/avx2 — a row
-/// measured with forced-scalar kernels must not pass for a vectorized
-/// one). Call inside an open JSON object; emits trailing-comma'd fields.
+/// The shared BENCH_*.json provenance header: when the run happened, the
+/// CPUs the process could use (util::usable_cpus), the fan-out the bench
+/// planned (0 = single-threaded / not applicable), and the decode kernel
+/// level the process resolved (scalar/popcnt/avx2 — a forced-scalar row
+/// must not pass for a vectorized one). Call inside an open JSON object;
+/// emits trailing-comma'd fields.
 inline void json_provenance(std::FILE* f, int planned_fanout) {
   std::fprintf(f, "  \"timestamp_utc\": \"%s\",\n", timestamp_utc().c_str());
-  std::fprintf(f, "  \"threads_available\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"threads_available\": %d,\n", util::usable_cpus());
   std::fprintf(f, "  \"planned_fanout\": %d,\n", planned_fanout);
   std::fprintf(f, "  \"kernels\": \"%s\",\n", bits::kernels::level_name());
 }

@@ -1,6 +1,6 @@
 // net/QueryClient — a minimal blocking client for the batch-RPC protocol:
 // one connection, one in-flight batch at a time. This is the reference
-// consumer (treelab_cli, bench_serve's loopback rows, tests); a
+// consumer (treelab_cli, perfbench, tests); a
 // high-throughput client would pipeline batches, which the server already
 // supports — replies come back in request order per connection.
 #pragma once

@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "bits/kernels.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/io_error.hpp"
@@ -19,13 +20,6 @@ namespace {
 std::uint64_t cache_key(TreeId tree, tree::NodeId u) noexcept {
   return (static_cast<std::uint64_t>(tree) << 32) |
          static_cast<std::uint32_t>(u);
-}
-
-void backoff_sleep(int base_ms, int attempt) {
-  // base * 2^attempt, floored at something non-zero so the retry actually
-  // yields the failing resource a moment.
-  const int ms = std::max(1, base_ms) * (1 << std::min(attempt, 10));
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 // Latency/size metrics shared by every ForestIndex in the process;
@@ -53,6 +47,11 @@ struct ServeMetrics {
 }  // namespace
 
 ForestIndex::ForestIndex(ForestOptions opt) : opt_(opt) {
+  // Nothing may first touch the obs registry under a shard lock, since
+  // Registry::snapshot() takes shard locks (cache_stats()) under its mutex:
+  // resolve the lazy lookups a first query would make here.
+  (void)ServeMetrics::get();
+  (void)bits::kernels::level();
   const std::size_t shards =
       opt_.shards > 0 ? opt_.shards
                       : static_cast<std::size_t>(util::thread_count());
@@ -122,9 +121,7 @@ void ForestIndex::note_integrity_failure(Slot& s) noexcept {
   integrity_failures_.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t streak =
       s.integrity_fails.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto threshold =
-      static_cast<std::uint32_t>(std::max(opt_.quarantine_after, 1));
-  if (streak >= threshold &&
+  if (streak >= kQuarantineAfter &&
       health_of(s) != TreeHealth::kQuarantined) {
     s.health.store(static_cast<std::uint8_t>(TreeHealth::kQuarantined),
                    std::memory_order_release);
@@ -140,21 +137,22 @@ void ForestIndex::note_stale(Slot& s) noexcept {
       std::memory_order_acq_rel);
 }
 
-core::LabelStore::MappedLoaded ForestIndex::open_with_retries(
-    Slot& s, const std::string& path) {
+template <typename Read>
+auto ForestIndex::with_retries(Slot& s, Read&& read) {
   for (int attempt = 0;; ++attempt) {
     try {
-      return core::LabelStore::open_mapped(path);
+      return read();
     } catch (const util::IoError&) {
       transient_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (attempt >= opt_.retries) {
+      if (attempt >= kRetries) {
         // Persistent: the tree keeps serving its last good labeling,
         // flagged stale so operators can see the refresh is failing.
         note_stale(s);
         throw;
       }
       retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff_sleep(opt_.retry_backoff_ms, attempt);
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kRetryBackoffMs << attempt));
     }
   }
 }
@@ -320,11 +318,12 @@ std::uint64_t ForestIndex::update(TreeId tree,
 std::uint64_t ForestIndex::update_file(TreeId tree, const std::string& path) {
   Slot& sl = slot(tree);
   try {
-    auto loaded = open_with_retries(sl, path);
+    auto loaded =
+        with_retries(sl, [&] { return core::LabelStore::open_mapped(path); });
     return swap_entry(tree, loaded.scheme, loaded.params,
                       std::move(loaded.labels), nullptr);
   } catch (const util::IoError&) {
-    throw;  // counted (and the tree marked stale) in open_with_retries
+    throw;  // counted (and the tree marked stale) in with_retries
   } catch (const util::FailpointAbort&) {
     throw;  // a simulated crash is not a health event
   } catch (const std::bad_alloc&) {
@@ -435,26 +434,15 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
 std::uint64_t ForestIndex::apply_delta_file(TreeId tree,
                                             const std::string& path) {
   Slot& sl = slot(tree);
+  std::istringstream is(with_retries(sl, [&] { return util::read_file(path); }),
+                        std::ios::binary);
   core::LabelDelta d;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      const std::string bytes = util::read_file(path);
-      std::istringstream is(bytes, std::ios::binary);
-      d = core::LabelStore::load_delta(is);
-      break;
-    } catch (const util::IoError&) {
-      transient_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (attempt >= opt_.retries) {
-        note_stale(sl);
-        throw;
-      }
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff_sleep(opt_.retry_backoff_ms, attempt);
-    } catch (const std::runtime_error&) {
-      // The bytes were read fine but are not a valid delta container.
-      note_integrity_failure(sl);
-      throw;
-    }
+  try {
+    d = core::LabelStore::load_delta(is);
+  } catch (const std::runtime_error&) {
+    // The bytes were read fine but are not a valid delta container.
+    note_integrity_failure(sl);
+    throw;
   }
   return apply_delta(tree, d);
 }
@@ -492,15 +480,15 @@ core::LabelStore::LoadedArena ForestIndex::snapshot_labels(TreeId tree) const {
 }
 
 int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
-  // resolve_threads returns an explicitly configured positive count as-is —
-  // which is how BENCH_serve grew rows where 8 "threads" time-sliced one
-  // core and lost to the serial path. Clamp to what can actually run in
-  // parallel, then to what the batch can feed: fewer than
+  // An explicitly configured thread count is taken as-is, so clamp it to
+  // the CPUs this process may run on (thread_count() already is): more
+  // threads than that only time-slice the same cores and lose to the
+  // serial path. Then clamp to what the batch can feed: fewer than
   // kFanoutBatchPerThread requests per thread and the pool's startup +
   // synchronization costs more than the overlap buys.
-  std::size_t t = static_cast<std::size_t>(util::resolve_threads(opt_.threads));
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0) t = std::min(t, static_cast<std::size_t>(hw));
+  std::size_t t = static_cast<std::size_t>(
+      opt_.threads > 0 ? std::min(opt_.threads, util::usable_cpus())
+                       : util::thread_count());
   t = std::min(t, shards_.size());
   t = std::min(t, std::max<std::size_t>(batch / kFanoutBatchPerThread, 1));
   return static_cast<int>(std::max<std::size_t>(t, 1));

@@ -44,10 +44,10 @@
 //     file-fed update paths are retried with exponential backoff; if they
 //     persist the tree is marked *stale* — it keeps serving its last good
 //     labeling. Integrity failures (corrupt files, deltas that do not
-//     chain) are never retried; after ForestOptions::quarantine_after
-//     consecutive ones the tree is *quarantined*: its queries fail with a
-//     typed error (QuarantinedError from the throwing API, kQuarantined
-//     from query_batch_checked()) while every other tree keeps serving.
+//     chain) are never retried; after kQuarantineAfter consecutive ones
+//     the tree is *quarantined*: its queries fail with a typed error
+//     (QuarantinedError from the throwing API, kQuarantined from
+//     query_batch_checked()) while every other tree keeps serving.
 //     A subsequent clean update()/apply_delta() is the repair path — it
 //     restores the tree to live. cache_stats() exposes the retry /
 //     failure / health counters.
@@ -136,15 +136,6 @@ struct ForestOptions {
   /// Threads for query_batch fan-out: at most one per shard is useful.
   /// 0 = TREELAB_THREADS / hardware default.
   int threads = 0;
-  /// Transient (util::IoError) failures in update_file()/apply_delta_file()
-  /// are retried this many times beyond the first attempt...
-  int retries = 2;
-  /// ...sleeping this long before the first retry, doubling each time.
-  int retry_backoff_ms = 1;
-  /// Consecutive integrity failures (corrupt file/delta, broken epoch
-  /// chain) on one tree before it is quarantined. <= 0 quarantines on the
-  /// first integrity failure.
-  int quarantine_after = 3;
 };
 
 class ForestIndex {
@@ -245,14 +236,23 @@ class ForestIndex {
       TreeId tree) const;
 
   /// The thread fan-out query_batch()/query_batch_checked() will use for a
-  /// batch of `batch` requests: the configured thread count clamped to the
-  /// hardware, the shard count, and the batch size (one thread per
-  /// kFanoutBatchPerThread requests, floor 1). A fan-out of 1 runs the
+  /// batch of `batch` requests: the configured thread count clamped to
+  /// util::usable_cpus(), the shard count, and the batch size (one thread
+  /// per kFanoutBatchPerThread requests, floor 1). A fan-out of 1 runs the
   /// whole batch serially inline — no pool, no synchronization.
   [[nodiscard]] int planned_fanout(std::size_t batch) const noexcept;
 
   /// Below this many requests per thread, fan-out overhead beats the win.
   static constexpr std::size_t kFanoutBatchPerThread = 256;
+
+  /// Transient (util::IoError) failures in update_file()/apply_delta_file()
+  /// are retried this many times beyond the first attempt...
+  static constexpr int kRetries = 2;
+  /// ...sleeping this long before the first retry, doubling each time.
+  static constexpr int kRetryBackoffMs = 1;
+  /// Consecutive integrity failures (corrupt file/delta, broken epoch
+  /// chain) on one tree before it is quarantined.
+  static constexpr std::uint32_t kQuarantineAfter = 3;
 
   /// The batch path records every this-many-th per-query latency into
   /// `serve.query.latency_ns` (sampling keeps the clock off the per-query
@@ -448,9 +448,10 @@ class ForestIndex {
   /// Persistent transient failure: live -> stale (a quarantined tree
   /// stays quarantined — stale would understate it).
   void note_stale(Slot& s) noexcept;
-  /// open_mapped with the transient-retry policy (see ForestOptions).
-  [[nodiscard]] core::LabelStore::MappedLoaded open_with_retries(
-      Slot& s, const std::string& path);
+  /// read() under the transient-retry policy: a util::IoError is retried
+  /// kRetries times with backoff, then marks the tree stale and propagates.
+  template <typename Read>
+  auto with_retries(Slot& s, Read&& read);
   /// apply_delta() minus the health accounting (the optimistic
   /// validate-patch-swap loop).
   std::uint64_t apply_delta_impl(TreeId tree, const core::LabelDelta& d);

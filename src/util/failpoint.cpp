@@ -1,6 +1,7 @@
 #include "util/failpoint.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -70,9 +71,8 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
 
 // Arms TREELAB_FAILPOINTS before main() so even static-init-time I/O
 // (none today) would see the sites.
-const bool env_armed = [] {
-  return parse_spec(std::getenv("TREELAB_FAILPOINTS"));
-}();
+[[maybe_unused]] const bool env_armed =
+    parse_spec(std::getenv("TREELAB_FAILPOINTS"));
 
 }  // namespace
 
@@ -146,13 +146,10 @@ bool parse_spec(const char* spec) {
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
     const std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      ok = false;
-      continue;
-    }
     const std::string_view site = clause.substr(0, eq);
-    std::string_view params = clause.substr(eq + 1);
-    // mode[:skip[:count[:arg]]]
+    // mode[:skip[:count[:arg]]]; a clause without '=' has no mode.
+    std::string_view params =
+        clause.substr(eq == std::string_view::npos ? clause.size() : eq + 1);
     std::string_view field[4];
     int nf = 0;
     while (nf < 4) {
@@ -164,7 +161,7 @@ bool parse_spec(const char* spec) {
     FailMode mode{};
     std::uint64_t skip = 0, arg = 0, count_u = 0;
     std::int64_t count = -1;
-    bool good = nf >= 1 && detail::parse_mode(field[0], mode);
+    bool good = !site.empty() && detail::parse_mode(field[0], mode);
     if (good && nf >= 2) good = detail::parse_u64(field[1], skip);
     if (good && nf >= 3) {
       if (field[2] == "-1") {
@@ -178,7 +175,13 @@ bool parse_spec(const char* spec) {
     }
     if (good && nf >= 4) good = detail::parse_u64(field[3], arg);
     if (!good) {
+      // A clause that arms nothing must not pass silently: a typo'd
+      // TREELAB_FAILPOINTS would leave a fault test testing nothing.
       ok = false;
+      std::fprintf(stderr,
+                   "treelab: ignoring malformed TREELAB_FAILPOINTS clause "
+                   "'%.*s' (want site=mode[:skip[:count[:arg]]])\n",
+                   static_cast<int>(clause.size()), clause.data());
       continue;
     }
     arm(site, mode, skip, count, arg);

@@ -5,10 +5,10 @@
 //   if (auto fp = util::failpoint::check("fs.write")) { /* inject */ }
 //
 // When nothing is armed — the production state — check() is one relaxed
-// atomic load and a predicted-not-taken branch (measured against the
-// serving hot path in bench_serve's failpoint section), and compiles to a
-// literal no-op under -DTREELAB_NO_FAILPOINTS (CMake option
-// TREELAB_FAILPOINTS=OFF). Sites are armed programmatically (tests, the
+// atomic load and a predicted-not-taken branch (tools/overhead_gate.py
+// holds the armed slow path to >= 0.7 of disarmed perfbench throughput),
+// and compiles to a literal no-op under -DTREELAB_NO_FAILPOINTS (CMake
+// option TREELAB_FAILPOINTS=OFF). Sites are armed programmatically (tests, the
 // crash-recovery fuzzer) or from the environment at process start:
 //
 //   TREELAB_FAILPOINTS="site=mode[:skip[:count[:arg]]][,site=...]"
@@ -110,8 +110,9 @@ void disarm_all();
 [[nodiscard]] std::uint64_t total_trips();
 
 /// Parses a TREELAB_FAILPOINTS-style spec and arms it. Returns false (and
-/// arms nothing from the bad clause) on a malformed spec. nullptr/"" is
-/// trivially true. Called once at startup with the environment variable.
+/// arms nothing from the bad clause) on a malformed spec, naming each
+/// rejected clause on stderr. nullptr/"" is trivially true. Called once at
+/// startup with the environment variable, so each bad clause warns once.
 bool parse_spec(const char* spec);
 
 /// Applies a hit at a site with no byte stream to shorten: kError becomes

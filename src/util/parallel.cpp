@@ -1,5 +1,7 @@
 #include "util/parallel.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -48,14 +50,25 @@ int parse_thread_count(const char* s, int hardware) noexcept {
   return static_cast<int>(v);
 }
 
+int usable_cpus() noexcept {
+  // hardware_concurrency() counts the machine, not the CPUs a pinned or
+  // cgroup-confined process may use; threads beyond the mask only
+  // time-slice its cores.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) >= 1)
+    return CPU_COUNT(&set);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 1 ? static_cast<int>(hw) : 1;
+}
+
 int thread_count() noexcept {
   // Re-read on every call (it is consulted once per build, not per node) so
   // a process can re-point TREELAB_THREADS between builds.
-  const unsigned hwc = std::thread::hardware_concurrency();
-  const int hw = hwc >= 1 ? static_cast<int>(hwc) : 1;
+  const int cpus = usable_cpus();
   if (const char* env = std::getenv("TREELAB_THREADS"))
-    return parse_thread_count(env, hw);
-  return hw;
+    return parse_thread_count(env, cpus);
+  return cpus;
 }
 
 std::vector<std::size_t> split_ranges(std::size_t n, std::size_t chunks) {

@@ -8,7 +8,7 @@
 // merging) is done per-chunk and reduced in chunk order by the caller.
 //
 // The global default thread count comes from TREELAB_THREADS (clamped to
-// >= 1), falling back to std::thread::hardware_concurrency().
+// >= 1), falling back to usable_cpus().
 #pragma once
 
 #include <cstddef>
@@ -20,8 +20,13 @@
 
 namespace treelab::util {
 
-/// Threads to use for construction: a valid TREELAB_THREADS if set, else
-/// hardware concurrency (>= 1). Re-read on every call.
+/// CPUs this thread may run on: the count of its sched_getaffinity mask,
+/// so taskset and cpusets count, falling back to
+/// std::thread::hardware_concurrency(); always >= 1.
+[[nodiscard]] int usable_cpus() noexcept;
+
+/// Threads to use for construction: a valid TREELAB_THREADS if set (clamped
+/// to usable_cpus()), else usable_cpus(). Re-read on every call.
 [[nodiscard]] int thread_count() noexcept;
 
 /// Strict TREELAB_THREADS parsing: `s` must be a whole base-10 integer in

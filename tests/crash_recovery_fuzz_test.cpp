@@ -517,9 +517,7 @@ TEST(CrashRecoveryFuzz, KillPointsRecoverToCommittedEpoch) {
 TEST(CrashRecoveryFuzz, QuarantinedTreeDoesNotTakeDownTheForest) {
   IncrementalRelabeler ra(tree::random_tree(60, 1));
   IncrementalRelabeler rb(tree::random_tree(60, 2));
-  serve::ForestOptions fopt;
-  fopt.quarantine_after = 3;
-  ForestIndex index(fopt);
+  ForestIndex index;
   const serve::TreeId ta = index.add(ra.to_loaded());
   const serve::TreeId tb = index.add(rb.to_loaded());
 

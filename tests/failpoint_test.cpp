@@ -81,6 +81,21 @@ TEST_F(FailpointTest, ParseSpecRejectsGarbageClauses) {
   EXPECT_TRUE(failpoint::check("t.good").has_value());
 }
 
+TEST_F(FailpointTest, ParseSpecNamesRejectedClausesOnStderr) {
+  // parse_spec is the TREELAB_FAILPOINTS entry point: a typo'd clause arms
+  // nothing, so it must be named on stderr instead of passing silently.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(failpoint::parse_spec("t.typo=eror,t.fine=error"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("TREELAB_FAILPOINTS clause 't.typo=eror'"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("t.fine"), std::string::npos) << err;
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(failpoint::parse_spec("t.fine=error"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST_F(FailpointTest, RaiseMapsModesToExceptionTypes) {
   EXPECT_THROW(
       failpoint::raise({FailMode::kError, 0}, "t.r", "some/file"),

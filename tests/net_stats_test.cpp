@@ -1,13 +1,17 @@
 // Wire-level round trips for the Stats RPC (kStats -> kStatsReply) plus
 // the replication-lag metrics: after real query traffic the counters and
 // latency histograms a dump carries must be non-zero; after a follower
-// converges the lag gauges must read caught-up; and a malformed kStats
-// frame (non-empty payload) must be rejected without hurting the server.
+// converges the lag gauges must read caught-up; a malformed kStats frame
+// (non-empty payload) must be rejected without hurting the server; and an
+// overloaded server must shed batches, count it, and recover.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -24,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "serve/forest_index.hpp"
 #include "tree/generators.hpp"
+#include "tree/nca_index.hpp"
 
 namespace {
 
@@ -208,6 +213,88 @@ TEST(NetStats, MalformedStatsFrameIsRejected) {
   std::vector<net::StatLine> lines;
   EXPECT_TRUE(client.stats(lines));
   EXPECT_GE(stat_value(lines, "net.server.bad_frames"), 1u);
+  server.stop();
+}
+
+TEST(NetStats, OverloadShedsThenRecovers) {
+  // Two flooders send batches and never read a reply: past
+  // write_buffer_limit the server stops reading them (read_paused), and
+  // their queued replies hold the total past max_buffered_bytes, so a
+  // probe is shed with kOverloaded instead of queueing without bound.
+  // Once they disconnect, their output goes and the probe is answered.
+  const tree::Tree t = tree::random_tree(500, 17);
+  const tree::NcaIndex oracle(t);
+  serve::ForestIndex index;
+  const serve::TreeId tree0 = index.add(IncrementalRelabeler(t).to_loaded());
+  net::ServerOptions tight;
+  tight.write_buffer_limit = 64 << 10;
+  tight.max_buffered_bytes = 128 << 10;
+  net::Server server(index, tight);
+  server.start();
+  // One flood batch's reply (~80 KB) outgrows write_buffer_limit alone.
+  const std::string flood = net::encode_frame(
+      net::MsgType::kQueryBatch,
+      net::encode_query_batch(
+          std::vector<serve::Request>(8192, {tree0, 0, 499})));
+  std::vector<serve::Request> probe_reqs;
+  for (tree::NodeId u = 0; u < 64; ++u)
+    probe_reqs.push_back({tree0, u, static_cast<tree::NodeId>(499 - u)});
+
+  std::atomic<bool> stop{false};
+  const auto flooder = [&] {
+    const int fd =
+        net::connect_with_timeout("127.0.0.1", server.port(), 2'000);
+    if (fd < 0) return;
+    const timeval wake{0, 20'000};  // a blocked send returns to check `stop`
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &wake, sizeof(wake));
+    std::size_t off = 0;  // a partial send resumes mid-frame
+    while (!stop.load(std::memory_order_acquire)) {
+      const net::IoResult w =
+          net::write_some(fd, flood.data() + off, flood.size() - off);
+      if (w.status == net::IoStatus::kError) break;
+      off = (off + w.n) % flood.size();
+    }
+    ::close(fd);  // with replies unread, the server's next write fails
+  };
+  const auto wait_until = [](auto done, int seconds) {
+    const auto end =
+        std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+    while (!done() && std::chrono::steady_clock::now() < end)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  using Status = net::QueryClient::BatchStatus;
+  net::QueryClient probe("127.0.0.1", server.port());
+  std::vector<serve::QueryResult> out;
+  Status status = Status::kError;
+  std::thread f1(flooder), f2(flooder);
+  wait_until([&] { return server.stats().read_paused > 0; }, 10);
+  bool shed = false;
+  wait_until(
+      [&] {
+        shed = probe.query_batch(probe_reqs, out) == Status::kOverloaded;
+        return shed || !probe.connected();
+      },
+      10);
+  stop.store(true, std::memory_order_release);
+  f1.join();
+  f2.join();
+  EXPECT_TRUE(shed);
+  // Recovery within a bounded wait, with correct answers.
+  wait_until(
+      [&] {
+        status = probe.query_batch(probe_reqs, out);
+        return status != Status::kOverloaded;
+      },
+      15);
+  ASSERT_EQ(status, Status::kOk);
+  ASSERT_EQ(out.size(), probe_reqs.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    EXPECT_EQ(out[i].dist.value,
+              oracle.distance(probe_reqs[i].u, probe_reqs[i].v));
+  std::vector<net::StatLine> lines;
+  ASSERT_TRUE(probe.stats(lines));
+  EXPECT_GE(stat_value(lines, "net.server.overloaded"), 1u);
+  EXPECT_GE(stat_value(lines, "net.server.read_paused"), 1u);
   server.stop();
 }
 

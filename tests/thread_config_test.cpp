@@ -5,11 +5,13 @@
 // node down with it.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
+#include "serve/forest_index.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -88,8 +90,7 @@ TEST(ThreadConfig, RejectionCounterIsOnTheMetricsRegistry) {
 }
 
 TEST(ThreadConfig, ThreadCountHonorsTheEnvironment) {
-  const unsigned hwc = std::thread::hardware_concurrency();
-  const int hw = hwc >= 1 ? static_cast<int>(hwc) : 1;
+  const int hw = treelab::util::usable_cpus();
 
   setenv("TREELAB_THREADS", "1", 1);
   EXPECT_EQ(thread_count(), 1);
@@ -101,6 +102,27 @@ TEST(ThreadConfig, ThreadCountHonorsTheEnvironment) {
   EXPECT_EQ(thread_count(), hw);  // clamped
   unsetenv("TREELAB_THREADS");
   EXPECT_EQ(thread_count(), hw);
+}
+
+TEST(ThreadConfig, PinnedToOneCpuCountsOneCpu) {
+  // hardware_concurrency() ignores sched_setaffinity and cpusets: a thread
+  // pinned to one CPU must neither build nor fan a batch out on more, or
+  // every extra thread only time-slices that one core.
+  cpu_set_t saved, one;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int threads = thread_count();
+  treelab::serve::ForestOptions opt;
+  opt.shards = 4;
+  opt.threads = 4;
+  const int fanout = treelab::serve::ForestIndex(opt).planned_fanout(8192);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(threads, 1);
+  EXPECT_EQ(fanout, 1);
 }
 
 }  // namespace
