@@ -31,10 +31,9 @@ std::uint64_t BitReader::get_unary() {
 }
 
 std::size_t BitReader::find_one() const noexcept {
-  // Dispatched unary-run scan over the span's words (BitSpan guarantees
-  // zero padding past the last bit, so whole-word reads are in bounds).
+  // Whole-word reads stay in bounds: a span's last word is its own.
   static_assert(kNoPos == kernels::kNpos);
-  return kernels::ops().find_first_one(v_.data(), v_.size(), pos_);
+  return kernels::find_first_one(v_.data(), v_.size(), pos_);
 }
 
 std::uint64_t BitReader::get_unary_unchecked() noexcept {

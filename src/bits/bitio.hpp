@@ -83,6 +83,13 @@ class BitReader {
     pos_ = pos;
   }
 
+  /// Advance the cursor by `n` bits (a decoded length: any value, however
+  /// large, either fits the rest of the input or throws).
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
+
   [[nodiscard]] bool get_bit() {
     require(1);
     return v_.get(pos_++);
@@ -117,8 +124,8 @@ class BitReader {
     return get_delta_unchecked() - 1;
   }
 
-  /// Word-wise unary decode: scans for the terminating one 64 bits at a
-  /// time with a ctz instead of bit-by-bit probing.
+  /// Word-wise unary decode: kernels::find_first_one scans for the
+  /// terminating one 64 bits at a time with a ctz.
   [[nodiscard]] std::uint64_t get_unary();
   [[nodiscard]] std::uint64_t get_gamma();
   [[nodiscard]] std::uint64_t get_gamma0() { return get_gamma() - 1; }
@@ -134,14 +141,16 @@ class BitReader {
   }
 
  private:
+  // Compared against what is left, not as pos_ + n: a decoded length near
+  // 2^64 would wrap the sum.
   void require(std::size_t n) const {
-    if (pos_ + n > v_.size()) throw DecodeError("BitReader: truncated input");
+    if (n > v_.size() - pos_) throw DecodeError("BitReader: truncated input");
   }
 
   static constexpr std::size_t kNoPos = ~std::size_t{0};
 
-  /// Position of the next set bit at or after the cursor (word-wise scan),
-  /// or kNoPos if the rest of the vector is all zeros.
+  /// Position of the next set bit at or after the cursor, or kNoPos if
+  /// the rest of the vector is all zeros.
   [[nodiscard]] std::size_t find_one() const noexcept;
 
   BitSpan v_;

@@ -1,9 +1,7 @@
 #include "bits/bitvec.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
-
-#include "bits/kernels.hpp"
 
 namespace treelab::bits {
 
@@ -45,19 +43,6 @@ BitVec BitSpan::slice(std::size_t pos, std::size_t len) const {
 
 BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
   return BitSpan(*this).slice(pos, len);
-}
-
-std::size_t BitVec::popcount() const noexcept {
-  if (words_.empty()) return 0;
-  // Bulk-count the full words through the dispatched kernel; the last word
-  // is masked to the live bits and counted separately.
-  std::size_t c = static_cast<std::size_t>(
-      kernels::ops().popcount_words(words_.data(), words_.size() - 1));
-  std::uint64_t last = words_.back();
-  const int rem = static_cast<int>(size_ & 63);
-  if (rem != 0) last &= low_mask(rem);
-  c += static_cast<std::size_t>(std::popcount(last));
-  return c;
 }
 
 bool operator==(BitSpan a, BitSpan b) noexcept {

@@ -167,9 +167,6 @@ class BitVec {
     return words_;
   }
 
-  /// Number of set bits.
-  [[nodiscard]] std::size_t popcount() const noexcept;
-
   /// "0101..." debug rendering (first bit leftmost).
   [[nodiscard]] std::string to_string() const {
     return BitSpan(*this).to_string();

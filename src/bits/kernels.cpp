@@ -25,44 +25,21 @@ using std::uint64_t;
 // Scalar level — the reference semantics every other level is tested against.
 // ---------------------------------------------------------------------------
 
-// Word loop with a masked tail: bits of the last word past `nbits` never
-// count, matching the old BitReader::find_one which read via read_bits and
-// therefore only ever saw in-range bits.
-size_t find_first_one_scalar(const uint64_t* words, size_t nbits,
-                             size_t from) noexcept {
-  if (from >= nbits) return kNpos;
-  const size_t last = (nbits - 1) >> 6;
-  size_t wi = from >> 6;
-  uint64_t cur = words[wi] & (~uint64_t{0} << (from & 63));
-  for (;;) {
-    if (wi == last) {
-      const unsigned tail = static_cast<unsigned>(nbits - (wi << 6));
-      if (tail < 64) cur &= low_mask(tail);
-      if (cur == 0) return kNpos;
-      return (wi << 6) + static_cast<size_t>(lsb(cur));
-    }
-    if (cur != 0) return (wi << 6) + static_cast<size_t>(lsb(cur));
-    cur = words[++wi];
-  }
-}
+int popcount_scalar(uint64_t w) noexcept { return std::popcount(w); }
 
 int select_in_word_scalar(uint64_t w, int k) noexcept {
   return bits::select_in_word(w, k);  // popcount binary halving (wordops.hpp)
 }
 
-uint64_t popcount_words_scalar(const uint64_t* words, size_t nwords) noexcept {
-  uint64_t total = 0;
-  for (size_t i = 0; i < nwords; ++i) {
-    total += static_cast<uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
 #if TREELAB_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// Popcnt level — hardware POPCNT loops and the branch-free PDEP select.
+// Popcnt level — hardware POPCNT and the branch-free PDEP select.
 // ---------------------------------------------------------------------------
+
+__attribute__((target("popcnt"))) int popcount_popcnt(uint64_t w) noexcept {
+  return static_cast<int>(_mm_popcnt_u64(w));
+}
 
 // PDEP deposits the k-th set bit of a one-hot mask into the position of w's
 // k-th set bit; TZCNT reads the position back. One dependent pair of 3-cycle
@@ -73,119 +50,16 @@ __attribute__((target("bmi,bmi2,popcnt"))) int select_in_word_bmi2(
       _tzcnt_u64(_pdep_u64(uint64_t{1} << static_cast<unsigned>(k), w)));
 }
 
-__attribute__((target("popcnt"))) uint64_t popcount_words_popcnt(
-    const uint64_t* words, size_t nwords) noexcept {
-  // Four independent accumulators to break the add dependency chain.
-  uint64_t a = 0, b = 0, c = 0, d = 0;
-  size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    a += static_cast<uint64_t>(_mm_popcnt_u64(words[i]));
-    b += static_cast<uint64_t>(_mm_popcnt_u64(words[i + 1]));
-    c += static_cast<uint64_t>(_mm_popcnt_u64(words[i + 2]));
-    d += static_cast<uint64_t>(_mm_popcnt_u64(words[i + 3]));
-  }
-  for (; i < nwords; ++i) {
-    a += static_cast<uint64_t>(_mm_popcnt_u64(words[i]));
-  }
-  return a + b + c + d;
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 level — 256-bit zero-run skipping and the PSHUFB nibble popcount.
-// ---------------------------------------------------------------------------
-
-// Unary runs in FGNW headers can span many words of zeros; VPTESTZ rejects
-// four words per branch, and the first non-zero block falls back to the
-// scalar tail which re-applies the exact boundary masking.
-__attribute__((target("avx2"))) size_t find_first_one_avx2(
-    const uint64_t* words, size_t nbits, size_t from) noexcept {
-  if (from >= nbits) return kNpos;
-  const size_t last = (nbits - 1) >> 6;
-  size_t wi = from >> 6;
-  // First (possibly partial) word stays scalar.
-  {
-    uint64_t cur = words[wi] & (~uint64_t{0} << (from & 63));
-    if (wi == last) {
-      const unsigned tail = static_cast<unsigned>(nbits - (wi << 6));
-      if (tail < 64) cur &= low_mask(tail);
-      if (cur == 0) return kNpos;
-      return (wi << 6) + static_cast<size_t>(lsb(cur));
-    }
-    if (cur != 0) return (wi << 6) + static_cast<size_t>(lsb(cur));
-    ++wi;
-  }
-  // Skip zero runs four words at a time (full words only — `last` is
-  // handled by the scalar tail so nothing past nbits is ever inspected
-  // for a hit).
-  while (wi + 4 <= last) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + wi));
-    if (!_mm256_testz_si256(v, v)) break;
-    wi += 4;
-  }
-  for (;; ++wi) {
-    uint64_t cur = words[wi];
-    if (wi == last) {
-      const unsigned tail = static_cast<unsigned>(nbits - (wi << 6));
-      if (tail < 64) cur &= low_mask(tail);
-      if (cur == 0) return kNpos;
-      return (wi << 6) + static_cast<size_t>(lsb(cur));
-    }
-    if (cur != 0) return (wi << 6) + static_cast<size_t>(lsb(cur));
-  }
-}
-
-// Mula's PSHUFB nibble-LUT popcount: 32 bytes/iteration, SAD-accumulated
-// into four 64-bit lanes so the loop carries no scalar dependency.
-__attribute__((target("avx2"))) uint64_t popcount_words_avx2(
-    const uint64_t* words, size_t nwords) noexcept {
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i nib = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nib));
-    const __m256i hi = _mm256_shuffle_epi8(
-        lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), nib));
-    acc = _mm256_add_epi64(
-        acc, _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256()));
-  }
-  uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < nwords; ++i) {
-    total += static_cast<uint64_t>(std::popcount(words[i]));
-  }
-  return total;
-}
-
 #endif  // TREELAB_KERNELS_X86
 
-constexpr Ops kScalarOps{&find_first_one_scalar, &select_in_word_scalar,
-                         &popcount_words_scalar};
+constexpr Ops kScalarOps{&popcount_scalar, &select_in_word_scalar};
 #if TREELAB_KERNELS_X86
-// find_first_one gains nothing from POPCNT alone; the popcnt level reuses
-// the scalar scanner and upgrades select + bulk popcount.
-constexpr Ops kPopcntOps{&find_first_one_scalar, &select_in_word_bmi2,
-                         &popcount_words_popcnt};
-constexpr Ops kAvx2Ops{&find_first_one_avx2, &select_in_word_bmi2,
-                       &popcount_words_avx2};
+constexpr Ops kPopcntOps{&popcount_popcnt, &select_in_word_bmi2};
 #endif
 
 const Ops& ops_for(Level l) noexcept {
 #if TREELAB_KERNELS_X86
-  switch (l) {
-    case Level::kPopcnt:
-      return kPopcntOps;
-    case Level::kAvx2:
-      return kAvx2Ops;
-    case Level::kScalar:
-      break;
-  }
+  if (l == Level::kPopcnt) return kPopcntOps;
 #else
   (void)l;
 #endif
@@ -193,12 +67,10 @@ const Ops& ops_for(Level l) noexcept {
 }
 
 Level best_supported() noexcept {
-  if (supported(Level::kAvx2)) return Level::kAvx2;
-  if (supported(Level::kPopcnt)) return Level::kPopcnt;
-  return Level::kScalar;
+  return supported(Level::kPopcnt) ? Level::kPopcnt : Level::kScalar;
 }
 
-// TREELAB_KERNELS=scalar|popcnt|avx2|auto. Unknown names and unsupported
+// TREELAB_KERNELS=scalar|popcnt|auto. Unknown names and unsupported
 // requests warn once on stderr and fall back (unknown -> auto; unsupported
 // -> best supported) so a stale env var can never take serving down.
 Level resolve_level() noexcept {
@@ -211,13 +83,11 @@ Level resolve_level() noexcept {
       want = Level::kScalar;
     } else if (std::strcmp(env, "popcnt") == 0) {
       want = Level::kPopcnt;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      want = Level::kAvx2;
     } else {
       known = false;
       std::fprintf(stderr,
                    "treelab: TREELAB_KERNELS=%s not recognized "
-                   "(scalar|popcnt|avx2|auto); using %s\n",
+                   "(scalar|popcnt|auto); using %s\n",
                    env, level_name(pick));
     }
     if (known) {
@@ -241,20 +111,36 @@ Level resolve_level() noexcept {
 
 }  // namespace
 
+// Word loop with a masked tail: bits of the last word past `nbits` never
+// count, so only in-range bits can terminate a unary run.
+std::size_t find_first_one(const std::uint64_t* words, std::size_t nbits,
+                           std::size_t from) noexcept {
+  if (from >= nbits) return kNpos;
+  const size_t last = (nbits - 1) >> 6;
+  size_t wi = from >> 6;
+  uint64_t cur = words[wi] & (~uint64_t{0} << (from & 63));
+  for (;;) {
+    if (wi == last) {
+      const unsigned tail = static_cast<unsigned>(nbits - (wi << 6));
+      if (tail < 64) cur &= low_mask(tail);
+      if (cur == 0) return kNpos;
+      return (wi << 6) + static_cast<size_t>(lsb(cur));
+    }
+    if (cur != 0) return (wi << 6) + static_cast<size_t>(lsb(cur));
+    cur = words[++wi];
+  }
+}
+
 bool supported(Level l) noexcept {
   switch (l) {
     case Level::kScalar:
       return true;
-#if TREELAB_KERNELS_X86
     case Level::kPopcnt:
+#if TREELAB_KERNELS_X86
       return __builtin_cpu_supports("popcnt") != 0 &&
              __builtin_cpu_supports("bmi") != 0 &&
              __builtin_cpu_supports("bmi2") != 0;
-    case Level::kAvx2:
-      return supported(Level::kPopcnt) && __builtin_cpu_supports("avx2") != 0;
 #else
-    case Level::kPopcnt:
-    case Level::kAvx2:
       return false;
 #endif
   }
@@ -267,33 +153,19 @@ Level level() noexcept {
 }
 
 const char* level_name(Level l) noexcept {
-  switch (l) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kPopcnt:
-      return "popcnt";
-    case Level::kAvx2:
-      return "avx2";
-  }
-  return "scalar";
+  return l == Level::kPopcnt ? "popcnt" : "scalar";
 }
 
 const char* level_name() noexcept { return level_name(level()); }
 
 const Ops& ops() noexcept { return ops_for(level()); }
 
-std::size_t find_first_one(Level l, const std::uint64_t* words,
-                           std::size_t nbits, std::size_t from) noexcept {
-  return ops_for(l).find_first_one(words, nbits, from);
+int popcount(Level l, std::uint64_t w) noexcept {
+  return ops_for(l).popcount(w);
 }
 
 int select_in_word(Level l, std::uint64_t w, int k) noexcept {
   return ops_for(l).select_in_word(w, k);
-}
-
-std::uint64_t popcount_words(Level l, const std::uint64_t* words,
-                             std::size_t nwords) noexcept {
-  return ops_for(l).popcount_words(words, nwords);
 }
 
 }  // namespace treelab::bits::kernels

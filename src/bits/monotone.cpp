@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "bits/kernels.hpp"
 #include "bits/wordops.hpp"
 
 namespace treelab::bits {
@@ -54,11 +55,13 @@ MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
   const std::uint64_t m = r.get_delta0();
   const std::uint64_t b = r.get_delta0();
   if (b == 0) throw DecodeError("MonotoneSeq: zero block length");
+  // Every element costs at least one high-vector bit, so this bound also
+  // keeps s * low_width from wrapping.
+  if (s > r.remaining()) throw DecodeError("MonotoneSeq: size exceeds input");
   const int low_width = b > 1 ? ceil_log2(b) : 0;
-  std::size_t pos = r.pos() + static_cast<std::size_t>(s) * low_width;
+  r.skip(static_cast<std::size_t>(s) * static_cast<std::size_t>(low_width));
   // Skip s unary codes in the high vector.
   std::uint64_t hi_total = 0;
-  r.seek(pos);
   for (std::uint64_t i = 0; i < s; ++i) hi_total += r.get_unary();
   if (hi_total > m / b + 1) throw DecodeError("MonotoneSeq: high parts overflow");
   const std::size_t end = r.pos();
@@ -80,7 +83,6 @@ void MonotoneSeq::attach() {
   low_width_ = b_ > 1 ? ceil_log2(b_) : 0;
   lows_off_ = r.pos();
   highs_off_ = lows_off_ + s_ * static_cast<std::size_t>(low_width_);
-  highs_ = RankSelect(enc_.slice(highs_off_, enc_.size() - highs_off_));
 }
 
 std::uint64_t MonotoneSeq::get(std::size_t i) const {
@@ -90,10 +92,26 @@ std::uint64_t MonotoneSeq::get(std::size_t i) const {
           ? 0
           : enc_.read_bits(lows_off_ + i * static_cast<std::size_t>(low_width_),
                            low_width_);
-  // y_i = (position of i-th one in the unary vector) - i
-  const std::uint64_t hi =
-      static_cast<std::uint64_t>(highs_.select1(i)) - i;
-  return hi * b_ + low;
+  // y_i = (position of the i-th one in the high vector) - i. The vector
+  // holds exactly s_ ones and ends with the last of them, so the word scan
+  // finds the i-th one before it reaches the end of enc_.
+  const kernels::Ops& k = kernels::ops();
+  std::size_t pos = highs_off_;
+  std::size_t rem = i;
+  for (;;) {
+    const int take =
+        static_cast<int>(std::min<std::size_t>(64, enc_.size() - pos));
+    const std::uint64_t w = enc_.read_bits(pos, take);
+    const auto ones = static_cast<std::size_t>(k.popcount(w));
+    if (rem < ones) {
+      const std::size_t one =
+          pos - highs_off_ +
+          static_cast<std::size_t>(k.select_in_word(w, static_cast<int>(rem)));
+      return (one - i) * b_ + low;
+    }
+    rem -= ones;
+    pos += 64;
+  }
 }
 
 std::size_t MonotoneSeq::successor(std::uint64_t x) const {

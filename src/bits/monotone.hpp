@@ -11,10 +11,12 @@
 //   (1) get(i): the i-th element,
 //   (2) successor(x): position of the first element >= x,
 //   (3) lcs_of_prefixes: longest common suffix of two specified prefixes.
-// The paper obtains O(1) time for (2)/(3) when s, M = O(log n) because the
-// whole encoding fits in O(1) machine words; we implement (1) via the select
-// directory as in the proof and (2)/(3) by block-wise word operations, which
-// matches the model's constant-time claim up to the word-size assumption.
+// The paper obtains O(1) time when s, M = O(log n) because the whole
+// encoding fits in O(1) machine words. That is also how (1) is answered
+// here: get(i) scans the high vector a word at a time (per-word count, then
+// an in-word select), and (2)/(3) are built on get(). In every label of
+// random trees at n = 2^14 and 2^18 the high vector is at most 65 bits, so
+// the scan is one or two words.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 
 #include "bits/bitio.hpp"
 #include "bits/bitvec.hpp"
-#include "bits/rank_select.hpp"
 
 namespace treelab::bits {
 
@@ -37,9 +38,8 @@ class MonotoneSeq {
                             std::uint64_t universe);
 
   /// Writes the same self-delimiting encoding as encode().write_to(w)
-  /// directly into `w`, without building the query directories or an
-  /// intermediate buffer — the label-construction fast path. Returns the
-  /// number of bits written.
+  /// directly into `w`, without an intermediate buffer — the
+  /// label-construction fast path. Returns the number of bits written.
   static std::size_t encode_to(BitWriter& w,
                                std::span<const std::uint64_t> xs,
                                std::uint64_t universe);
@@ -74,7 +74,7 @@ class MonotoneSeq {
                                                    std::size_t pb);
 
  private:
-  void attach();  // rebuild query directories from enc_
+  void attach();  // decode the header of enc_ into the scalars below
 
   BitVec enc_;          // the canonical bit encoding (this is what is counted)
   std::size_t s_ = 0;   // number of elements
@@ -82,8 +82,8 @@ class MonotoneSeq {
   std::uint64_t b_ = 1; // block length
   int low_width_ = 0;   // bits per low part
   std::size_t lows_off_ = 0;   // offset of low parts within enc_
-  std::size_t highs_off_ = 0;  // offset of unary high vector within enc_
-  RankSelect highs_;           // select directory over the unary vector
+  std::size_t highs_off_ = 0;  // offset of unary high vector within enc_;
+                               // it runs to the end of enc_
 };
 
 }  // namespace treelab::bits

@@ -71,15 +71,18 @@ LevelRecord read_level(BitReader& r) {
   out.exceptional = r.get_bit();
   if (!out.exceptional) {
     out.frag = static_cast<std::uint32_t>(r.get_gamma0());
-    out.pushed_count = static_cast<int>(r.get_gamma0());
-    out.kept_count = static_cast<int>(r.get_gamma0());
-    if (out.pushed_count > 64 || out.kept_count > 64)
+    // Checked before narrowing: a huge count must not wrap to a small int.
+    const std::uint64_t pushed = r.get_gamma0();
+    const std::uint64_t kept = r.get_gamma0();
+    if (pushed > 64 || kept > 64)
       throw bits::DecodeError("FGNW label: oversized split counts");
+    out.pushed_count = static_cast<int>(pushed);
+    out.kept_count = static_cast<int>(kept);
     out.kept_bits = r.get_bits(out.kept_count);
   }
   out.acc_len = static_cast<std::size_t>(r.get_gamma0());
   out.acc_off = r.pos();
-  r.seek(r.pos() + out.acc_len);
+  r.skip(out.acc_len);
   return out;
 }
 

@@ -43,7 +43,7 @@
 
 namespace treelab::core {
 
-/// A pre-parsed FGNW label for repeated queries: the boundary directories,
+/// A pre-parsed FGNW label for repeated queries: the NCA boundaries,
 /// fragment array, and per-level records are attached once, after which
 /// each query performs O(1) lookups plus the first-differing-bit scan of
 /// the NCA comparison — the word-RAM constant-time regime of Theorem 1.1.

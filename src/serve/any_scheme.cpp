@@ -78,10 +78,10 @@ double parse_double(std::string_view s, const char* what) {
 
 /// Cache-accounting estimate: attached forms hold the raw bits plus decoded
 /// arrays roughly proportional to them, charged as 4x raw bytes. This
-/// under-charges: real heap per charged byte (mallinfo2 around priming a
-/// never-evicting index, 2^14 and 2^16 labels per scheme) measured 2.0x
-/// for fgnw, 1.6-1.7x for alstrup, kdist and approx, and 1.2-1.6x for
-/// peleg, so a full cache holds roughly 1.5-2x its byte budget.
+/// under-charges: real heap per charged byte (mallinfo2 around attaching
+/// every label of one random tree, n = 2^14 and 2^18) measured 1.7-1.8x
+/// for fgnw, 1.3x for kdist, and 1.0-1.2x for alstrup, approx and peleg,
+/// so a full cache holds up to ~1.8x its byte budget.
 constexpr std::size_t kAttachedExpansion = 4;
 
 /// The per-scheme dispatchers. Each carries the scheme-wide constants and

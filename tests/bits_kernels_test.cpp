@@ -1,10 +1,11 @@
-// Differential tests for the bits::kernels dispatch facade: every level the
+// Differential tests for the bits::kernels facade: every dispatch level the
 // host supports must be bit-identical to the scalar reference on randomized
-// and adversarial inputs (cross-word boundaries, all-zero/all-one runs,
-// dense and sparse words, garbage bits past nbits). The scalar level itself
-// is checked against naive bit-by-bit oracles, so a semantics drift in the
-// shared scanner cannot self-certify. These are the tests that must pass
-// before any bench row attributed to the kernels is allowed to move.
+// and adversarial words (dense, sparse, single-bit, all-ones). The scalar
+// level itself is checked against naive bit-by-bit oracles, and so is the
+// one unary-run scanner (cross-word boundaries, all-zero/all-one runs,
+// garbage bits past nbits), so a semantics drift cannot self-certify.
+// These are the tests that must pass before any bench row attributed to
+// the kernels is allowed to move.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,7 +24,7 @@ using kernels::kNpos;
 
 std::vector<Level> supported_levels() {
   std::vector<Level> out;
-  for (const Level l : {Level::kScalar, Level::kPopcnt, Level::kAvx2}) {
+  for (const Level l : {Level::kScalar, Level::kPopcnt}) {
     if (kernels::supported(l)) out.push_back(l);
   }
   return out;
@@ -48,24 +49,18 @@ int naive_select_in_word(std::uint64_t w, int k) {
   return -1;
 }
 
-std::uint64_t naive_popcount_words(const std::vector<std::uint64_t>& words,
-                                   std::size_t nwords) {
-  std::uint64_t c = 0;
-  for (std::size_t i = 0; i < nwords; ++i) {
-    for (int b = 0; b < 64; ++b) c += (words[i] >> b) & 1u;
-  }
+int naive_popcount(std::uint64_t w) {
+  int c = 0;
+  for (int b = 0; b < 64; ++b) c += static_cast<int>((w >> b) & 1u);
   return c;
 }
 
-// Checks every supported level (and the naive oracle) on one input.
+// Checks the scanner against the naive oracle on one input.
 void check_find(const std::vector<std::uint64_t>& words, std::size_t nbits,
                 std::size_t from) {
-  const std::size_t expect = naive_find_first_one(words, nbits, from);
-  for (const Level l : supported_levels()) {
-    EXPECT_EQ(kernels::find_first_one(l, words.data(), nbits, from), expect)
-        << "level=" << kernels::level_name(l) << " nbits=" << nbits
-        << " from=" << from;
-  }
+  EXPECT_EQ(kernels::find_first_one(words.data(), nbits, from),
+            naive_find_first_one(words, nbits, from))
+      << "nbits=" << nbits << " from=" << from;
 }
 
 TEST(Kernels, LevelReporting) {
@@ -73,10 +68,9 @@ TEST(Kernels, LevelReporting) {
   EXPECT_TRUE(kernels::supported(kernels::level()));
   EXPECT_STREQ(kernels::level_name(Level::kScalar), "scalar");
   EXPECT_STREQ(kernels::level_name(Level::kPopcnt), "popcnt");
-  EXPECT_STREQ(kernels::level_name(Level::kAvx2), "avx2");
   EXPECT_STREQ(kernels::level_name(), kernels::level_name(kernels::level()));
-  // The dispatched table is the table of the resolved level.
-  EXPECT_EQ(kernels::ops().find_first_one(nullptr, 0, 0), kNpos);
+  EXPECT_EQ(kernels::ops().popcount(0xf0f0), 8);
+  EXPECT_EQ(kernels::find_first_one(nullptr, 0, 0), kNpos);
 }
 
 TEST(Kernels, FindFirstOneSingleBitNearBoundaries) {
@@ -96,7 +90,7 @@ TEST(Kernels, FindFirstOneSingleBitNearBoundaries) {
 }
 
 TEST(Kernels, FindFirstOneZeroRunsAndEdges) {
-  // Long all-zero runs (the AVX2 skip path), all-ones, and empty spans.
+  // Long all-zero runs, all-ones, and empty spans.
   for (const std::size_t nwords :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{5},
         std::size_t{9}, std::size_t{16}, std::size_t{33}}) {
@@ -192,30 +186,17 @@ TEST(Kernels, SelectInWordRandomDifferential) {
   }
 }
 
-TEST(Kernels, PopcountWordsDifferential) {
+TEST(Kernels, PopcountDifferential) {
   std::mt19937_64 rng(0xc0deULL);
-  // Lengths chosen to hit the unrolled body, the remainder loop, and both
-  // empty and single-word edges.
-  for (const std::size_t nwords :
-       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
-        std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{8},
-        std::size_t{15}, std::size_t{64}, std::size_t{67}}) {
-    for (int shape = 0; shape < 4; ++shape) {
-      std::vector<std::uint64_t> words(nwords == 0 ? 1 : nwords, 0);
-      for (std::size_t i = 0; i < nwords; ++i) {
-        switch (shape) {
-          case 0: words[i] = 0; break;
-          case 1: words[i] = ~std::uint64_t{0}; break;
-          case 2: words[i] = rng(); break;
-          default: words[i] = rng() & rng() & rng(); break;
-        }
-      }
-      const std::uint64_t expect = naive_popcount_words(words, nwords);
-      for (const Level l : supported_levels()) {
-        EXPECT_EQ(kernels::popcount_words(l, words.data(), nwords), expect)
-            << kernels::level_name(l) << " nwords=" << nwords
-            << " shape=" << shape;
-      }
+  for (int iter = 0; iter < 5000; ++iter) {
+    std::uint64_t w = rng();
+    if (iter % 4 == 1) w &= rng() & rng();
+    if (iter % 4 == 2) w = std::uint64_t{1} << (iter % 64);
+    if (iter % 4 == 3) w = iter % 8 == 3 ? 0 : ~std::uint64_t{0};
+    const int expect = naive_popcount(w);
+    for (const Level l : supported_levels()) {
+      EXPECT_EQ(kernels::popcount(l, w), expect)
+          << kernels::level_name(l) << " w=" << w;
     }
   }
 }

@@ -1,6 +1,6 @@
 // Unit and property tests for the bits substrate: BitVec, BitReader/Writer,
-// Elias codes, alphabetic codes, rank/select, and the Lemma 2.2 monotone
-// sequence codec.
+// Elias codes, alphabetic codes, in-word select, and the Lemma 2.2
+// monotone sequence codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "bits/bitio.hpp"
 #include "bits/bitvec.hpp"
 #include "bits/monotone.hpp"
-#include "bits/rank_select.hpp"
 #include "bits/wordops.hpp"
 
 namespace {
@@ -79,18 +78,6 @@ TEST(BitVec, SliceAndEquality) {
   EXPECT_FALSE(w == v);
 }
 
-TEST(BitVec, Popcount) {
-  BitVec v;
-  std::size_t ones = 0;
-  std::mt19937_64 rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const bool b = rng() & 1;
-    ones += b;
-    v.push_back(b);
-  }
-  EXPECT_EQ(v.popcount(), ones);
-}
-
 TEST(BitIo, UnaryGammaDeltaRoundtrip) {
   BitWriter w;
   std::vector<std::uint64_t> xs;
@@ -125,41 +112,34 @@ TEST(BitIo, TruncatedInputThrows) {
   EXPECT_THROW((void)r.get_delta(), DecodeError);
 }
 
+TEST(BitIo, HugeLengthsThrowInsteadOfWrapping) {
+  // A decoded length near 2^64 must fail the bounds check, not wrap it.
+  constexpr std::size_t kHuge = ~std::size_t{0} - 1;
+  const BitVec v(100);
+  BitReader r(v);
+  (void)r.get_bits(7);
+  EXPECT_THROW((void)r.get_vec(kHuge), DecodeError);
+  EXPECT_THROW((void)r.get_bits(-2), DecodeError);  // requires 2^64 - 2 bits
+  EXPECT_THROW(r.skip(kHuge), DecodeError);
+  EXPECT_EQ(r.pos(), 7u);
+
+  // A MonotoneSeq header claiming more elements than bits remain.
+  BitWriter w;
+  w.put_delta0(kHuge);
+  w.put_delta0(1000);
+  w.put_delta0(4);
+  for (int i = 0; i < 200; ++i) w.put_bit(i % 3 == 0);
+  const BitVec seq = w.take();
+  BitReader rs(seq);
+  EXPECT_THROW((void)MonotoneSeq::read_from(rs), DecodeError);
+}
+
 TEST(BitIo, GammaCodeLengths) {
   // gamma(x) = 2 floor(log x) + 1 bits.
   for (std::uint64_t x : {1ull, 2ull, 3ull, 4ull, 100ull, 1ull << 40}) {
     BitWriter w;
     w.put_gamma(x);
     EXPECT_EQ(w.bit_count(), 2 * static_cast<std::size_t>(msb(x)) + 1) << x;
-  }
-}
-
-TEST(RankSelect, AgainstNaive) {
-  std::mt19937_64 rng(5);
-  for (std::size_t n : {1u, 63u, 64u, 65u, 511u, 512u, 513u, 5000u}) {
-    BitVec v;
-    std::vector<bool> ref;
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool b = (rng() % 100) < 30;
-      ref.push_back(b);
-      v.push_back(b);
-    }
-    const RankSelect rs(v);
-    std::size_t ones = 0;
-    std::vector<std::size_t> one_pos, zero_pos;
-    for (std::size_t i = 0; i <= n; ++i) {
-      EXPECT_EQ(rs.rank1(i), ones) << "n=" << n << " i=" << i;
-      EXPECT_EQ(rs.rank0(i), i - ones);
-      if (i < n) {
-        (ref[i] ? one_pos : zero_pos).push_back(i);
-        ones += ref[i];
-      }
-    }
-    EXPECT_EQ(rs.ones(), one_pos.size());
-    for (std::size_t k = 0; k < one_pos.size(); ++k)
-      EXPECT_EQ(rs.select1(k), one_pos[k]) << "n=" << n << " k=" << k;
-    for (std::size_t k = 0; k < zero_pos.size(); ++k)
-      EXPECT_EQ(rs.select0(k), zero_pos[k]) << "n=" << n << " k=" << k;
   }
 }
 
@@ -179,32 +159,6 @@ TEST(WordOps, SelectInWord) {
   EXPECT_EQ(select_in_word(~std::uint64_t{0}, 63), 63);
 }
 
-TEST(RankSelect, SparseAgainstNaive) {
-  // ~1% density across many superblocks exercises the sampled-select
-  // superblock walk; dense stretches exercise the in-superblock word pick.
-  std::mt19937_64 rng(17);
-  for (int density : {1, 97}) {
-    BitVec v;
-    std::vector<std::size_t> one_pos, zero_pos;
-    for (std::size_t i = 0; i < 40000; ++i) {
-      const bool b = (rng() % 100) < static_cast<unsigned>(density);
-      (b ? one_pos : zero_pos).push_back(i);
-      v.push_back(b);
-    }
-    const RankSelect rs(std::move(v));
-    ASSERT_EQ(rs.ones(), one_pos.size());
-    for (std::size_t k = 0; k < one_pos.size(); k += 3)
-      ASSERT_EQ(rs.select1(k), one_pos[k]) << "density=" << density;
-    for (std::size_t k = 0; k < zero_pos.size(); k += 3)
-      ASSERT_EQ(rs.select0(k), zero_pos[k]) << "density=" << density;
-    for (std::size_t i = 0; i <= 40000; i += 977)
-      ASSERT_EQ(rs.rank1(i),
-                static_cast<std::size_t>(
-                    std::lower_bound(one_pos.begin(), one_pos.end(), i) -
-                    one_pos.begin()));
-  }
-}
-
 TEST(BitVec, MoveLeavesSourceEmpty) {
   BitVec v;
   for (int i = 0; i < 200; ++i) v.push_back(i % 3 == 0);
@@ -216,21 +170,6 @@ TEST(BitVec, MoveLeavesSourceEmpty) {
   v = std::move(moved);
   EXPECT_EQ(v, copy);
   EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
-}
-
-TEST(RankSelect, AllOnesAllZeros) {
-  for (bool bit : {false, true}) {
-    BitVec v;
-    for (int i = 0; i < 1000; ++i) v.push_back(bit);
-    const RankSelect rs(v);
-    EXPECT_EQ(rs.ones(), bit ? 1000u : 0u);
-    for (std::size_t k = 0; k < 1000; ++k) {
-      if (bit)
-        EXPECT_EQ(rs.select1(k), k);
-      else
-        EXPECT_EQ(rs.select0(k), k);
-    }
-  }
 }
 
 class MonotoneSeqParamTest

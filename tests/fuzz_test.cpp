@@ -15,6 +15,7 @@
 #include "core/label_store.hpp"
 #include "core/level_ancestor_scheme.hpp"
 #include "core/peleg_scheme.hpp"
+#include "serve/any_scheme.hpp"
 #include "tree/generators.hpp"
 
 namespace {
@@ -124,6 +125,22 @@ TEST(Fuzz, ApproxQuery) {
                 return core::ApproxScheme::query(0.25, a, b);
               },
               15);
+}
+
+TEST(Fuzz, HugeLengthFieldDoesNotWrap) {
+  // delta0(5), then delta0(2^64 - 2) where the NCA-label length goes, then
+  // filler: the length must fail the bounds check, not wrap it.
+  bits::BitWriter w;
+  w.put_delta0(5);
+  w.put_delta0(~std::uint64_t{0} - 1);
+  for (int i = 0; i < 200; ++i) w.put_bit(i % 3 == 0);
+  const BitVec l = w.take();
+  for (const auto& [scheme, params] :
+       {std::pair{"fgnw", ""}, {"alstrup", ""}, {"approx", "inv_eps=8"}}) {
+    const auto s = serve::AnyScheme::make(scheme, params);
+    must_not_crash([&] { (void)s.query(l, l); });
+    must_not_crash([&] { (void)s.attach(l); });
+  }
 }
 
 TEST(Fuzz, LevelAncestorParent) {
