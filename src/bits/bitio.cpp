@@ -31,38 +31,10 @@ std::uint64_t BitReader::get_unary() {
 }
 
 std::size_t BitReader::find_one() const noexcept {
-  // Whole-word reads stay in bounds: a span's last word is its own.
+  // The kernel ignores bits past end_, so a one stored just after a
+  // sub-view cannot pass for a terminator.
   static_assert(kNoPos == kernels::kNpos);
-  return kernels::find_first_one(v_.data(), v_.size(), pos_);
-}
-
-std::uint64_t BitReader::get_unary_unchecked() noexcept {
-  const std::size_t one = find_one();
-  if (one == kNoPos) {
-    // Precondition violated (no terminating one in bounds): terminate with
-    // a garbage value like any other unchecked read, never spin.
-    assert(false && "get_unary_unchecked: no terminator");
-    const std::uint64_t x = v_.size() - pos_;
-    pos_ = v_.size();
-    return x;
-  }
-  const std::uint64_t x = one - pos_;
-  pos_ = one + 1;
-  return x;
-}
-
-std::uint64_t BitReader::get_gamma_unchecked() noexcept {
-  const int len = static_cast<int>(get_unary_unchecked()) + 1;
-  std::uint64_t x = std::uint64_t{1} << (len - 1);
-  if (len > 1) x |= get_bits_unchecked(len - 1);
-  return x;
-}
-
-std::uint64_t BitReader::get_delta_unchecked() noexcept {
-  const int len = static_cast<int>(get_gamma_unchecked());
-  std::uint64_t x = std::uint64_t{1} << (len - 1);
-  if (len > 1) x |= get_bits_unchecked(len - 1);
-  return x;
+  return kernels::find_first_one(words_, end_, pos_);
 }
 
 std::uint64_t BitReader::get_gamma() {

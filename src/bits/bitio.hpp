@@ -69,19 +69,17 @@ class DecodeError : public std::runtime_error {
 
 class BitReader {
  public:
-  /// Reads from `v` (a BitVec or a LabelArena view); the underlying storage
-  /// must outlive the reader.
-  explicit BitReader(BitSpan v) noexcept : v_(v) {}
+  /// Reads from `v` (a BitVec, a LabelArena view or a sub-view of either);
+  /// the underlying storage must outlive the reader and every view it
+  /// hands out.
+  explicit BitReader(BitSpan v) noexcept
+      : words_(v.data()),
+        begin_(v.offset()),
+        pos_(begin_),
+        end_(begin_ + v.size()) {}
 
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return v_.size() - pos_;
-  }
-
-  void seek(std::size_t pos) {
-    if (pos > v_.size()) throw DecodeError("BitReader::seek past end");
-    pos_ = pos;
-  }
+  [[nodiscard]] std::size_t pos() const noexcept { return pos_ - begin_; }
+  [[nodiscard]] std::size_t remaining() const noexcept { return end_ - pos_; }
 
   /// Advance the cursor by `n` bits (a decoded length: any value, however
   /// large, either fits the rest of the input or throws).
@@ -92,36 +90,15 @@ class BitReader {
 
   [[nodiscard]] bool get_bit() {
     require(1);
-    return v_.get(pos_++);
+    const std::size_t b = pos_++;
+    return (words_[b >> 6] >> (b & 63)) & 1u;
   }
 
   [[nodiscard]] std::uint64_t get_bits(int width) {
     require(static_cast<std::size_t>(width));
-    const std::uint64_t x = v_.read_bits(pos_, width);
+    const std::uint64_t x = read_word_bits(words_, pos_, width);
     pos_ += static_cast<std::size_t>(width);
     return x;
-  }
-
-  /// Unchecked variants for pre-validated decodes: a caller that has already
-  /// bounded the section it is about to read (attach()-style re-parses of a
-  /// buffer it validated once) skips the per-read bounds check. Precondition:
-  /// the read stays within the underlying BitVec.
-  [[nodiscard]] bool get_bit_unchecked() noexcept { return v_.get(pos_++); }
-
-  [[nodiscard]] std::uint64_t get_bits_unchecked(int width) noexcept {
-    const std::uint64_t x = v_.read_bits(pos_, width);
-    pos_ += static_cast<std::size_t>(width);
-    return x;
-  }
-
-  /// Unchecked Elias decodes for the same pre-validated regime: used when
-  /// re-attaching to a buffer whose codes were already walked once (e.g.
-  /// MonotoneSeq::attach over its own validated encoding).
-  [[nodiscard]] std::uint64_t get_unary_unchecked() noexcept;
-  [[nodiscard]] std::uint64_t get_gamma_unchecked() noexcept;
-  [[nodiscard]] std::uint64_t get_delta_unchecked() noexcept;
-  [[nodiscard]] std::uint64_t get_delta0_unchecked() noexcept {
-    return get_delta_unchecked() - 1;
   }
 
   /// Word-wise unary decode: kernels::find_first_one scans for the
@@ -132,29 +109,41 @@ class BitReader {
   [[nodiscard]] std::uint64_t get_delta();
   [[nodiscard]] std::uint64_t get_delta0() { return get_delta() - 1; }
 
-  /// Extract `len` bits starting at the cursor as a BitVec and advance.
-  [[nodiscard]] BitVec get_vec(std::size_t len) {
+  /// The next `len` bits as a view of the same storage, and advance: a
+  /// decoder reads a nested field (an NCA label inside a distance label)
+  /// in place. Copy it into a BitVec only where something must own it.
+  [[nodiscard]] BitSpan get_span(std::size_t len) {
     require(len);
-    BitVec out = v_.slice(pos_, len);
+    const BitSpan out = BitSpan(words_, end_).subspan(pos_, len);
     pos_ += len;
     return out;
+  }
+
+  /// Everything this reader reads from (MonotoneSeq::read_from views the
+  /// bits it has just walked).
+  [[nodiscard]] BitSpan span() const noexcept {
+    return BitSpan(words_, end_).subspan(begin_, end_ - begin_);
   }
 
  private:
   // Compared against what is left, not as pos_ + n: a decoded length near
   // 2^64 would wrap the sum.
   void require(std::size_t n) const {
-    if (n > v_.size() - pos_) throw DecodeError("BitReader: truncated input");
+    if (n > end_ - pos_) throw DecodeError("BitReader: truncated input");
   }
 
   static constexpr std::size_t kNoPos = ~std::size_t{0};
 
-  /// Position of the next set bit at or after the cursor, or kNoPos if
-  /// the rest of the vector is all zeros.
+  /// Position (in words_) of the next set bit at or after the cursor, or
+  /// kNoPos if the rest of the view is all zeros.
   [[nodiscard]] std::size_t find_one() const noexcept;
 
-  BitSpan v_;
-  std::size_t pos_ = 0;
+  // Positions count bits from bit 0 of words_[0], so a view's bit offset
+  // costs nothing per read.
+  const std::uint64_t* words_ = nullptr;
+  std::size_t begin_ = 0;  // the view's first bit, < 64
+  std::size_t pos_ = 0;    // the cursor
+  std::size_t end_ = 0;    // one past the view's last bit
 };
 
 }  // namespace treelab::bits

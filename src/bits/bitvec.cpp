@@ -29,16 +29,16 @@ void BitVec::append(BitSpan other) {
   }
 }
 
-BitVec BitSpan::slice(std::size_t pos, std::size_t len) const {
-  assert(pos + len <= size_);
-  BitVec out;
-  std::size_t done = 0;
-  while (done < len) {
-    const int take = static_cast<int>(std::min<std::size_t>(64, len - done));
-    out.append_bits(read_bits(pos + done, take), take);
-    done += static_cast<std::size_t>(take);
+BitVec::BitVec(BitSpan s) : size_(s.size()), words_((s.size() + 63) / 64) {
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    const std::size_t pos = i * 64;
+    words_[i] = s.read_bits(
+        pos, static_cast<int>(std::min<std::size_t>(64, size_ - pos)));
   }
-  return out;
+}
+
+BitVec BitSpan::slice(std::size_t pos, std::size_t len) const {
+  return BitVec(subspan(pos, len));
 }
 
 BitVec BitVec::slice(std::size_t pos, std::size_t len) const {

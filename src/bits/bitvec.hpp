@@ -2,11 +2,13 @@
 // treelab are BitVecs or views into a pooled LabelArena; all size accounting
 // in the benches is in bits.
 //
-// BitSpan is the non-owning read-only counterpart: a word-aligned window
-// over someone else's bit storage (a BitVec, or one label inside a
-// LabelArena). Queries and attach() take BitSpan so that label storage can
-// be pooled without copying; a BitVec converts to a BitSpan implicitly (a
-// view) and a BitSpan converts to a BitVec implicitly (a copy).
+// BitSpan is the non-owning read-only counterpart: a window of bits, at any
+// bit offset, over someone else's storage (a BitVec, one label inside a
+// LabelArena, or a field inside such a label). Queries and attach() take
+// BitSpan so that label storage can be pooled without copying, and decoders
+// read the fields of a label through sub-views of it (subspan()) rather
+// than copies. A BitVec converts to a BitSpan implicitly (a view) and a
+// BitSpan converts to a BitVec implicitly (a copy).
 #pragma once
 
 #include <cassert>
@@ -23,32 +25,49 @@ namespace treelab::bits {
 
 class BitVec;
 
-/// A read-only view of `size` bits starting at bit 0 of a word array (views
-/// are always word-aligned: LabelArena pads every label to a 64-bit
-/// boundary, which is what makes a view indistinguishable from a standalone
-/// BitVec for all read operations). The underlying words must outlive the
-/// span and must be zero beyond the last bit (BitWriter/LabelArena maintain
-/// this), so whole-word reads near the end are well-defined.
+/// `width` (<= 64) bits of `words` starting at absolute bit `pos`,
+/// LSB-first. Reads the word after pos's only when the field crosses into
+/// it.
+[[nodiscard]] inline std::uint64_t read_word_bits(const std::uint64_t* words,
+                                                  std::size_t pos,
+                                                  int width) noexcept {
+  assert(width >= 0 && width <= 64);
+  if (width == 0) return 0;
+  const std::size_t w = pos >> 6;
+  const int off = static_cast<int>(pos & 63);
+  std::uint64_t out = words[w] >> off;
+  const int have = 64 - off;
+  if (have < width) out |= words[w + 1] << have;
+  if (width < 64) out &= low_mask(width);
+  return out;
+}
+
+/// A read-only view of `size` bits starting at any bit of a word array.
+/// The underlying words must outlive the span. A view reads only its own
+/// bits: a sub-view of a label is followed by more label bits, not by zero
+/// padding, so nothing here may rely on what lies past the end.
 class BitSpan {
  public:
   constexpr BitSpan() = default;
   // NOLINTNEXTLINE(google-explicit-constructor): implicit view of a BitVec
   BitSpan(const BitVec& v) noexcept;
+  /// The first `nbits` bits of `words`, starting at bit 0 of words[0].
   constexpr BitSpan(const std::uint64_t* words, std::size_t nbits) noexcept
       : words_(words), size_(nbits) {}
 
   [[nodiscard]] constexpr std::size_t size() const noexcept { return size_; }
   [[nodiscard]] constexpr bool empty() const noexcept { return size_ == 0; }
+  /// The word holding the view's first bit, at bit offset() within it.
   [[nodiscard]] constexpr const std::uint64_t* data() const noexcept {
     return words_;
   }
-  [[nodiscard]] constexpr std::size_t word_count() const noexcept {
-    return (size_ + 63) / 64;
-  }
+  [[nodiscard]] constexpr std::size_t offset() const noexcept { return off_; }
 
   /// Bit at position i. Precondition: i < size().
   [[nodiscard]] bool get(std::size_t i) const noexcept {
-    return (words_[i >> 6] >> (i & 63)) & 1u;
+    assert(i < size_);
+    const std::size_t b = off_ + i;
+    return (words_[b >> 6] >> (b & 63)) & 1u;
   }
 
   /// Bounds-checked bit access; throws std::out_of_range.
@@ -60,16 +79,16 @@ class BitSpan {
   /// Read `width` (<= 64) bits starting at `pos`, LSB-first. Precondition:
   /// pos + width <= size().
   [[nodiscard]] std::uint64_t read_bits(std::size_t pos, int width) const {
-    assert(width >= 0 && width <= 64);
-    assert(pos + static_cast<std::size_t>(width) <= size_);
-    if (width == 0) return 0;
-    const std::size_t w = pos >> 6;
-    const int off = static_cast<int>(pos & 63);
-    std::uint64_t out = words_[w] >> off;
-    const int have = 64 - off;
-    if (have < width) out |= words_[w + 1] << have;
-    if (width < 64) out &= low_mask(width);
-    return out;
+    assert(pos <= size_ && static_cast<std::size_t>(width) <= size_ - pos);
+    return read_word_bits(words_, off_ + pos, width);
+  }
+
+  /// The bits [pos, pos+len) as a view of the same storage: no copy.
+  /// Precondition: pos + len <= size().
+  [[nodiscard]] BitSpan subspan(std::size_t pos, std::size_t len) const {
+    assert(pos <= size_ && len <= size_ - pos);
+    const std::size_t b = off_ + pos;
+    return BitSpan(words_ + (b >> 6), b & 63, len);
   }
 
   /// The contiguous sub-vector [pos, pos+len) as an owning copy.
@@ -84,7 +103,12 @@ class BitSpan {
   }
 
  private:
+  constexpr BitSpan(const std::uint64_t* words, std::size_t off,
+                    std::size_t nbits) noexcept
+      : words_(words), off_(off), size_(nbits) {}
+
   const std::uint64_t* words_ = nullptr;
+  std::size_t off_ = 0;  // bit offset of the first bit within words_[0], < 64
   std::size_t size_ = 0;
 };
 
@@ -95,11 +119,11 @@ class BitVec {
   /// A bit vector of `n` zero bits.
   explicit BitVec(std::size_t n) : size_(n), words_((n + 63) / 64, 0) {}
 
-  /// An owning copy of a view.
+  /// An owning copy of a view. Bits of the last word past the view's end
+  /// are zero, whatever followed the view in its storage.
   // NOLINTNEXTLINE(google-explicit-constructor): implicit, symmetric with
   // the BitVec -> BitSpan view conversion above
-  BitVec(BitSpan s)
-      : size_(s.size()), words_(s.data(), s.data() + s.word_count()) {}
+  BitVec(BitSpan s);
 
   BitVec(const BitVec&) = default;
   BitVec& operator=(const BitVec&) = default;

@@ -1,7 +1,6 @@
 #include "bits/monotone.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "bits/kernels.hpp"
@@ -38,51 +37,29 @@ std::size_t MonotoneSeq::encode_to(BitWriter& w,
   return w.bit_count() - before;
 }
 
-MonotoneSeq MonotoneSeq::encode(std::span<const std::uint64_t> xs,
-                                std::uint64_t universe) {
-  BitWriter w;
-  (void)encode_to(w, xs, universe);
-  MonotoneSeq out;
-  out.enc_ = w.take();
-  out.attach();
-  return out;
-}
-
 MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
-  // Decode the header to learn the total length, then slice it out.
   const std::size_t start = r.pos();
+  MonotoneSeq out;
   const std::uint64_t s = r.get_delta0();
-  const std::uint64_t m = r.get_delta0();
-  const std::uint64_t b = r.get_delta0();
-  if (b == 0) throw DecodeError("MonotoneSeq: zero block length");
+  out.m_ = r.get_delta0();
+  out.b_ = r.get_delta0();
+  if (out.b_ == 0) throw DecodeError("MonotoneSeq: zero block length");
   // Every element costs at least one high-vector bit, so this bound also
   // keeps s * low_width from wrapping.
   if (s > r.remaining()) throw DecodeError("MonotoneSeq: size exceeds input");
-  const int low_width = b > 1 ? ceil_log2(b) : 0;
-  r.skip(static_cast<std::size_t>(s) * static_cast<std::size_t>(low_width));
-  // Skip s unary codes in the high vector.
+  out.s_ = static_cast<std::size_t>(s);
+  out.low_width_ = out.b_ > 1 ? ceil_log2(out.b_) : 0;
+  out.lows_off_ = r.pos() - start;
+  r.skip(out.s_ * static_cast<std::size_t>(out.low_width_));
+  out.highs_off_ = r.pos() - start;
+  // Walk the s unary codes of the high vector: get() relies on it holding
+  // exactly s ones and ending with the last.
   std::uint64_t hi_total = 0;
-  for (std::uint64_t i = 0; i < s; ++i) hi_total += r.get_unary();
-  if (hi_total > m / b + 1) throw DecodeError("MonotoneSeq: high parts overflow");
-  const std::size_t end = r.pos();
-
-  MonotoneSeq out;
-  r.seek(start);
-  out.enc_ = r.get_vec(end - start);
-  out.attach();
+  for (std::size_t i = 0; i < out.s_; ++i) hi_total += r.get_unary();
+  if (hi_total > out.m_ / out.b_ + 1)
+    throw DecodeError("MonotoneSeq: high parts overflow");
+  out.enc_ = r.span().subspan(start, r.pos() - start);
   return out;
-}
-
-void MonotoneSeq::attach() {
-  // enc_ is our own buffer, validated by encode()/read_from(); the header
-  // re-decode skips per-read bounds checks.
-  BitReader r(enc_);
-  s_ = static_cast<std::size_t>(r.get_delta0_unchecked());
-  m_ = r.get_delta0_unchecked();
-  b_ = r.get_delta0_unchecked();
-  low_width_ = b_ > 1 ? ceil_log2(b_) : 0;
-  lows_off_ = r.pos();
-  highs_off_ = lows_off_ + s_ * static_cast<std::size_t>(low_width_);
 }
 
 std::uint64_t MonotoneSeq::get(std::size_t i) const {
@@ -112,46 +89,6 @@ std::uint64_t MonotoneSeq::get(std::size_t i) const {
     rem -= ones;
     pos += 64;
   }
-}
-
-std::size_t MonotoneSeq::successor(std::uint64_t x) const {
-  // Binary search over positions; get() is O(1), so this is O(log s). When
-  // s = O(log n) the paper replaces this with a Patrascu–Thorup predecessor
-  // structure; the asymptotic label size is unchanged.
-  std::size_t lo = 0, hi = s_;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (get(mid) >= x)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  return lo;
-}
-
-std::size_t MonotoneSeq::predecessor(std::uint64_t x) const {
-  const std::size_t succ_gt = [&] {
-    std::size_t lo = 0, hi = s_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (get(mid) > x)
-        hi = mid;
-      else
-        lo = mid + 1;
-    }
-    return lo;
-  }();
-  return succ_gt == 0 ? s_ : succ_gt - 1;
-}
-
-std::size_t MonotoneSeq::lcs_of_prefixes(const MonotoneSeq& a, std::size_t pa,
-                                         const MonotoneSeq& b,
-                                         std::size_t pb) {
-  assert(pa <= a.size() && pb <= b.size());
-  std::size_t t = 0;
-  const std::size_t lim = std::min(pa, pb);
-  while (t < lim && a.get(pa - 1 - t) == b.get(pb - 1 - t)) ++t;
-  return t;
 }
 
 }  // namespace treelab::bits

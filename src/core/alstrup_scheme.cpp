@@ -11,7 +11,6 @@ namespace treelab::core {
 
 using bits::BitReader;
 using bits::BitSpan;
-using bits::BitVec;
 using bits::BitWriter;
 using bits::LabelArena;
 using bits::MonotoneSeq;
@@ -87,10 +86,11 @@ void AlstrupScheme::build(const Tree& t, const HeavyPathDecomposition& hpd,
 
 AlstrupAttachedLabel AlstrupScheme::attach(BitSpan l) {
   AlstrupAttachedLabel out;
-  BitReader r(l);
+  out.raw_ = l;
+  BitReader r(out.raw_);
   out.rd_ = r.get_delta0();
-  const BitVec nl = r.get_vec(static_cast<std::size_t>(r.get_delta0()));
-  out.nca_ = NcaLabeling::attach(nl);
+  out.nca_ = NcaLabeling::attach(
+      r.get_span(static_cast<std::size_t>(r.get_delta0())));
   out.rs_ = MonotoneSeq::read_from(r);
   return out;
 }
@@ -120,9 +120,9 @@ std::uint64_t AlstrupScheme::query(BitSpan lu, BitSpan lv) {
   BitReader ru(lu), rv(lv);
   const std::uint64_t rd_u = ru.get_delta0();
   const std::uint64_t rd_v = rv.get_delta0();
-  const BitVec nu = ru.get_vec(static_cast<std::size_t>(ru.get_delta0()));
-  const BitVec nv = rv.get_vec(static_cast<std::size_t>(rv.get_delta0()));
-  const NcaResult res = NcaLabeling::query(nu, nv);
+  const NcaResult res = NcaLabeling::query(
+      ru.get_span(static_cast<std::size_t>(ru.get_delta0())),
+      rv.get_span(static_cast<std::size_t>(rv.get_delta0())));
   switch (res.rel) {
     case NcaResult::Rel::kEqual:
       return 0;

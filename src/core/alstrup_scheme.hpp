@@ -28,19 +28,31 @@
 namespace treelab::core {
 
 /// A pre-parsed Alstrup label for repeated queries: root distance, attached
-/// NCA label, and the decoded branch-distance sequence R_1..R_k. After the
-/// one-time attach, each query is the NCA first-differing-bit scan plus one
-/// O(1) MonotoneSeq lookup — no re-decoding of the raw bits.
+/// NCA label, and the branch-distance sequence R_1..R_k. After the one-time
+/// attach, each query is the NCA first-differing-bit scan plus one O(1)
+/// MonotoneSeq lookup — no re-decoding of the raw bits.
 /// Produced by AlstrupScheme::attach().
+///
+/// It owns one copy of its label, and its NCA label and R sequence are views
+/// of that copy. So it is move-only: a copy would view the source's bits and
+/// dangle once the source is gone. A move keeps the bits where they are.
 class AlstrupAttachedLabel {
  public:
+  AlstrupAttachedLabel() = default;
+  AlstrupAttachedLabel(AlstrupAttachedLabel&&) noexcept = default;
+  AlstrupAttachedLabel& operator=(AlstrupAttachedLabel&&) noexcept = default;
+  AlstrupAttachedLabel(const AlstrupAttachedLabel&) = delete;
+  AlstrupAttachedLabel& operator=(const AlstrupAttachedLabel&) = delete;
+  ~AlstrupAttachedLabel() = default;
+
   [[nodiscard]] std::uint64_t root_distance() const noexcept { return rd_; }
 
  private:
   friend class AlstrupScheme;
+  bits::BitVec raw_;
   std::uint64_t rd_ = 0;
-  nca::AttachedNcaLabel nca_;
-  bits::MonotoneSeq rs_;
+  nca::AttachedNcaLabel nca_;  // views raw_
+  bits::MonotoneSeq rs_;       // views raw_
 };
 
 /// Tuning knobs for AlstrupScheme. `weights` selects the Gilbert–Moore

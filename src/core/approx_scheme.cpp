@@ -13,7 +13,6 @@ namespace treelab::core {
 
 using bits::BitReader;
 using bits::BitSpan;
-using bits::BitVec;
 using bits::BitWriter;
 using bits::LabelArena;
 using bits::MonotoneSeq;
@@ -150,8 +149,8 @@ ApproxAttachedLabel ApproxScheme::attach(BitSpan l) {
   ApproxAttachedLabel out;
   BitReader r(l);
   out.rd_ = r.get_delta0();
-  const BitVec nl = r.get_vec(static_cast<std::size_t>(r.get_delta0()));
-  out.nca_ = NcaLabeling::attach(nl);
+  out.nca_bits_ = r.get_span(static_cast<std::size_t>(r.get_delta0()));
+  out.nca_ = NcaLabeling::attach(out.nca_bits_);
   if (r.get_bit()) {  // unary encoding
     const std::uint64_t cnt = r.get_delta0();
     if (cnt > l.size())
@@ -204,8 +203,10 @@ std::uint64_t ApproxScheme::query(double eps, BitSpan lu, BitSpan lv) {
   BitReader ru(lu), rv(lv);
   const std::uint64_t rd_u = ru.get_delta0();
   const std::uint64_t rd_v = rv.get_delta0();
-  const BitVec nu = ru.get_vec(static_cast<std::size_t>(ru.get_delta0()));
-  const BitVec nv = rv.get_vec(static_cast<std::size_t>(rv.get_delta0()));
+  const nca::AttachedNcaLabel nu = NcaLabeling::attach(
+      ru.get_span(static_cast<std::size_t>(ru.get_delta0())));
+  const nca::AttachedNcaLabel nv = NcaLabeling::attach(
+      rv.get_span(static_cast<std::size_t>(rv.get_delta0())));
   const NcaResult res = NcaLabeling::query(nu, nv);
   switch (res.rel) {
     case NcaResult::Rel::kEqual:
@@ -220,9 +221,8 @@ std::uint64_t ApproxScheme::query(double eps, BitSpan lu, BitSpan lv) {
   // w = NCA is the j-th significant ancestor of the dominating node, where
   // j = lightdepth(dominator) - lightdepth(w).
   BitReader& rd = res.u_first ? ru : rv;
-  const BitVec& nl = res.u_first ? nu : nv;
   const std::size_t j = static_cast<std::size_t>(
-      NcaLabeling::lightdepth_of_label(nl) - res.lightdepth);
+      (res.u_first ? nu : nv).lightdepth() - res.lightdepth);
   if (j == 0) throw bits::DecodeError("approx label: dominator at NCA");
   std::uint32_t e = 0;
   if (rd.get_bit()) {  // unary encoding

@@ -32,14 +32,26 @@ namespace treelab::core {
 /// chain (both the monotone and the unary encodings decode into the same
 /// array). After the one-time attach, each query is the NCA comparison plus
 /// one array lookup. Produced by ApproxScheme::attach().
+///
+/// It owns one copy of the label's NCA part, and its NCA label views that
+/// copy. So it is move-only: a copy would view the source's bits and dangle
+/// once the source is gone. A move keeps the bits where they are.
 class ApproxAttachedLabel {
  public:
+  ApproxAttachedLabel() = default;
+  ApproxAttachedLabel(ApproxAttachedLabel&&) noexcept = default;
+  ApproxAttachedLabel& operator=(ApproxAttachedLabel&&) noexcept = default;
+  ApproxAttachedLabel(const ApproxAttachedLabel&) = delete;
+  ApproxAttachedLabel& operator=(const ApproxAttachedLabel&) = delete;
+  ~ApproxAttachedLabel() = default;
+
   [[nodiscard]] std::uint64_t root_distance() const noexcept { return rd_; }
 
  private:
   friend class ApproxScheme;
   std::uint64_t rd_ = 0;
-  nca::AttachedNcaLabel nca_;
+  bits::BitVec nca_bits_;
+  nca::AttachedNcaLabel nca_;  // views nca_bits_
   std::vector<std::uint32_t> exps_;
 };
 

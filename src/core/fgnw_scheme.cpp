@@ -72,9 +72,12 @@ LevelRecord read_level(BitReader& r) {
   if (!out.exceptional) {
     out.frag = static_cast<std::uint32_t>(r.get_gamma0());
     // Checked before narrowing: a huge count must not wrap to a small int.
+    // A real record splits r into kept + pushed = bitwidth(r) <= 64 bits,
+    // and the query shifts the kept bits left by `pushed`, which must stay
+    // below 64.
     const std::uint64_t pushed = r.get_gamma0();
     const std::uint64_t kept = r.get_gamma0();
-    if (pushed > 64 || kept > 64)
+    if (pushed > 63 || kept > 64 - pushed)
       throw bits::DecodeError("FGNW label: oversized split counts");
     out.pushed_count = static_cast<int>(pushed);
     out.kept_count = static_cast<int>(kept);
@@ -257,8 +260,8 @@ FgnwAttachedLabel FgnwScheme::attach(BitSpan l) {
   out.raw_ = l;
   BitReader r(out.raw_);
   out.rd_ = r.get_delta0();
-  const BitVec nl = r.get_vec(static_cast<std::size_t>(r.get_delta0()));
-  out.nca_ = NcaLabeling::attach(nl);
+  out.nca_ = NcaLabeling::attach(
+      r.get_span(static_cast<std::size_t>(r.get_delta0())));
   out.frag_ = MonotoneSeq::read_from(r);
   const std::int32_t levels = out.nca_.lightdepth();
   out.levels_.reserve(static_cast<std::size_t>(levels));
@@ -317,8 +320,10 @@ std::uint64_t FgnwScheme::query(BitSpan lu, BitSpan lv) {
   BitReader ru(lu), rv(lv);
   const std::uint64_t rd_u = ru.get_delta0();
   const std::uint64_t rd_v = rv.get_delta0();
-  const BitVec nu = ru.get_vec(static_cast<std::size_t>(ru.get_delta0()));
-  const BitVec nv = rv.get_vec(static_cast<std::size_t>(rv.get_delta0()));
+  const nca::AttachedNcaLabel nu = NcaLabeling::attach(
+      ru.get_span(static_cast<std::size_t>(ru.get_delta0())));
+  const nca::AttachedNcaLabel nv = NcaLabeling::attach(
+      rv.get_span(static_cast<std::size_t>(rv.get_delta0())));
   const NcaResult res = NcaLabeling::query(nu, nv);
   switch (res.rel) {
     case NcaResult::Rel::kEqual:
@@ -349,8 +354,7 @@ std::uint64_t FgnwScheme::query(BitSpan lu, BitSpan lv) {
   // immediately after that prefix. A dominated node with fewer light levels
   // than j lies *on* the shared heavy path (possible only in the classic-HPD
   // ablation, where nothing is pushed) and has no record to read.
-  const std::int32_t sub_levels =
-      NcaLabeling::lightdepth_of_label(res.u_first ? nv : nu);
+  const std::int32_t sub_levels = (res.u_first ? nv : nu).lightdepth();
   std::uint64_t pushed_val = 0;
   if (sub_levels >= j) {
     (void)MonotoneSeq::read_from(rsub);

@@ -48,9 +48,19 @@ namespace treelab::core {
 /// each query performs O(1) lookups plus the first-differing-bit scan of
 /// the NCA comparison — the word-RAM constant-time regime of Theorem 1.1.
 /// Produced by FgnwScheme::attach().
+///
+/// It owns one copy of its label, and its NCA label and fragment array are
+/// views of that copy. So it is move-only: a copy would view the source's
+/// bits and dangle once the source is gone. A move keeps the bits where
+/// they are.
 class FgnwAttachedLabel {
  public:
-  [[nodiscard]] const bits::BitVec& bits() const noexcept { return raw_; }
+  FgnwAttachedLabel() = default;
+  FgnwAttachedLabel(FgnwAttachedLabel&&) noexcept = default;
+  FgnwAttachedLabel& operator=(FgnwAttachedLabel&&) noexcept = default;
+  FgnwAttachedLabel(const FgnwAttachedLabel&) = delete;
+  FgnwAttachedLabel& operator=(const FgnwAttachedLabel&) = delete;
+  ~FgnwAttachedLabel() = default;
 
  private:
   friend class FgnwScheme;
@@ -65,8 +75,8 @@ class FgnwAttachedLabel {
   };
   bits::BitVec raw_;
   std::uint64_t rd_ = 0;
-  nca::AttachedNcaLabel nca_;
-  bits::MonotoneSeq frag_;
+  nca::AttachedNcaLabel nca_;  // views raw_
+  bits::MonotoneSeq frag_;     // views raw_
   std::vector<Level> levels_;
 };
 

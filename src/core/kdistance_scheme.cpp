@@ -13,7 +13,6 @@ namespace treelab::core {
 
 using bits::BitReader;
 using bits::BitSpan;
-using bits::BitVec;
 using bits::BitWriter;
 using bits::LabelArena;
 using bits::MonotoneSeq;
@@ -43,54 +42,68 @@ bool id_equal(std::uint64_t pre_a, int ha, std::uint64_t pre_b, int hb) {
   return ha == hb && (pre_a >> ha) == (pre_b >> hb);
 }
 
-std::vector<std::uint64_t> read_seq(BitReader& r) {
-  const MonotoneSeq s = MonotoneSeq::read_from(r);
-  std::vector<std::uint64_t> out(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) out[i] = s.get(i);
-  return out;
-}
+/// The raw path's form of a label: the fields of KDistanceAttachedLabel,
+/// with each sequence left in place in the stored label (a MonotoneSeq
+/// view). The query body below runs on both forms.
+struct KDistanceView {
+  std::uint64_t pre_ = 0;
+  std::uint64_t lightdepth_ = 0;
+  bool small_k_ = false;
+  MonotoneSeq hl_, hc_, dist_;
+  std::uint64_t alpha_ = 0;
+  std::uint64_t i_mod_ = 0;
+  MonotoneSeq fwd_, bwd_;
+};
 
 }  // namespace
 
-KDistanceAttachedLabel KDistanceScheme::attach(std::uint64_t k, BitSpan l) {
-  BitReader r(l);
-  KDistanceAttachedLabel p;
-  p.pre_ = r.get_delta0();
-  p.lightdepth_ = r.get_delta0();
-  p.small_k_ = r.get_bit();
-  p.hl_seq_ = MonotoneSeq::read_from(r);
-  p.hl_.resize(p.hl_seq_.size());
-  for (std::size_t i = 0; i < p.hl_.size(); ++i) p.hl_[i] = p.hl_seq_.get(i);
-  p.hc_ = read_seq(r);
-  p.dist_ = read_seq(r);
-  if (p.hl_.empty() || p.hl_.size() != p.hc_.size() ||
-      p.hl_.size() != p.dist_.size())
-    throw bits::DecodeError("k-dist label: chain arrays inconsistent");
-  // Range heights feed shift amounts in the identifier arithmetic; genuine
-  // heights are <= msb(2n) + 1 < 64, so anything wider is corruption (and
-  // would be undefined behaviour if let through to the shifts).
-  for (std::size_t i = 0; i < p.hl_.size(); ++i)
-    if (p.hl_[i] > 63 || p.hc_[i] > 63)
-      throw bits::DecodeError("k-dist label: implausible range height");
-  p.alpha_ = r.get_delta0();
-  if (p.small_k_) {
-    p.i_mod_ = r.get_delta0();
-    if (p.i_mod_ > k) throw bits::DecodeError("k-dist label: bad i_mod");
-    p.fwd_ = read_seq(r);
-    p.bwd_ = read_seq(r);
-  }
-  return p;
-}
-
-/// Query machinery over attached labels, shared verbatim by the raw and the
-/// attached entry points (the raw path simply attaches first).
+/// Query machinery, written once over the two forms of a label: an
+/// attached label's decoded arrays and a raw label's KDistanceView.
 struct KDistanceQueryImpl {
-  using L = KDistanceAttachedLabel;
+  /// Parses a label into either form; `read` turns the next encoded
+  /// sequence into the form's sequence type.
+  template <typename L, typename Read>
+  static L parse(std::uint64_t k, BitSpan l, Read read) {
+    BitReader in(l);
+    L p;
+    p.pre_ = in.get_delta0();
+    p.lightdepth_ = in.get_delta0();
+    p.small_k_ = in.get_bit();
+    p.hl_ = read(in);
+    p.hc_ = read(in);
+    p.dist_ = read(in);
+    if (p.hl_.size() == 0 || p.hl_.size() != p.hc_.size() ||
+        p.hl_.size() != p.dist_.size())
+      throw bits::DecodeError("k-dist label: chain arrays inconsistent");
+    p.alpha_ = in.get_delta0();
+    if (p.small_k_) {
+      p.i_mod_ = in.get_delta0();
+      if (p.i_mod_ > k) throw bits::DecodeError("k-dist label: bad i_mod");
+      p.fwd_ = read(in);
+      p.bwd_ = read(in);
+    }
+    return p;
+  }
 
-  static std::size_t r(const L& p) { return p.hl_.size() - 1; }
+  template <typename L>
+  static std::size_t r(const L& p) {
+    return p.hl_.size() - 1;
+  }
+
+  /// Range heights feed shift amounts in the identifier arithmetic; genuine
+  /// heights are <= msb(2n) + 1 < 64, so anything wider is corruption (and
+  /// would be undefined behaviour if let through to the shifts).
+  template <typename Seq>
+  static int height(const Seq& hs, std::size_t i) {
+    const std::uint64_t h = hs.get(i);
+    if (h > 63)
+      throw bits::DecodeError("k-dist label: implausible range height");
+    return static_cast<int>(h);
+  }
 
   /// The aligned index in `other`'s chain of the node at the same light
   /// depth as `mine`'s chain entry `s`, or negative if none.
+  template <typename L>
   static std::int64_t aligned_index(const L& mine, std::size_t s,
                                     const L& other) {
     return static_cast<std::int64_t>(other.lightdepth_) -
@@ -106,10 +119,11 @@ struct KDistanceQueryImpl {
 
   /// Both-top case: u1 at position i (mod K known), v1 at position j on the
   /// same heavy path; computes |j - i| via Lemma 4.5 or detects > k.
+  template <typename L>
   static BoundedDistance path_distance_small(std::uint64_t k, const L& u,
                                              const L& v) {
-    const std::uint64_t a_u = id_int(u.pre_, static_cast<int>(u.hl_.back()));
-    const std::uint64_t a_v = id_int(v.pre_, static_cast<int>(v.hl_.back()));
+    const std::uint64_t a_u = id_int(u.pre_, height(u.hl_, r(u)));
+    const std::uint64_t a_v = id_int(v.pre_, height(v.hl_, r(v)));
     // Orient so that `lo` is the higher node (smaller identifier/position).
     const L& lo = a_u < a_v ? u : v;
     const L& hi = a_u < a_v ? v : u;
@@ -119,16 +133,40 @@ struct KDistanceQueryImpl {
     if (t == 0) return kExceeds;  // a_i != a_j, so j - i >= K > k
     if (t > lo.fwd_.size() || t > hi.bwd_.size()) return kExceeds;
     const auto e = static_cast<std::uint64_t>(bits::msb(a_j - a_i));
-    if (lo.fwd_[t - 1] != e || hi.bwd_[t - 1] != e)
+    if (lo.fwd_.get(t - 1) != e || hi.bwd_.get(t - 1) != e)
       return kExceeds;  // Lemma 4.4
     return within(k, t);
   }
 
+  template <typename L>
   static std::int64_t find_match_scan(const L& u, const L& v);
+  template <typename L>
   static std::int64_t find_match_fast(const L& u, const L& v);
+  template <typename L>
   static BoundedDistance resolve(std::uint64_t k, const L& u, const L& v,
                                  std::int64_t match_s);
 };
+
+namespace {
+
+KDistanceView view_of(std::uint64_t k, BitSpan l) {
+  return KDistanceQueryImpl::parse<KDistanceView>(k, l,
+                                                  &MonotoneSeq::read_from);
+}
+
+}  // namespace
+
+KDistanceAttachedLabel KDistanceScheme::attach(std::uint64_t k, BitSpan l) {
+  using Array = KDistanceAttachedLabel::Array;
+  return KDistanceQueryImpl::parse<KDistanceAttachedLabel>(
+      k, l, [](BitReader& r) {
+        const MonotoneSeq seq = MonotoneSeq::read_from(r);
+        Array out;
+        out.v.resize(seq.size());
+        for (std::size_t i = 0; i < seq.size(); ++i) out.v[i] = seq.get(i);
+        return out;
+      });
+}
 
 KDistanceScheme::KDistanceScheme(const Tree& t, std::uint64_t k)
     : KDistanceScheme(TreeScaffold(t), k) {}
@@ -262,6 +300,7 @@ KDistanceScheme::KDistanceScheme(const TreeScaffold& scaffold, std::uint64_t k)
 /// Linear-scan NCSA locator (the reference): smallest aligned index s in
 /// u's chain with matching (id, lightdepth), or -1 (Lemma 4.3 makes the
 /// first match the NCSA).
+template <typename L>
 std::int64_t KDistanceQueryImpl::find_match_scan(const L& u, const L& v) {
   std::int64_t s = std::max<std::int64_t>(
       0, static_cast<std::int64_t>(u.lightdepth_) -
@@ -271,9 +310,8 @@ std::int64_t KDistanceQueryImpl::find_match_scan(const L& u, const L& v) {
          tt <= static_cast<std::int64_t>(r(v));
        ++s, ++tt) {
     if (tt < 0) continue;
-    if (id_equal(u.pre_, static_cast<int>(u.hl_[static_cast<std::size_t>(s)]),
-                 v.pre_,
-                 static_cast<int>(v.hl_[static_cast<std::size_t>(tt)])))
+    if (id_equal(u.pre_, height(u.hl_, static_cast<std::size_t>(s)), v.pre_,
+                 height(v.hl_, static_cast<std::size_t>(tt))))
       return s;
   }
   return -1;
@@ -285,6 +323,7 @@ std::int64_t KDistanceQueryImpl::find_match_scan(const L& u, const L& v) {
 /// sequences bounds the candidates; within it, id(L) equality is exactly
 /// "height >= l" for l = |common low bits of pre(u), pre(v)|, found with a
 /// successor query on the monotone height sequence.
+template <typename L>
 std::int64_t KDistanceQueryImpl::find_match_fast(const L& u, const L& v) {
   const std::int64_t delta = static_cast<std::int64_t>(u.lightdepth_) -
                              static_cast<std::int64_t>(v.lightdepth_);
@@ -293,8 +332,8 @@ std::int64_t KDistanceQueryImpl::find_match_fast(const L& u, const L& v) {
       std::min(static_cast<std::int64_t>(r(u)),
                static_cast<std::int64_t>(r(v)) + delta);
   if (hi_s < lo_s) return -1;
-  const std::size_t lcs = MonotoneSeq::lcs_of_prefixes(
-      u.hl_seq_, static_cast<std::size_t>(hi_s) + 1, v.hl_seq_,
+  const std::size_t lcs = bits::lcs_of_prefixes(
+      u.hl_, static_cast<std::size_t>(hi_s) + 1, v.hl_,
       static_cast<std::size_t>(hi_s - delta) + 1);
   if (lcs == 0) return -1;
   const std::int64_t first_eq = hi_s + 1 - static_cast<std::int64_t>(lcs);
@@ -302,38 +341,41 @@ std::int64_t KDistanceQueryImpl::find_match_fast(const L& u, const L& v) {
   // which the two preorders differ.
   const int l = u.pre_ == v.pre_ ? 0 : bits::bitwidth(u.pre_ ^ v.pre_);
   const auto first_high = static_cast<std::int64_t>(
-      u.hl_seq_.successor(static_cast<std::uint64_t>(l)));
+      bits::successor(u.hl_, static_cast<std::uint64_t>(l)));
   const std::int64_t s = std::max({first_eq, first_high, lo_s});
   return s <= hi_s ? s : -1;
 }
 
+template <typename L>
 BoundedDistance KDistanceQueryImpl::resolve(std::uint64_t k, const L& u,
                                             const L& v, std::int64_t match_s) {
   if (match_s >= 0) {
     const auto s = static_cast<std::size_t>(match_s);
     const auto tt = static_cast<std::size_t>(aligned_index(u, s, v));
     // Matched: w = u_s = v_tt is the NCSA.
-    if (s == 0) return within(k, v.dist_[tt]);  // u is an ancestor of v
-    if (tt == 0) return within(k, u.dist_[s]);  // v is an ancestor of u
-    const std::uint64_t du = u.dist_[s] - u.dist_[s - 1];  // d(u1, w)
-    const std::uint64_t dv = v.dist_[tt] - v.dist_[tt - 1];
-    const bool same_path =
-        id_equal(u.pre_, static_cast<int>(u.hc_[s - 1]), v.pre_,
-                 static_cast<int>(v.hc_[tt - 1]));
+    const std::uint64_t du_w = u.dist_.get(s), dv_w = v.dist_.get(tt);
+    if (s == 0) return within(k, dv_w);   // u is an ancestor of v
+    if (tt == 0) return within(k, du_w);  // v is an ancestor of u
+    const std::uint64_t du = du_w - u.dist_.get(s - 1);  // d(u1, w)
+    const std::uint64_t dv = dv_w - v.dist_.get(tt - 1);
+    const bool same_path = id_equal(u.pre_, height(u.hc_, s - 1), v.pre_,
+                                    height(v.hc_, tt - 1));
     const std::uint64_t near = same_path ? std::min(du, dv) : 0;
-    return within(k, u.dist_[s] + v.dist_[tt] - 2 * near);
+    return within(k, du_w + dv_w - 2 * near);
   }
 
   // No stored common significant ancestor: the branch of at least one side
   // is at its top significant ancestor. Check both orientations.
   const auto try_top = [&](const L& a, const L& b) -> BoundedDistance {
     // a's branch is a_top; b's aligned chain entry shares a_top's level.
-    const std::int64_t bi = aligned_index(a, r(a), b);
-    if (bi < 0 || bi > static_cast<std::int64_t>(r(b))) return kExceeds;
-    if (!id_equal(a.pre_, static_cast<int>(a.hc_[r(a)]), b.pre_,
-                  static_cast<int>(b.hc_[bi])))
+    const std::int64_t bi_signed = aligned_index(a, r(a), b);
+    if (bi_signed < 0 || bi_signed > static_cast<std::int64_t>(r(b)))
+      return kExceeds;
+    const auto bi = static_cast<std::size_t>(bi_signed);
+    if (!id_equal(a.pre_, height(a.hc_, r(a)), b.pre_, height(b.hc_, bi)))
       return kExceeds;  // not on the same heavy path
-    if (static_cast<std::size_t>(bi) == r(b)) {
+    const std::uint64_t da_top = a.dist_.get(r(a));
+    if (bi == r(b)) {
       // Both tops on the shared path.
       BoundedDistance mid;
       if (a.small_k_) {
@@ -343,16 +385,17 @@ BoundedDistance KDistanceQueryImpl::resolve(std::uint64_t k, const L& u,
         mid = within(k, da > db ? da - db : db - da);
       }
       if (!mid.within) return kExceeds;
-      return within(k, a.dist_[r(a)] + mid.distance + b.dist_[r(b)]);
+      return within(k, da_top + mid.distance + b.dist_.get(r(b)));
     }
     // a at top, b's branch strictly below its top: d(a1, w) = alpha_a + 1,
     // d(b1, w) = b.dist[bi+1] - b.dist[bi], both measured to the parent w of
     // the shared path's head.
     if (a.small_k_ && a.alpha_ >= 2 * k + 1) return kExceeds;
+    const std::uint64_t db_bi = b.dist_.get(bi);
     const std::uint64_t da = a.alpha_ + 1;
-    const std::uint64_t db = b.dist_[bi + 1] - b.dist_[bi];
+    const std::uint64_t db = b.dist_.get(bi + 1) - db_bi;
     const std::uint64_t mid = da > db ? da - db : db - da;
-    return within(k, a.dist_[r(a)] + mid + b.dist_[bi]);
+    return within(k, da_top + mid + db_bi);
   };
 
   const BoundedDistance via_u = try_top(u, v);
@@ -376,12 +419,16 @@ BoundedDistance KDistanceScheme::query_linear(
 
 BoundedDistance KDistanceScheme::query(std::uint64_t k, BitSpan lu,
                                        BitSpan lv) {
-  return query(k, attach(k, lu), attach(k, lv));
+  const KDistanceView u = view_of(k, lu), v = view_of(k, lv);
+  return KDistanceQueryImpl::resolve(
+      k, u, v, KDistanceQueryImpl::find_match_fast(u, v));
 }
 
 BoundedDistance KDistanceScheme::query_linear(std::uint64_t k, BitSpan lu,
                                               BitSpan lv) {
-  return query_linear(k, attach(k, lu), attach(k, lv));
+  const KDistanceView u = view_of(k, lu), v = view_of(k, lv);
+  return KDistanceQueryImpl::resolve(
+      k, u, v, KDistanceQueryImpl::find_match_scan(u, v));
 }
 
 }  // namespace treelab::core

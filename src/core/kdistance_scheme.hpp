@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bits/label_arena.hpp"
-#include "bits/monotone.hpp"
 #include "core/labeling.hpp"
 #include "core/tree_scaffold.hpp"
 #include "tree/tree.hpp"
@@ -41,7 +40,8 @@ namespace treelab::core {
 /// ancestor chain arrays, capped head distance and (small-k) identifier
 /// 2-approximation sequences, decoded once. After the one-time attach, a
 /// query is the Section 4.4 NCSA location over decoded words plus O(1)
-/// arithmetic. Produced by KDistanceScheme::attach().
+/// arithmetic. Produced by KDistanceScheme::attach(). It views nothing, so
+/// it copies freely.
 class KDistanceAttachedLabel {
  public:
   [[nodiscard]] std::uint64_t lightdepth() const noexcept {
@@ -51,17 +51,24 @@ class KDistanceAttachedLabel {
  private:
   friend class KDistanceScheme;
   friend struct KDistanceQueryImpl;
+  /// A decoded chain array, read through MonotoneSeq's size()/get(i): one
+  /// query body runs on these arrays and on the raw path's views of the
+  /// stored sequences.
+  struct Array {
+    std::vector<std::uint64_t> v;
+    [[nodiscard]] std::size_t size() const noexcept { return v.size(); }
+    [[nodiscard]] std::uint64_t get(std::size_t i) const { return v[i]; }
+  };
   std::uint64_t pre_ = 0;
   std::uint64_t lightdepth_ = 0;
   bool small_k_ = false;
-  bits::MonotoneSeq hl_seq_;               // encoded form of hl (Section 4.4)
-  std::vector<std::uint64_t> hl_;          // heights of L_{u_i}, i = 0..r
-  std::vector<std::uint64_t> hc_;          // heights of T_{head(P(u_i))}
-  std::vector<std::uint64_t> dist_;        // d(u, u_i), i = 0..r
+  Array hl_;                 // heights of L_{u_i}, i = 0..r
+  Array hc_;                 // heights of T_{head(P(u_i))}
+  Array dist_;               // d(u, u_i), i = 0..r
   std::uint64_t alpha_ = 0;  // d(u_r, head(P(u_r))), capped if small
   std::uint64_t i_mod_ = 0;  // pos(u_r) mod (k+1)            (small only)
-  std::vector<std::uint64_t> fwd_;  // msb(a_{i+t} - a_i), t = 1.. (small)
-  std::vector<std::uint64_t> bwd_;  // msb(a_i - a_{i-t}), t = 1.. (small)
+  Array fwd_;                // msb(a_{i+t} - a_i), t = 1.. (small)
+  Array bwd_;                // msb(a_i - a_{i-t}), t = 1.. (small)
 };
 
 class KDistanceScheme {

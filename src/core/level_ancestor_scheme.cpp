@@ -34,9 +34,9 @@ BitVec pack(const Parsed& p) {
   BitWriter w;
   w.put_delta0(p.rd);
   w.put_delta0(p.to_head);
-  MonotoneSeq::encode(p.pi_bounds, p.pi.size()).write_to(w);
+  (void)MonotoneSeq::encode_to(w, p.pi_bounds, p.pi.size());
   w.append(p.pi);
-  MonotoneSeq::encode(p.heads_rd, p.rd).write_to(w);
+  (void)MonotoneSeq::encode_to(w, p.heads_rd, p.rd);
   return w.take();
 }
 
@@ -49,7 +49,7 @@ Parsed parse(const BitVec& l) {
   for (std::size_t i = 0; i < bs.size(); ++i) p.pi_bounds.push_back(bs.get(i));
   const std::size_t pi_len =
       p.pi_bounds.empty() ? 0 : static_cast<std::size_t>(p.pi_bounds.back());
-  p.pi = r.get_vec(pi_len);
+  p.pi = BitVec(r.get_span(pi_len));
   const MonotoneSeq hs = MonotoneSeq::read_from(r);
   for (std::size_t i = 0; i < hs.size(); ++i) p.heads_rd.push_back(hs.get(i));
   if (p.pi_bounds.size() != 2 * p.heads_rd.size())

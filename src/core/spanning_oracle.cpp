@@ -15,7 +15,6 @@ namespace treelab::core {
 
 using bits::BitReader;
 using bits::BitSpan;
-using bits::BitVec;
 using bits::BitWriter;
 using bits::LabelArena;
 using tree::Graph;
@@ -82,7 +81,7 @@ OracleAttachedState SpanningOracle::attach(BitSpan state) {
   OracleAttachedState out;
   out.labels_.reserve(static_cast<std::size_t>(c));
   for (std::uint64_t i = 0; i < c; ++i) {
-    const BitVec l = r.get_vec(static_cast<std::size_t>(r.get_delta0()));
+    const BitSpan l = r.get_span(static_cast<std::size_t>(r.get_delta0()));
     out.labels_.push_back(FgnwScheme::attach(l));
   }
   return out;
@@ -123,8 +122,8 @@ std::uint64_t SpanningOracle::query(BitSpan su, BitSpan sv) {
     throw bits::DecodeError("SpanningOracle: state mismatch");
   std::uint64_t best = ~std::uint64_t{0};
   for (std::uint64_t i = 0; i < cu; ++i) {
-    const BitVec lu = ru.get_vec(static_cast<std::size_t>(ru.get_delta0()));
-    const BitVec lv = rv.get_vec(static_cast<std::size_t>(rv.get_delta0()));
+    const BitSpan lu = ru.get_span(static_cast<std::size_t>(ru.get_delta0()));
+    const BitSpan lv = rv.get_span(static_cast<std::size_t>(rv.get_delta0()));
     best = std::min(best, FgnwScheme::query(lu, lv));
   }
   return best;

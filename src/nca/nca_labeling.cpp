@@ -10,7 +10,6 @@ namespace treelab::nca {
 
 using bits::BitReader;
 using bits::BitSpan;
-using bits::BitVec;
 using bits::BitWriter;
 using bits::LabelArena;
 using bits::MonotoneSeq;
@@ -20,105 +19,24 @@ using tree::Tree;
 
 namespace {
 
-/// A non-owning view of a parsed label (the attached or freshly parsed
-/// boundary sequence plus the code area location).
-struct View {
-  const MonotoneSeq* bounds = nullptr;
-  std::size_t code_off = 0;
-  std::size_t code_len = 0;
-  BitSpan raw;
-
-  [[nodiscard]] bool code_bit(std::size_t i) const {
-    return raw.get(code_off + i);
-  }
-};
-
-/// Parses the boundary sequence out of `l` into `store` and returns a view.
-View parse_into(BitSpan l, MonotoneSeq& store) {
-  BitReader r(l);
-  store = MonotoneSeq::read_from(r);
-  if (store.size() == 0) throw bits::DecodeError("NCA label: no components");
-  View v;
-  v.bounds = &store;
-  v.code_off = r.pos();
-  v.code_len = store.get(store.size() - 1);
-  if (v.code_off + v.code_len > l.size())
-    throw bits::DecodeError("NCA label: truncated code area");
-  v.raw = l;
-  return v;
-}
-
-/// First bit position where the code areas differ, or min length if one is a
-/// prefix of the other.
-std::size_t first_diff(const View& a, const View& b) {
-  const std::size_t lim = std::min(a.code_len, b.code_len);
+/// First bit position where two code areas differ, or the shorter length
+/// if one is a prefix of the other.
+std::size_t first_diff(BitSpan a, BitSpan b) {
+  const std::size_t lim = std::min(a.size(), b.size());
   std::size_t i = 0;
   while (i + 64 <= lim) {
-    const std::uint64_t wa = a.raw.read_bits(a.code_off + i, 64);
-    const std::uint64_t wb = b.raw.read_bits(b.code_off + i, 64);
+    const std::uint64_t wa = a.read_bits(i, 64);
+    const std::uint64_t wb = b.read_bits(i, 64);
     if (wa != wb) return i + static_cast<std::size_t>(bits::lsb(wa ^ wb));
     i += 64;
   }
   if (i < lim) {
     const int rem = static_cast<int>(lim - i);
-    const std::uint64_t wa = a.raw.read_bits(a.code_off + i, rem);
-    const std::uint64_t wb = b.raw.read_bits(b.code_off + i, rem);
+    const std::uint64_t wa = a.read_bits(i, rem);
+    const std::uint64_t wb = b.read_bits(i, rem);
     if (wa != wb) return i + static_cast<std::size_t>(bits::lsb(wa ^ wb));
   }
   return lim;
-}
-
-NcaResult query_impl(const View& u, const View& v) {
-  const std::size_t d = first_diff(u, v);
-
-  NcaResult out;
-  if (d == u.code_len && d == v.code_len) {
-    out.rel = NcaResult::Rel::kEqual;
-    out.lightdepth = static_cast<std::int32_t>((u.bounds->size() - 1) / 2);
-    return out;
-  }
-  if (d == u.code_len || d == v.code_len) {
-    // One code area is a strict prefix of the other. By prefix-freeness of
-    // the per-level codes this means the shorter label's terminal position
-    // code equals the longer one's position code at the same level, i.e. the
-    // shorter label's node lies on the other's root path: proper ancestor.
-    const bool u_shorter = u.code_len < v.code_len;
-    out.rel =
-        u_shorter ? NcaResult::Rel::kUAncestor : NcaResult::Rel::kVAncestor;
-    const View& anc = u_shorter ? u : v;
-    out.lightdepth = static_cast<std::int32_t>((anc.bounds->size() - 1) / 2);
-    return out;
-  }
-
-  // Map the differing bit to a component index: the number of boundaries <= d
-  // in either label (they agree on all boundaries before the divergence).
-  const std::size_t comp = u.bounds->successor(d + 1);
-  const std::int32_t level = static_cast<std::int32_t>(comp / 2);
-  const bool in_pos_code = (comp % 2) == 0;
-  const bool u_first = !u.code_bit(d);  // order-preserving codes: 0 sorts first
-
-  // If the divergence is inside a position code and the smaller position is
-  // a terminal component (last component of its label), that node lies on
-  // the shared heavy path above the other's branch: proper ancestor.
-  if (in_pos_code) {
-    const bool u_terminal = u.bounds->size() == comp + 1;
-    const bool v_terminal = v.bounds->size() == comp + 1;
-    if (u_first && u_terminal) {
-      out.rel = NcaResult::Rel::kUAncestor;
-      out.lightdepth = level;
-      return out;
-    }
-    if (!u_first && v_terminal) {
-      out.rel = NcaResult::Rel::kVAncestor;
-      out.lightdepth = level;
-      return out;
-    }
-  }
-  out.rel = NcaResult::Rel::kDiverge;
-  out.lightdepth = level;
-  out.u_first = u_first;
-  out.same_branch_node = !in_pos_code;
-  return out;
 }
 
 }  // namespace
@@ -160,35 +78,80 @@ NcaLabeling::NcaLabeling(const HeavyPathDecomposition& hpd, int threads,
       });
 }
 
-std::int32_t NcaLabeling::lightdepth_of_label(BitSpan l) {
-  MonotoneSeq store;
-  const View v = parse_into(l, store);
-  return static_cast<std::int32_t>((v.bounds->size() - 1) / 2);
-}
-
 AttachedNcaLabel NcaLabeling::attach(BitSpan l) {
+  BitReader r(l);
   AttachedNcaLabel out;
-  out.raw_ = l;
-  MonotoneSeq store;
-  const View v = parse_into(out.raw_, store);
-  out.bounds_ = std::move(store);
-  out.code_off_ = v.code_off;
-  out.code_len_ = v.code_len;
+  out.bounds_ = MonotoneSeq::read_from(r);
+  if (out.bounds_.size() == 0)
+    throw bits::DecodeError("NCA label: no components");
+  const std::size_t code_off = r.pos();
+  const std::uint64_t code_len = out.bounds_.get(out.bounds_.size() - 1);
+  // Compared against what is left, not as code_off + code_len: the length
+  // is decoded arithmetic, any 64-bit value, and the sum could wrap.
+  if (code_len > l.size() - code_off)
+    throw bits::DecodeError("NCA label: truncated code area");
+  out.code_ = l.subspan(code_off, static_cast<std::size_t>(code_len));
   return out;
 }
 
 NcaResult NcaLabeling::query(BitSpan lu, BitSpan lv) {
-  MonotoneSeq su, sv;
-  const View u = parse_into(lu, su);
-  const View v = parse_into(lv, sv);
-  return query_impl(u, v);
+  return query(attach(lu), attach(lv));
 }
 
-NcaResult NcaLabeling::query(const AttachedNcaLabel& lu,
-                             const AttachedNcaLabel& lv) {
-  View u{&lu.bounds_, lu.code_off_, lu.code_len_, lu.raw_};
-  View v{&lv.bounds_, lv.code_off_, lv.code_len_, lv.raw_};
-  return query_impl(u, v);
+NcaResult NcaLabeling::query(const AttachedNcaLabel& u,
+                             const AttachedNcaLabel& v) {
+  const std::size_t u_len = u.code_.size();
+  const std::size_t v_len = v.code_.size();
+  const std::size_t d = first_diff(u.code_, v.code_);
+
+  NcaResult out;
+  if (d == u_len && d == v_len) {
+    out.rel = NcaResult::Rel::kEqual;
+    out.lightdepth = u.lightdepth();
+    return out;
+  }
+  if (d == u_len || d == v_len) {
+    // One code area is a strict prefix of the other. By prefix-freeness of
+    // the per-level codes this means the shorter label's terminal position
+    // code equals the longer one's position code at the same level, i.e. the
+    // shorter label's node lies on the other's root path: proper ancestor.
+    const bool u_shorter = u_len < v_len;
+    out.rel =
+        u_shorter ? NcaResult::Rel::kUAncestor : NcaResult::Rel::kVAncestor;
+    out.lightdepth = (u_shorter ? u : v).lightdepth();
+    return out;
+  }
+
+  // Map the differing bit to a component index: the number of boundaries <= d
+  // in either label (they agree on all boundaries before the divergence).
+  const std::size_t comp = bits::successor(u.bounds_, d + 1);
+  const std::int32_t level = static_cast<std::int32_t>(comp / 2);
+  const bool in_pos_code = (comp % 2) == 0;
+  // Order-preserving codes: 0 sorts first.
+  const bool u_first = !u.code_.get(d);
+
+  // If the divergence is inside a position code and the smaller position is
+  // a terminal component (last component of its label), that node lies on
+  // the shared heavy path above the other's branch: proper ancestor.
+  if (in_pos_code) {
+    const bool u_terminal = u.bounds_.size() == comp + 1;
+    const bool v_terminal = v.bounds_.size() == comp + 1;
+    if (u_first && u_terminal) {
+      out.rel = NcaResult::Rel::kUAncestor;
+      out.lightdepth = level;
+      return out;
+    }
+    if (!u_first && v_terminal) {
+      out.rel = NcaResult::Rel::kVAncestor;
+      out.lightdepth = level;
+      return out;
+    }
+  }
+  out.rel = NcaResult::Rel::kDiverge;
+  out.lightdepth = level;
+  out.u_first = u_first;
+  out.same_branch_node = !in_pos_code;
+  return out;
 }
 
 }  // namespace treelab::nca

@@ -19,7 +19,8 @@
 //
 // Labels live in a pooled LabelArena (one contiguous buffer, word-aligned
 // views) and per-node emission can run on several threads; the emitted bits
-// are identical for every thread count.
+// are identical for every thread count. A distance label embeds its node's
+// NCA label as a field, which queries parse in place as a sub-view.
 #pragma once
 
 #include <cstdint>
@@ -67,21 +68,18 @@ struct NcaResult {
   bool same_branch_node = false;
 };
 
-/// A pre-parsed NCA label: component boundaries attached once so that each
-/// subsequent query is a first-differing-bit scan plus O(1) boundary
-/// lookups — the word-RAM constant-time regime of Lemma 2.1. Produced by
-/// NcaLabeling::attach().
+/// A parsed NCA label: its component boundaries and its code area, both
+/// views of the label it was parsed from, so that each query is a
+/// first-differing-bit scan plus O(1) boundary lookups — the word-RAM
+/// constant-time regime of Lemma 2.1. Produced by NcaLabeling::attach().
 class AttachedNcaLabel {
  public:
-  [[nodiscard]] const bits::BitVec& bits() const noexcept { return raw_; }
   [[nodiscard]] std::int32_t lightdepth() const noexcept;
 
  private:
   friend class NcaLabeling;
-  bits::BitVec raw_;
-  bits::MonotoneSeq bounds_;
-  std::size_t code_off_ = 0;
-  std::size_t code_len_ = 0;
+  bits::MonotoneSeq bounds_;  // component end positions, in code bits
+  bits::BitSpan code_;        // the concatenated position/light codes
 };
 
 class NcaLabeling {
@@ -108,10 +106,11 @@ class NcaLabeling {
   /// Decodes two labels. Throws bits::DecodeError on malformed input.
   [[nodiscard]] static NcaResult query(bits::BitSpan lu, bits::BitSpan lv);
 
-  /// Light depth recorded in a single label (number of levels - 1).
-  [[nodiscard]] static std::int32_t lightdepth_of_label(bits::BitSpan l);
-
-  /// One-time parse of a label for repeated queries.
+  /// Parses a label for repeated queries, copying nothing: the result
+  /// views `l` and is valid only while the storage under `l` lives. A
+  /// caller that keeps it longer than the label (an attached distance
+  /// label) attaches to its own copy. Throws bits::DecodeError on
+  /// malformed input.
   [[nodiscard]] static AttachedNcaLabel attach(bits::BitSpan l);
 
   /// Same result as query(BitSpan, BitSpan) without re-parsing.

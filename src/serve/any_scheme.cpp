@@ -76,12 +76,13 @@ double parse_double(std::string_view s, const char* what) {
   return v;
 }
 
-/// Cache-accounting estimate: attached forms hold the raw bits plus decoded
-/// arrays roughly proportional to them, charged as 4x raw bytes. This
-/// under-charges: real heap per charged byte (mallinfo2 around attaching
-/// every label of one random tree, n = 2^14 and 2^18) measured 1.7-1.8x
-/// for fgnw, 1.3x for kdist, and 1.0-1.2x for alstrup, approx and peleg,
-/// so a full cache holds up to ~1.8x its byte budget.
+/// Cache-accounting estimate: attached forms hold at most one copy of the
+/// raw bits plus decoded arrays roughly proportional to them, charged as
+/// 4x raw bytes. Real heap per charged byte (mallinfo2 around attaching
+/// every label of one random tree, n = 2^14 and 2^18, k = 64, eps = 1/8)
+/// measured 1.57-1.65x for fgnw, 1.28-1.31x for kdist, and 0.86-1.19x for
+/// alstrup, approx and peleg, so a full cache holds up to ~1.65x its byte
+/// budget.
 constexpr std::size_t kAttachedExpansion = 4;
 
 /// The per-scheme dispatchers. Each carries the scheme-wide constants and

@@ -129,9 +129,9 @@ struct ForestOptions {
   /// hardware thread.
   std::size_t shards = 0;
   /// Attached-label cache budget per shard, in bytes as AnyScheme's
-  /// attach estimate charges them. The estimate under-charges real heap
-  /// by 1.0-1.8x depending on the scheme (fgnw most), so a full cache
-  /// holds up to ~1.8x this much memory.
+  /// attach estimate charges them. Real heap per charged byte is
+  /// 0.9-1.65x depending on the scheme (fgnw most), so a full cache holds
+  /// up to ~1.65x this much memory.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;
   /// Threads for query_batch fan-out: at most one per shard is useful.
   /// 0 = TREELAB_THREADS / hardware default.

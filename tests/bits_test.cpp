@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "bits/alphabetic.hpp"
 #include "bits/bitio.hpp"
@@ -15,6 +18,42 @@
 namespace {
 
 using namespace treelab::bits;
+
+/// An encoding of `xs` in its own buffer, and the MonotoneSeq view of it.
+struct Encoded {
+  BitVec bits;
+  MonotoneSeq seq;
+};
+
+Encoded encode(std::span<const std::uint64_t> xs, std::uint64_t universe) {
+  BitWriter w;
+  (void)MonotoneSeq::encode_to(w, xs, universe);
+  Encoded out{w.take(), {}};
+  BitReader r(out.bits);
+  out.seq = MonotoneSeq::read_from(r);
+  return out;  // moving the BitVec keeps its words where the view reads them
+}
+
+/// `base` copied behind `off` random bits and followed by `tail` bits of
+/// ones, so a read past the copy's end sees ones rather than zero padding.
+BitVec embed(BitSpan base, std::size_t off, std::size_t tail,
+             std::mt19937_64& rng) {
+  BitVec out;
+  for (std::size_t i = 0; i < off; ++i) out.push_back((rng() & 1) != 0);
+  out.append(base);
+  for (std::size_t i = 0; i < tail; ++i) out.push_back(true);
+  return out;
+}
+
+/// Lengths whose view, starting at bit `off` of a word, crosses exactly
+/// 1, 2 and 3 word boundaries.
+std::vector<std::size_t> crossing_lengths(std::size_t off,
+                                          std::mt19937_64& rng) {
+  std::vector<std::size_t> out;
+  for (std::size_t c = 1; c <= 3; ++c)
+    out.push_back(64 * c - off + 1 + rng() % 64);
+  return out;
+}
 
 TEST(WordOps, Basics) {
   EXPECT_EQ(bitwidth(0), 0);
@@ -118,7 +157,7 @@ TEST(BitIo, HugeLengthsThrowInsteadOfWrapping) {
   const BitVec v(100);
   BitReader r(v);
   (void)r.get_bits(7);
-  EXPECT_THROW((void)r.get_vec(kHuge), DecodeError);
+  EXPECT_THROW((void)r.get_span(kHuge), DecodeError);
   EXPECT_THROW((void)r.get_bits(-2), DecodeError);  // requires 2^64 - 2 bits
   EXPECT_THROW(r.skip(kHuge), DecodeError);
   EXPECT_EQ(r.pos(), 7u);
@@ -183,8 +222,10 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
   for (auto& x : xs) x = m == 0 ? 0 : rng() % (m + 1);
   std::sort(xs.begin(), xs.end());
 
-  const MonotoneSeq seq = MonotoneSeq::encode(xs, m);
+  const Encoded e = encode(xs, m);
+  const MonotoneSeq& seq = e.seq;
   ASSERT_EQ(seq.size(), s);
+  EXPECT_EQ(seq.bit_size(), e.bits.size());
   for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(seq.get(i), xs[i]) << i;
 
   // Successor against naive, probing values around every element.
@@ -194,20 +235,20 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
     return s;
   };
   for (std::uint64_t probe : {std::uint64_t{0}, m / 2, m}) {
-    EXPECT_EQ(seq.successor(probe), naive_succ(probe));
+    EXPECT_EQ(successor(seq, probe), naive_succ(probe));
   }
   for (std::size_t i = 0; i < s; ++i) {
-    EXPECT_EQ(seq.successor(xs[i]), naive_succ(xs[i]));
+    EXPECT_EQ(successor(seq, xs[i]), naive_succ(xs[i]));
     if (xs[i] > 0) {
-      EXPECT_EQ(seq.successor(xs[i] - 1), naive_succ(xs[i] - 1));
+      EXPECT_EQ(successor(seq, xs[i] - 1), naive_succ(xs[i] - 1));
     }
-    EXPECT_EQ(seq.successor(xs[i] + 1), naive_succ(xs[i] + 1));
+    EXPECT_EQ(successor(seq, xs[i] + 1), naive_succ(xs[i] + 1));
   }
 
   // Serialization roundtrip via a surrounding stream.
   BitWriter w;
   w.put_delta0(42);
-  seq.write_to(w);
+  const std::size_t written = MonotoneSeq::encode_to(w, xs, m);
   w.put_delta0(99);
   const BitVec enc = w.take();
   BitReader r(enc);
@@ -215,6 +256,7 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
   const MonotoneSeq back = MonotoneSeq::read_from(r);
   EXPECT_EQ(r.get_delta0(), 99u);
   ASSERT_EQ(back.size(), s);
+  EXPECT_EQ(back.bit_size(), written);
   for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(back.get(i), xs[i]);
 }
 
@@ -233,8 +275,8 @@ TEST(MonotoneSeq, SpaceBound) {
     std::mt19937_64 rng(m);
     for (auto& x : xs) x = rng() % (m + 1);
     std::sort(xs.begin(), xs.end());
-    const MonotoneSeq seq = MonotoneSeq::encode(xs, m);
-    const double per = static_cast<double>(seq.bit_size()) / s;
+    const Encoded e = encode(xs, m);
+    const double per = static_cast<double>(e.seq.bit_size()) / s;
     const double bound =
         4.0 * std::max(1.0, std::log2(static_cast<double>(m) / s)) + 8;
     EXPECT_LE(per, bound) << "m=" << m;
@@ -244,22 +286,138 @@ TEST(MonotoneSeq, SpaceBound) {
 TEST(MonotoneSeq, LcsOfPrefixes) {
   const std::vector<std::uint64_t> a{1, 3, 3, 7, 9, 12};
   const std::vector<std::uint64_t> b{0, 3, 3, 7, 9, 12};
-  const MonotoneSeq sa = MonotoneSeq::encode(a, 20);
-  const MonotoneSeq sb = MonotoneSeq::encode(b, 20);
+  const Encoded ea = encode(a, 20);
+  const Encoded eb = encode(b, 20);
+  const MonotoneSeq& sa = ea.seq;
+  const MonotoneSeq& sb = eb.seq;
   // Full prefixes share suffix 3,3,7,9,12 (5 elements).
-  EXPECT_EQ(MonotoneSeq::lcs_of_prefixes(sa, 6, sb, 6), 5u);
+  EXPECT_EQ(lcs_of_prefixes(sa, 6, sb, 6), 5u);
   // Prefixes of length 4: a=1,3,3,7 b=0,3,3,7 -> common suffix 3.
-  EXPECT_EQ(MonotoneSeq::lcs_of_prefixes(sa, 4, sb, 4), 3u);
-  EXPECT_EQ(MonotoneSeq::lcs_of_prefixes(sa, 6, sa, 6), 6u);
-  EXPECT_EQ(MonotoneSeq::lcs_of_prefixes(sa, 0, sb, 3), 0u);
+  EXPECT_EQ(lcs_of_prefixes(sa, 4, sb, 4), 3u);
+  EXPECT_EQ(lcs_of_prefixes(sa, 6, sa, 6), 6u);
+  EXPECT_EQ(lcs_of_prefixes(sa, 0, sb, 3), 0u);
 }
 
 TEST(MonotoneSeq, RejectsBadInput) {
+  BitWriter w;
   const std::vector<std::uint64_t> decreasing{3, 1};
-  EXPECT_THROW((void)MonotoneSeq::encode(decreasing, 10),
+  EXPECT_THROW((void)MonotoneSeq::encode_to(w, decreasing, 10),
                std::invalid_argument);
   const std::vector<std::uint64_t> above{3, 11};
-  EXPECT_THROW((void)MonotoneSeq::encode(above, 10), std::invalid_argument);
+  EXPECT_THROW((void)MonotoneSeq::encode_to(w, above, 10),
+               std::invalid_argument);
+}
+
+TEST(MonotoneSeq, ParsesInPlaceAtAnyOffset) {
+  // A sequence embedded at every bit offset reads the same as the aligned
+  // one, and its reader stops exactly at the encoding's end.
+  std::mt19937_64 rng(21);
+  std::vector<std::uint64_t> xs(40);
+  for (auto& x : xs) x = rng() % 5000;
+  std::sort(xs.begin(), xs.end());
+  const Encoded e = encode(xs, 5000);
+  for (std::size_t off = 0; off < 64; ++off) {
+    const BitVec buf = embed(e.bits, off, 130, rng);
+    BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
+    const MonotoneSeq seq = MonotoneSeq::read_from(r);
+    EXPECT_EQ(r.remaining(), 0u) << off;
+    ASSERT_EQ(seq.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      ASSERT_EQ(seq.get(i), xs[i]) << "off=" << off << " i=" << i;
+  }
+}
+
+TEST(BitSpan, SubspanReadsWhatSliceReads) {
+  std::mt19937_64 rng(31);
+  BitVec base;
+  for (int i = 0; i < 64 * 6; ++i) base.push_back((rng() & 1) != 0);
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (const std::size_t len : crossing_lengths(off, rng)) {
+      const BitSpan view = BitSpan(base).subspan(off, len);
+      const BitVec ref = base.slice(off, len);
+      ASSERT_EQ(view.size(), len);
+      EXPECT_EQ(view.offset(), off);
+      for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(view.get(i), base.get(off + i)) << off << " " << i;
+      for (std::size_t pos = 0; pos < len; pos += 1 + rng() % 9) {
+        const int w = static_cast<int>(
+            std::min<std::size_t>(len - pos, 1 + rng() % 64));
+        ASSERT_EQ(view.read_bits(pos, w), ref.read_bits(pos, w))
+            << "off=" << off << " len=" << len << " pos=" << pos;
+      }
+      EXPECT_TRUE(view == ref);
+      // A view of a view composes offsets.
+      const BitSpan inner = view.subspan(len / 3, len / 3);
+      EXPECT_TRUE(inner == base.slice(off + len / 3, len / 3));
+    }
+  }
+}
+
+TEST(BitSpan, ReaderWalksEliasCodesAtAnyOffset) {
+  std::mt19937_64 rng(32);
+  for (const std::size_t target : {70u, 140u, 200u}) {
+    BitWriter w;
+    std::vector<std::uint64_t> xs;
+    while (w.bit_count() < target) {
+      const std::uint64_t x = rng() >> (rng() % 62);
+      xs.push_back(x);
+      w.put_unary(x % 9);
+      w.put_gamma0(x % 5000);
+      w.put_delta0(x);
+    }
+    const BitVec codes = w.take();
+    for (std::size_t off = 0; off < 64; ++off) {
+      const BitVec buf = embed(codes, off, 70, rng);
+      BitReader r(BitSpan(buf).subspan(off, codes.size()));
+      for (const std::uint64_t x : xs) {
+        ASSERT_EQ(r.get_unary(), x % 9) << off;
+        ASSERT_EQ(r.get_gamma0(), x % 5000) << off;
+        ASSERT_EQ(r.get_delta0(), x) << off;
+      }
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_THROW((void)r.get_bit(), DecodeError);
+    }
+  }
+}
+
+TEST(BitSpan, UnaryStopsAtViewEnd) {
+  // The bit right after the view is a one; a unary run of zeros up to the
+  // view's end is truncated input, not a code ending at that stored one.
+  std::mt19937_64 rng(33);
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (const std::size_t len : crossing_lengths(off, rng)) {
+      const BitVec zeros(len);
+      const BitVec buf = embed(zeros, off, 64, rng);
+      BitReader r(BitSpan(buf).subspan(off, len));
+      EXPECT_THROW((void)r.get_unary(), DecodeError)
+          << "off=" << off << " len=" << len;
+      // The same run closed by the view's own last bit decodes.
+      BitVec closed(len);
+      closed.set(len - 1, true);
+      const BitVec buf2 = embed(closed, off, 64, rng);
+      BitReader r2(BitSpan(buf2).subspan(off, len));
+      EXPECT_EQ(r2.get_unary(), len - 1);
+    }
+  }
+}
+
+TEST(BitSpan, OwningCopyOfUnalignedViewHasNoStrayBits) {
+  std::mt19937_64 rng(34);
+  BitVec base;
+  for (int i = 0; i < 64 * 5; ++i) base.push_back((rng() & 1) != 0);
+  for (std::size_t off = 0; off < 64; ++off) {
+    for (const std::size_t len : crossing_lengths(off, rng)) {
+      const BitVec buf = embed(base.slice(0, len), off, 128, rng);
+      BitVec copy = BitSpan(buf).subspan(off, len);
+      EXPECT_EQ(copy, base.slice(0, len)) << off;
+      // The bits after the view were ones; none may leak into the copy.
+      copy.append_bits(0, 64);
+      copy.push_back(false);
+      EXPECT_EQ(copy.size(), len + 65);
+      EXPECT_EQ(copy.read_bits(len, 64), 0u) << "off=" << off;
+      EXPECT_FALSE(copy.get(len + 64));
+    }
+  }
 }
 
 TEST(Alphabetic, PrefixFreeAndOrdered) {

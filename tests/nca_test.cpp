@@ -87,7 +87,7 @@ TEST(NcaLabeling, LightdepthOfLabel) {
   const tree::HeavyPathDecomposition hpd(t);
   const NcaLabeling labels(hpd);
   for (NodeId v = 0; v < t.size(); ++v)
-    EXPECT_EQ(NcaLabeling::lightdepth_of_label(labels.label(v)),
+    EXPECT_EQ(NcaLabeling::attach(labels.label(v)).lightdepth(),
               hpd.light_depth(v));
 }
 
