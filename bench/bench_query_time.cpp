@@ -114,7 +114,7 @@ void bench_approx(benchmark::State& state) {
   for (auto _ : state) {
     const auto& [u, v] = pairs[i++ & 4095];
     benchmark::DoNotOptimize(
-        core::ApproxScheme::query(eps, s.label(u), s.label(v)));
+        core::ApproxScheme::query(s.powers(), s.label(u), s.label(v)));
   }
 }
 
@@ -130,7 +130,8 @@ void bench_approx_attached(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [u, v] = pairs[i++ & 4095];
-    benchmark::DoNotOptimize(core::ApproxScheme::query(eps, att[u], att[v]));
+    benchmark::DoNotOptimize(
+        core::ApproxScheme::query(s.powers(), att[u], att[v]));
   }
 }
 
@@ -239,10 +240,10 @@ void write_json_summary(const char* path, tree::NodeId kN) {
     cases.push_back(json_case(
         "approx_eps8", pairs,
         [&](tree::NodeId u, tree::NodeId v) {
-          return core::ApproxScheme::query(eps, s.label(u), s.label(v));
+          return core::ApproxScheme::query(s.powers(), s.label(u), s.label(v));
         },
         [&](tree::NodeId u, tree::NodeId v) {
-          return core::ApproxScheme::query(eps, att[u], att[v]);
+          return core::ApproxScheme::query(s.powers(), att[u], att[v]);
         }));
   }
 

@@ -33,7 +33,8 @@ int main() {
         for (tree::NodeId v = 1; v < t.size(); v += 89) {
           const auto d = oracle.distance(u, v);
           if (d == 0) continue;
-          const auto got = ApproxScheme::query(eps, mono.label(u), mono.label(v));
+          const auto got =
+              ApproxScheme::query(mono.powers(), mono.label(u), mono.label(v));
           worst = std::max(worst, static_cast<double>(got) /
                                       static_cast<double>(d) - 1.0);
         }
@@ -78,7 +79,8 @@ int main() {
     for (auto a : leaves)
       for (auto b : leaves) {
         if (a == b) continue;
-        const auto est = ApproxScheme::query(eps, scheme.label(a), scheme.label(b));
+        const auto est = ApproxScheme::query(scheme.powers(), scheme.label(a),
+                                             scheme.label(b));
         // Snap: the unique realizable d with d <= est <= (1+eps) d.
         std::uint64_t snapped = 0;
         for (auto d : dists)

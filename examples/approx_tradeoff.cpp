@@ -39,7 +39,8 @@ int main() {
       const tree::NodeId u = pick(rng), v = pick(rng);
       const auto d = oracle.distance(u, v);
       if (d == 0) continue;
-      const auto est = ApproxScheme::query(eps, mono.label(u), mono.label(v));
+      const auto est = ApproxScheme::query(mono.powers(), mono.label(u),
+                                           mono.label(v));
       worst = std::max(
           worst, static_cast<double>(est) / static_cast<double>(d) - 1.0);
     }

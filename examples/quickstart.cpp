@@ -54,7 +54,8 @@ int main() {
   std::printf("\n(1+%.2f)-approximate labels: max %zu bits\n", eps,
               approx.stats().max_bits);
   const std::uint64_t est =
-      core::ApproxScheme::query(eps, approx.label(7), approx.label(8));
+      core::ApproxScheme::query(approx.powers(), approx.label(7),
+                                approx.label(8));
   std::printf("  d(7, 8) ~ %" PRIu64 " (true 6, guaranteed <= %.1f)\n", est,
               (1 + eps) * 6);
 

@@ -1,6 +1,7 @@
 #include "bits/monotone.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "bits/kernels.hpp"
@@ -64,11 +65,6 @@ MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
 
 std::uint64_t MonotoneSeq::get(std::size_t i) const {
   if (i >= s_) throw std::out_of_range("MonotoneSeq::get");
-  const std::uint64_t low =
-      low_width_ == 0
-          ? 0
-          : enc_.read_bits(lows_off_ + i * static_cast<std::size_t>(low_width_),
-                           low_width_);
   // y_i = (position of the i-th one in the high vector) - i. The vector
   // holds exactly s_ ones and ends with the last of them, so the word scan
   // finds the i-th one before it reaches the end of enc_.
@@ -84,11 +80,34 @@ std::uint64_t MonotoneSeq::get(std::size_t i) const {
       const std::size_t one =
           pos - highs_off_ +
           static_cast<std::size_t>(k.select_in_word(w, static_cast<int>(rem)));
-      return (one - i) * b_ + low;
+      return (one - i) * b_ + low(i);
     }
     rem -= ones;
     pos += 64;
   }
+}
+
+std::size_t MonotoneSeq::successor(std::uint64_t x) const noexcept {
+  // Element i is y_i * b + low_i with low_i < b, and its high part y_i is
+  // the position of the i-th one in the high vector minus i. Walking the
+  // ones in order walks the elements in order; a low part is read only
+  // when x falls inside element i's block, the one case y_i cannot decide.
+  // read_from checked that the vector holds exactly s_ ones and ends with
+  // the last, so the walk stops inside enc_.
+  std::size_t i = 0;
+  for (std::size_t base = 0; i < s_; base += 64) {
+    const std::size_t pos = highs_off_ + base;
+    const int take =
+        static_cast<int>(std::min<std::size_t>(64, enc_.size() - pos));
+    for (std::uint64_t w = enc_.read_bits(pos, take); w != 0;
+         w &= w - 1, ++i) {
+      const std::uint64_t block =
+          (base + static_cast<std::size_t>(std::countr_zero(w)) - i) * b_;
+      if (block >= x) return i;
+      if (x - block < b_ && block + low(i) >= x) return i;
+    }
+  }
+  return s_;
 }
 
 }  // namespace treelab::bits

@@ -9,14 +9,16 @@
 //     the paper's proof.
 // Supported queries (Lemma 2.2):
 //   (1) get(i): the i-th element,
-//   (2) successor(seq, x): position of the first element >= x,
+//   (2) successor(x): position of the first element >= x,
 //   (3) lcs_of_prefixes: longest common suffix of two specified prefixes.
 // The paper obtains O(1) time when s, M = O(log n) because the whole
-// encoding fits in O(1) machine words. That is also how (1) is answered
-// here: get(i) scans the high vector a word at a time (per-word count, then
-// an in-word select), and (2)/(3) are built on get(). In every label of
-// random trees at n = 2^14 and 2^18 the high vector is at most 65 bits, so
-// the scan is one or two words.
+// encoding fits in O(1) machine words. That is also how (1) and (2) are
+// answered here, straight from the high vector a word at a time: get(i)
+// takes a per-word count, then an in-word select; successor(x) walks the
+// ones in one pass with std::countr_zero, reading a low part only where
+// the high part alone cannot decide. (3) is built on get(). In every label
+// of random trees at n = 2^14 and 2^18 the high vector is at most 65 bits,
+// so either walk is one or two words.
 //
 // A MonotoneSeq is a view: read_from() checks an encoding where it lies
 // inside a label and records where its parts start, copying nothing.
@@ -57,7 +59,16 @@ class MonotoneSeq {
   /// Operation (1): the i-th element, i in [0, size()).
   [[nodiscard]] std::uint64_t get(std::size_t i) const;
 
+  /// Operation (2): the smallest i with get(i) >= x, or size() if none.
+  [[nodiscard]] std::size_t successor(std::uint64_t x) const noexcept;
+
  private:
+  /// The low part of element i (0 when low_width_ is 0).
+  [[nodiscard]] std::uint64_t low(std::size_t i) const noexcept {
+    return enc_.read_bits(lows_off_ + i * static_cast<std::size_t>(low_width_),
+                          low_width_);
+  }
+
   BitSpan enc_;         // the encoding, in place (this is what is counted)
   std::size_t s_ = 0;   // number of elements
   std::uint64_t m_ = 0; // universe bound M
@@ -68,28 +79,9 @@ class MonotoneSeq {
                                // it runs to the end of enc_
 };
 
-/// Operations (2) and (3) are written once, over any non-decreasing
-/// sequence with size() and get(i): a MonotoneSeq, or an array decoded from
-/// one (k-distance attached labels keep theirs decoded).
-///
-/// Operation (2): smallest i with seq.get(i) >= x, or seq.size() if none.
-/// Binary search over positions; get() is O(1), so this is O(log s). When
-/// s = O(log n) the paper replaces this with a Patrascu-Thorup predecessor
-/// structure; the asymptotic label size is unchanged.
-template <typename Seq>
-[[nodiscard]] std::size_t successor(const Seq& seq, std::uint64_t x) {
-  std::size_t lo = 0, hi = seq.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (seq.get(mid) >= x)
-      hi = mid;
-    else
-      lo = mid + 1;
-  }
-  return lo;
-}
-
-/// Operation (3): the longest t such that
+/// Operation (3), written once over any sequence with size() and get(i): a
+/// MonotoneSeq, or an array decoded from one (k-distance attached labels
+/// keep theirs decoded). The longest t such that
 ///   a[pa-t .. pa-1] == b[pb-t .. pb-1]  (element-wise).
 /// pa <= a.size(), pb <= b.size().
 template <typename SeqA, typename SeqB>

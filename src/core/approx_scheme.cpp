@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "bits/bitio.hpp"
@@ -39,77 +40,71 @@ std::uint32_t round_up_exp_slow(long double base, std::uint64_t x) {
   return static_cast<std::uint32_t>(std::max<std::int64_t>(0, e));
 }
 
-/// Precomputed table of (1+eps)^e, e = 0, 1, ..., covering every value up
-/// to `max_x`. round_up_exp(x) — the smallest e with (1+eps)^e >= x — then
-/// becomes one lower_bound instead of log/pow calls per chain entry, which
-/// dominated the whole build. The table entries are the exact std::pow
-/// values the per-entry guard loops compare against, so the resulting
-/// exponents (and therefore the label bits) are unchanged. The table is
-/// capped (tiny eps would otherwise need ~log(max_x)/eps entries); values
-/// past its coverage fall back to the O(1)-space slow path.
-class RoundUpTable {
- public:
-  static constexpr std::size_t kMaxEntries = std::size_t{1} << 20;
+/// A stored rounding exponent, rejected when it does not fit the 32 bits
+/// the builder writes and the attached form keeps.
+std::uint32_t checked_exp(std::uint64_t e) {
+  if (e > std::numeric_limits<std::uint32_t>::max())
+    throw bits::DecodeError("approx label: implausible rounding exponent");
+  return static_cast<std::uint32_t>(e);
+}
 
-  RoundUpTable(double eps, std::uint64_t max_x)
-      : base_(1.0L + static_cast<long double>(eps)) {
-    powers_.push_back(1.0L);  // (1+eps)^0
-    while (powers_.back() < static_cast<long double>(max_x) &&
-           powers_.size() < kMaxEntries)
-      powers_.push_back(
-          std::pow(base_, static_cast<long double>(powers_.size())));
-  }
-
-  /// Smallest integer e with (1+eps)^e >= x.
-  [[nodiscard]] std::uint32_t round_up_exp(std::uint64_t x) const {
-    if (x <= 1) return 0;
-    if (powers_.back() < static_cast<long double>(x))
-      return round_up_exp_slow(base_, x);
-    const auto it = std::lower_bound(powers_.begin(), powers_.end(),
-                                     static_cast<long double>(x));
-    return static_cast<std::uint32_t>(it - powers_.begin());
-  }
-
- private:
-  long double base_;
-  std::vector<long double> powers_;
-};
-
-/// (1+eps)^e exactly as a real (a valid over-estimate, by a factor of at
-/// most 1+eps, of any x whose rounding exponent is e). Kept real-valued:
-/// rounding it up to an integer here would add +1 absolute error and break
-/// the multiplicative guarantee on small distances.
-long double exp_value(double eps, std::uint32_t e) {
-  const long double base = 1.0L + static_cast<long double>(eps);
-  return std::pow(base, static_cast<long double>(e));
+/// d(u,v) = 2 d(dom,w) + rd_oth - rd_dom with d(dom,w) rounded up to
+/// `approx_dw`; the rounding only inflates the first term, by a factor
+/// <= 1 + eps/2 <= 1 + eps/(2 d(dom,w)/d), hence the floored result stays
+/// in [d, (1+eps) d]. The difference is taken in long double, which holds
+/// any 64-bit integer exactly, so no label can overflow it; an estimate a
+/// genuine label pair cannot produce is rejected rather than converted.
+std::uint64_t floor_estimate(long double approx_dw, std::uint64_t rd_dom,
+                             std::uint64_t rd_oth) {
+  const long double estimate =
+      2.0L * approx_dw + (static_cast<long double>(rd_oth) -
+                          static_cast<long double>(rd_dom));
+  if (!(estimate >= 0.0L && estimate < 0x1p64L))
+    throw bits::DecodeError("approx label: estimate out of range");
+  return static_cast<std::uint64_t>(std::floor(estimate));
 }
 
 }  // namespace
+
+RoundUpTable::RoundUpTable(double eps) : eps_(eps) {
+  if (!(eps > 0.0) || eps > 1.0)
+    throw std::invalid_argument("approx: eps must be in (0, 1]");
+  const double half = eps / 2;  // the rounding uses eps/2 (see header)
+  base_ = 1.0L + static_cast<long double>(half);
+  powers_.push_back(1.0L);  // (1+eps/2)^0
+  while (powers_.back() < 0x1p64L && powers_.size() < kMaxEntries)
+    powers_.push_back(
+        std::pow(base_, static_cast<long double>(powers_.size())));
+}
+
+std::uint32_t RoundUpTable::round_up_exp(std::uint64_t x) const {
+  if (x <= 1) return 0;
+  if (powers_.back() < static_cast<long double>(x))
+    return round_up_exp_slow(base_, x);
+  const auto it = std::lower_bound(powers_.begin(), powers_.end(),
+                                   static_cast<long double>(x));
+  return static_cast<std::uint32_t>(it - powers_.begin());
+}
+
+long double RoundUpTable::pow_past_cap(std::uint32_t e) const {
+  return std::pow(base_, static_cast<long double>(e));
+}
 
 ApproxScheme::ApproxScheme(const Tree& t, double eps, Encoding enc)
     : ApproxScheme(TreeScaffold(t), eps, enc) {}
 
 ApproxScheme::ApproxScheme(const TreeScaffold& scaffold, double eps,
                            Encoding enc)
-    : eps_(eps) {
-  if (!(eps > 0.0) || eps > 1.0)
-    throw std::invalid_argument("ApproxScheme: eps must be in (0, 1]");
-  const double half = eps / 2;  // the rounding uses eps/2 (see header)
+    : powers_(eps) {
   const Tree& t = scaffold.tree();
   const HeavyPathDecomposition& hpd = scaffold.hpd();
   const NcaLabeling& nca = scaffold.nca();
-  // Every rounded value is a chain distance, bounded by the deepest root
-  // distance; one table serves all nodes.
-  std::uint64_t max_rd = 1;
-  for (NodeId v = 0; v < t.size(); ++v)
-    max_rd = std::max(max_rd, t.root_distance(v));
-  const RoundUpTable table(half, max_rd);
 
   // Per path: rounding exponents of d(v, v_i) depend on v, so they are
   // computed per node by walking its significant ancestor chain.
   labels_ = LabelArena::build(
       static_cast<std::size_t>(t.size()), scaffold.threads(),
-      [&t, &hpd, &nca, &table, enc,
+      [&t, &hpd, &nca, this, enc,
        exps = std::vector<std::uint64_t>{}](std::size_t i,
                                             BitWriter& w) mutable {
         const auto v = static_cast<NodeId>(i);
@@ -121,7 +116,8 @@ ApproxScheme::ApproxScheme(const TreeScaffold& scaffold, double eps,
           const NodeId up = t.parent(head);
           if (up == kNoNode) break;
           dist += t.root_distance(cur) - t.root_distance(head) + t.weight(head);
-          exps.push_back(table.round_up_exp(std::max<std::uint64_t>(1, dist)));
+          exps.push_back(
+              powers_.round_up_exp(std::max<std::uint64_t>(1, dist)));
           cur = up;
         }
 
@@ -159,20 +155,20 @@ ApproxAttachedLabel ApproxScheme::attach(BitSpan l) {
     std::uint64_t acc = 0;
     for (std::uint64_t i = 0; i < cnt; ++i) {
       acc += r.get_unary();
-      out.exps_.push_back(static_cast<std::uint32_t>(acc));
+      out.exps_.push_back(checked_exp(acc));
     }
   } else {
     const MonotoneSeq seq = MonotoneSeq::read_from(r);
     out.exps_.reserve(seq.size());
     for (std::size_t i = 0; i < seq.size(); ++i)
-      out.exps_.push_back(static_cast<std::uint32_t>(seq.get(i)));
+      out.exps_.push_back(checked_exp(seq.get(i)));
   }
   return out;
 }
 
-std::uint64_t ApproxScheme::query(double eps, const ApproxAttachedLabel& lu,
+std::uint64_t ApproxScheme::query(const RoundUpTable& powers,
+                                  const ApproxAttachedLabel& lu,
                                   const ApproxAttachedLabel& lv) {
-  const double half = eps / 2;
   const NcaResult res = NcaLabeling::query(lu.nca_, lv.nca_);
   switch (res.rel) {
     case NcaResult::Rel::kEqual:
@@ -191,15 +187,11 @@ std::uint64_t ApproxScheme::query(double eps, const ApproxAttachedLabel& lu,
   if (j == 0) throw bits::DecodeError("approx label: dominator at NCA");
   if (j > dom.exps_.size())
     throw bits::DecodeError("approx label: chain too short");
-  const long double approx_dw = exp_value(half, dom.exps_[j - 1]);
-  const long double estimate =
-      2.0L * approx_dw + (static_cast<long double>(oth.rd_) -
-                          static_cast<long double>(dom.rd_));
-  return static_cast<std::uint64_t>(std::floor(estimate));
+  return floor_estimate(powers.power(dom.exps_[j - 1]), dom.rd_, oth.rd_);
 }
 
-std::uint64_t ApproxScheme::query(double eps, BitSpan lu, BitSpan lv) {
-  const double half = eps / 2;
+std::uint64_t ApproxScheme::query(const RoundUpTable& powers, BitSpan lu,
+                                  BitSpan lv) {
   BitReader ru(lu), rv(lv);
   const std::uint64_t rd_u = ru.get_delta0();
   const std::uint64_t rd_v = rv.get_delta0();
@@ -230,21 +222,15 @@ std::uint64_t ApproxScheme::query(double eps, BitSpan lu, BitSpan lv) {
     if (j > cnt) throw bits::DecodeError("approx label: chain too short");
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < j; ++i) acc += rd.get_unary();
-    e = static_cast<std::uint32_t>(acc);
+    e = checked_exp(acc);
   } else {
     const MonotoneSeq seq = MonotoneSeq::read_from(rd);
     if (j > seq.size()) throw bits::DecodeError("approx label: chain too short");
-    e = static_cast<std::uint32_t>(seq.get(j - 1));
+    e = checked_exp(seq.get(j - 1));
   }
-  const long double approx_dw = exp_value(half, e);  // >= d(dominator, w)
-  const auto rd_dom = static_cast<std::int64_t>(res.u_first ? rd_u : rd_v);
-  const auto rd_oth = static_cast<std::int64_t>(res.u_first ? rd_v : rd_u);
-  // d(u,v) = 2 d(dom,w) + rd_oth - rd_dom; the rounding only inflates the
-  // first term, by a factor <= 1 + eps/2 <= 1 + eps/(2 d(dom,w)/d), hence
-  // the floored result stays in [d, (1+eps) d].
-  const long double estimate =
-      2.0L * approx_dw + static_cast<long double>(rd_oth - rd_dom);
-  return static_cast<std::uint64_t>(std::floor(estimate));
+  // powers.power(e) >= d(dominator, w).
+  return res.u_first ? floor_estimate(powers.power(e), rd_u, rd_v)
+                     : floor_estimate(powers.power(e), rd_v, rd_u);
 }
 
 }  // namespace treelab::core

@@ -14,6 +14,10 @@
 // stores them in unary (Theta(1/eps * log n) bits); using Lemma 2.2 costs
 // O(log(1/eps) * log n). Both encodings are implemented; the bench compares
 // them (the T1-approx ablation).
+//
+// A query reads (1+eps/2)^e back from a table of powers built once with the
+// scheme-wide eps (RoundUpTable), so an answer is word operations plus one
+// table load rather than a powl call.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,42 @@
 #include "tree/tree.hpp"
 
 namespace treelab::core {
+
+/// The scheme-wide constant of a (1+eps)-approximate query: the powers
+/// (1+eps/2)^e, e = 0, 1, ..., up to the first that reaches 2^64 (733 of
+/// them at eps = 1/8), capped at kMaxEntries (64 KB) for tiny eps. Every
+/// entry is the exact std::pow value, so the builder's rounding
+/// (round_up_exp) and a query's read-back (power) agree bit for bit with
+/// the formula; past the cap both fall back to std::pow. Built once per
+/// scheme or serving handle, never on the query path.
+class RoundUpTable {
+ public:
+  static constexpr std::size_t kMaxEntries = 4096;
+
+  /// Throws std::invalid_argument unless eps is in (0, 1].
+  explicit RoundUpTable(double eps);
+
+  [[nodiscard]] double eps() const noexcept { return eps_; }
+  [[nodiscard]] std::size_t size() const noexcept { return powers_.size(); }
+
+  /// Smallest integer e with (1+eps/2)^e >= x.
+  [[nodiscard]] std::uint32_t round_up_exp(std::uint64_t x) const;
+
+  /// (1+eps/2)^e as std::pow computes it: an over-estimate, by a factor of
+  /// at most 1+eps/2, of any x whose rounding exponent is e. Kept real:
+  /// rounding it up to an integer would add +1 absolute error and break
+  /// the multiplicative guarantee on small distances.
+  [[nodiscard]] long double power(std::uint32_t e) const {
+    return e < powers_.size() ? powers_[e] : pow_past_cap(e);
+  }
+
+ private:
+  [[nodiscard]] long double pow_past_cap(std::uint32_t e) const;
+
+  double eps_;
+  long double base_;
+  std::vector<long double> powers_;
+};
 
 /// A pre-parsed approximate-distance label for repeated queries: root
 /// distance, attached NCA label, and the fully decoded rounding-exponent
@@ -73,7 +113,9 @@ class ApproxScheme {
   ApproxScheme(const TreeScaffold& scaffold, double eps,
                Encoding enc = Encoding::kMonotone);
 
-  [[nodiscard]] double eps() const noexcept { return eps_; }
+  [[nodiscard]] double eps() const noexcept { return powers_.eps(); }
+  /// The scheme-wide constant its queries take.
+  [[nodiscard]] const RoundUpTable& powers() const noexcept { return powers_; }
   [[nodiscard]] bits::BitSpan label(tree::NodeId v) const noexcept {
     return labels_[static_cast<std::size_t>(v)];
   }
@@ -82,21 +124,23 @@ class ApproxScheme {
   }
   [[nodiscard]] LabelStats stats() const { return stats_of(labels_); }
 
-  /// A value in [d(u,v), (1+eps) d(u,v)], from labels alone (eps is the
-  /// scheme-wide constant the labels were built with).
-  [[nodiscard]] static std::uint64_t query(double eps, bits::BitSpan lu,
-                                           bits::BitSpan lv);
+  /// A value in [d(u,v), (1+eps) d(u,v)], from labels alone. `powers` is
+  /// the table of the eps the labels were built with (the scheme-wide
+  /// constant). Throws bits::DecodeError on malformed input, including an
+  /// exponent >= 2^32 or an estimate outside [0, 2^64).
+  [[nodiscard]] static std::uint64_t query(const RoundUpTable& powers,
+                                           bits::BitSpan lu, bits::BitSpan lv);
 
   /// One-time parse for repeated queries against the same label.
   [[nodiscard]] static ApproxAttachedLabel attach(bits::BitSpan l);
 
   /// Same result as the raw overload, without re-parsing either label.
-  [[nodiscard]] static std::uint64_t query(double eps,
+  [[nodiscard]] static std::uint64_t query(const RoundUpTable& powers,
                                            const ApproxAttachedLabel& lu,
                                            const ApproxAttachedLabel& lv);
 
  private:
-  double eps_;
+  RoundUpTable powers_;
   bits::LabelArena labels_;
 };
 

@@ -341,7 +341,7 @@ std::int64_t KDistanceQueryImpl::find_match_fast(const L& u, const L& v) {
   // which the two preorders differ.
   const int l = u.pre_ == v.pre_ ? 0 : bits::bitwidth(u.pre_ ^ v.pre_);
   const auto first_high = static_cast<std::int64_t>(
-      bits::successor(u.hl_, static_cast<std::uint64_t>(l)));
+      u.hl_.successor(static_cast<std::uint64_t>(l)));
   const std::int64_t s = std::max({first_eq, first_high, lo_s});
   return s <= hi_s ? s : -1;
 }

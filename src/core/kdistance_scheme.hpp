@@ -26,6 +26,7 @@
 // Defined for unit-weight trees.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,13 +52,17 @@ class KDistanceAttachedLabel {
  private:
   friend class KDistanceScheme;
   friend struct KDistanceQueryImpl;
-  /// A decoded chain array, read through MonotoneSeq's size()/get(i): one
-  /// query body runs on these arrays and on the raw path's views of the
-  /// stored sequences.
+  /// A decoded chain array, read through MonotoneSeq's size(), get(i) and
+  /// successor(x): one query body runs on these arrays and on the raw
+  /// path's views of the stored sequences.
   struct Array {
     std::vector<std::uint64_t> v;
     [[nodiscard]] std::size_t size() const noexcept { return v.size(); }
     [[nodiscard]] std::uint64_t get(std::size_t i) const { return v[i]; }
+    [[nodiscard]] std::size_t successor(std::uint64_t x) const noexcept {
+      return static_cast<std::size_t>(
+          std::lower_bound(v.begin(), v.end(), x) - v.begin());
+    }
   };
   std::uint64_t pre_ = 0;
   std::uint64_t lightdepth_ = 0;

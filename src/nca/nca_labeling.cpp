@@ -124,7 +124,7 @@ NcaResult NcaLabeling::query(const AttachedNcaLabel& u,
 
   // Map the differing bit to a component index: the number of boundaries <= d
   // in either label (they agree on all boundaries before the divergence).
-  const std::size_t comp = bits::successor(u.bounds_, d + 1);
+  const std::size_t comp = u.bounds_.successor(d + 1);
   const std::int32_t level = static_cast<std::int32_t>(comp / 2);
   const bool in_pos_code = (comp % 2) == 0;
   // Order-preserving codes: 0 sorts first.

@@ -130,18 +130,20 @@ struct PelegDispatch {
   }
 };
 
+/// Owns its power table: built once when the handle is made, shared by
+/// every copy of the handle and every thread that queries through it.
 struct ApproxDispatch {
   using Scheme = core::ApproxScheme;
-  double eps;
+  core::RoundUpTable powers;
   [[nodiscard]] Dist query(bits::BitSpan a, bits::BitSpan b) const {
-    return {true, Scheme::query(eps, a, b)};
+    return {true, Scheme::query(powers, a, b)};
   }
   [[nodiscard]] Scheme::Attached attach(bits::BitSpan l) const {
     return Scheme::attach(l);
   }
   [[nodiscard]] Dist query(const Scheme::Attached& a,
                            const Scheme::Attached& b) const {
-    return {true, Scheme::query(eps, a, b)};
+    return {true, Scheme::query(powers, a, b)};
   }
 };
 
@@ -242,9 +244,9 @@ AnyScheme AnyScheme::make(std::string_view scheme, std::string_view params) {
     } else {
       eps = parse_double(param_value(params, "eps"), "eps");
     }
-    if (!(eps > 0.0 && eps <= 1.0))
-      throw std::invalid_argument("AnyScheme: eps must be in (0, 1]");
-    return AnyScheme(make_impl(scheme, ApproxDispatch{eps}));
+    // The table rejects an eps outside (0, 1].
+    return AnyScheme(
+        make_impl(scheme, ApproxDispatch{core::RoundUpTable(eps)}));
   }
   throw std::invalid_argument("AnyScheme: unknown scheme tag '" +
                               std::string(scheme) + "'");

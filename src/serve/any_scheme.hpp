@@ -4,9 +4,10 @@
 // the next tree's k-distance; AnyScheme lets it store one handle per tree
 // and route raw and attached queries without knowing the concrete scheme.
 //
-// Scheme-wide constants (k, eps) are parsed out of the LabelStore params
-// string once, at make() time, and baked into the handle — exactly the
-// "labels plus scheme-wide constants" query model every scheme defines.
+// Scheme-wide constants (k, and approx's table of (1+eps/2) powers) are
+// parsed out of the LabelStore params string once, at make() time, and
+// baked into the handle — exactly the "labels plus scheme-wide constants"
+// query model every scheme defines.
 // Attached labels are produced and consumed through the same handle; mixing
 // attached labels across scheme *kinds* throws (mixing across two handles of
 // the same kind but different trees is undetectable and yields garbage, as

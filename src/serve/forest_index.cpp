@@ -173,10 +173,11 @@ tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
 }
 
 std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
-    std::string_view scheme, std::string_view params, bits::MappedArena labels,
-    std::uint64_t epoch, std::vector<tree::NodeId> ext_map) {
+    AnyScheme handle, std::string_view scheme, std::string_view params,
+    bits::MappedArena labels, std::uint64_t epoch,
+    std::vector<tree::NodeId> ext_map) {
   auto e = std::make_shared<TreeEntry>();
-  e->scheme = AnyScheme::make(scheme, params);
+  e->scheme = std::move(handle);
   e->scheme_name = scheme;
   e->params = params;
   e->labels = std::move(labels);
@@ -188,8 +189,9 @@ std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
 
 TreeId ForestIndex::add_entry(std::string_view scheme, std::string_view params,
                               bits::MappedArena labels) {
-  trees_.push_back(std::make_unique<Slot>(
-      make_entry(scheme, params, std::move(labels), 0, {})));
+  trees_.push_back(std::make_unique<Slot>(make_entry(
+      AnyScheme::make(scheme, params), scheme, params, std::move(labels), 0,
+      {})));
   return static_cast<TreeId>(trees_.size() - 1);
 }
 
@@ -255,13 +257,14 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
   if (auto fp = util::failpoint::check("forest.swap"))
     util::failpoint::raise(*fp, "forest.swap", "tree " + std::to_string(tree));
   Shard& sh = *shards_[shard_of(tree)];
+  const AnyScheme handle = AnyScheme::make(scheme, params);
   for (;;) {
-    // Entry construction (scheme parse, chain seed, ext-map composition —
-    // O(n) work) runs OUTSIDE the shard lock against a snapshot; the lock
-    // covers only the validate-and-swap plus the invalidation. Every query
-    // runs its attach/cache section under the same lock, re-loading the
-    // slot there — so any section ordered after ours sees the new entry,
-    // and no stale attachment can be re-inserted once the erase has run.
+    // Entry construction (chain seed, ext-map composition — O(n) work)
+    // runs OUTSIDE the shard lock against a snapshot; the lock covers only
+    // the validate-and-swap plus the invalidation. Every query runs its
+    // attach/cache section under the same lock, re-loading the slot there
+    // — so any section ordered after ours sees the new entry, and no stale
+    // attachment can be re-inserted once the erase has run.
     const EntryPtr old = sl.entry.load(std::memory_order_acquire);
     std::vector<tree::NodeId> ext_map;
     if (remap != nullptr) {
@@ -270,8 +273,9 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
             "ForestIndex: remap does not match the current labeling");
       ext_map = compose_ext_map(*old, *remap, labels.size(), nullptr, nullptr);
     }
-    std::shared_ptr<TreeEntry> fresh = make_entry(
-        scheme, params, std::move(labels), old->epoch + 1, std::move(ext_map));
+    std::shared_ptr<TreeEntry> fresh =
+        make_entry(handle, scheme, params, std::move(labels), old->epoch + 1,
+                   std::move(ext_map));
     if (chain != nullptr) fresh->chain = *chain;
     {
       const util::MutexLock lock(sh.mu);
@@ -408,7 +412,7 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
         *old, remap, patched.size(), &dirty_int, &stale_ext);
 
     std::shared_ptr<TreeEntry> fresh =
-        make_entry(old->scheme_name, old->params,
+        make_entry(old->scheme, old->scheme_name, old->params,
                    bits::MappedArena::adopt(std::move(patched)),
                    old->epoch + 1, std::move(ext_map));
     fresh->chain = d.new_chain;

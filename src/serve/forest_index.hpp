@@ -365,10 +365,12 @@ class ForestIndex {
   }
   TreeId add_entry(std::string_view scheme, std::string_view params,
                    bits::MappedArena labels);
-  /// Builds a fresh (still mutable) entry; the chain starts at the arena's
-  /// lens_hash — apply_delta overrides it with the delta's new_chain.
+  /// Builds a fresh (still mutable) entry around `handle`, the dispatcher
+  /// made from (scheme, params); the chain starts at the arena's lens_hash
+  /// — apply_delta overrides it with the delta's new_chain, and reuses the
+  /// live entry's handle, since a delta cannot change the scheme.
   [[nodiscard]] static std::shared_ptr<TreeEntry> make_entry(
-      std::string_view scheme, std::string_view params,
+      AnyScheme handle, std::string_view scheme, std::string_view params,
       bits::MappedArena labels, std::uint64_t epoch,
       std::vector<tree::NodeId> ext_map);
   /// External → internal id, validating range, tombstones (zero-length

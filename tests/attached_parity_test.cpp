@@ -82,8 +82,8 @@ TEST(AttachedParity, Approx) {
           att.push_back(core::ApproxScheme::attach(s.label(v)));
         for_random_pairs(t.size(), [&](NodeId u, NodeId v) {
           ASSERT_EQ(
-              core::ApproxScheme::query(eps, att[u], att[v]),
-              core::ApproxScheme::query(eps, s.label(u), s.label(v)))
+              core::ApproxScheme::query(s.powers(), att[u], att[v]),
+              core::ApproxScheme::query(s.powers(), s.label(u), s.label(v)))
               << "u=" << u << " v=" << v << " eps=" << eps;
         });
       }

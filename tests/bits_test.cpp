@@ -228,21 +228,31 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
   EXPECT_EQ(seq.bit_size(), e.bits.size());
   for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(seq.get(i), xs[i]) << i;
 
-  // Successor against naive, probing values around every element.
+  // Successor against naive, probing values around every element, on the
+  // aligned encoding and on copies of it at every bit offset 1-63 (so the
+  // high vector's words straddle the buffer's).
   const auto naive_succ = [&](std::uint64_t x) {
     for (std::size_t i = 0; i < s; ++i)
       if (xs[i] >= x) return i;
     return s;
   };
-  for (std::uint64_t probe : {std::uint64_t{0}, m / 2, m}) {
-    EXPECT_EQ(successor(seq, probe), naive_succ(probe));
+  std::vector<std::uint64_t> probes{0, m / 2, m, m + 1, ~std::uint64_t{0}};
+  for (const std::uint64_t x : xs) {
+    probes.push_back(x);
+    if (x > 0) probes.push_back(x - 1);
+    probes.push_back(x + 1);
   }
-  for (std::size_t i = 0; i < s; ++i) {
-    EXPECT_EQ(successor(seq, xs[i]), naive_succ(xs[i]));
-    if (xs[i] > 0) {
-      EXPECT_EQ(successor(seq, xs[i] - 1), naive_succ(xs[i] - 1));
-    }
-    EXPECT_EQ(successor(seq, xs[i] + 1), naive_succ(xs[i] + 1));
+  std::vector<std::size_t> want;
+  for (const std::uint64_t x : probes) want.push_back(naive_succ(x));
+  for (std::size_t p = 0; p < probes.size(); ++p)
+    EXPECT_EQ(seq.successor(probes[p]), want[p]) << "x=" << probes[p];
+  for (std::size_t off = 1; off < 64; ++off) {
+    const BitVec buf = embed(e.bits, off, 130, rng);
+    BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
+    const MonotoneSeq at = MonotoneSeq::read_from(r);
+    for (std::size_t p = 0; p < probes.size(); ++p)
+      ASSERT_EQ(at.successor(probes[p]), want[p])
+          << "off=" << off << " x=" << probes[p];
   }
 
   // Serialization roundtrip via a surrounding stream.
@@ -260,9 +270,13 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
   for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(back.get(i), xs[i]);
 }
 
+// The high vector holds s to 2s bits: one word for s <= 31, exactly 64
+// bits at s = 64, M = 0 (65 at M = 1), two words at s = 100, M = 0 and
+// three at s = 150, M = 0, so successor's word walk meets 1, 2 and 3 words.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MonotoneSeqParamTest,
-    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 2, 7, 31, 100, 500),
+    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 2, 7, 31, 64, 100,
+                                                      150, 500),
                        ::testing::Values<std::uint64_t>(0, 1, 5, 63, 1000,
                                                         1u << 20)));
 

@@ -53,7 +53,7 @@ TEST(ExhaustiveSmall, ApproxAllTrees) {
         for (NodeId u = 0; u < t.size(); ++u)
           for (NodeId v = 0; v < t.size(); ++v) {
             const auto got =
-                core::ApproxScheme::query(eps, s.label(u), s.label(v));
+                core::ApproxScheme::query(s.powers(), s.label(u), s.label(v));
             const std::uint64_t want = oracle.distance(u, v);
             ASSERT_GE(got, want) << "n=" << n << " u=" << u << " v=" << v;
             ASSERT_LE(static_cast<double>(got),

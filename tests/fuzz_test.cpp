@@ -13,6 +13,7 @@
 #include <optional>
 #include <random>
 #include <utility>
+#include <vector>
 
 #include "bits/bitio.hpp"
 #include "bits/monotone.hpp"
@@ -161,10 +162,78 @@ TEST(Fuzz, ApproxQuery) {
   const auto t = tree::random_tree(300, 5);
   const core::ApproxScheme s(t, 0.25);
   fuzz_labels(s.labels(),
-              [](BitSpan a, BitSpan b) {
-                return core::ApproxScheme::query(0.25, a, b);
+              [&s](BitSpan a, BitSpan b) {
+                return core::ApproxScheme::query(s.powers(), a, b);
               },
               15);
+}
+
+/// An approx label rebuilt around another one's NCA label: root distance
+/// `rd`, then either the original exponent field or, when `exps` is given,
+/// that sequence in the monotone encoding.
+BitVec approx_label(BitSpan l, std::uint64_t rd,
+                    const std::vector<std::uint64_t>* exps = nullptr) {
+  bits::BitReader r(l);
+  (void)r.get_delta0();
+  const std::uint64_t nca_len = r.get_delta0();
+  const BitSpan nca = r.get_span(static_cast<std::size_t>(nca_len));
+  const bool unary = r.get_bit();
+  bits::BitWriter w;
+  w.put_delta0(rd);
+  w.put_delta0(nca_len);
+  w.append(nca);
+  w.put_bit(unary);
+  if (exps != nullptr)
+    (void)bits::MonotoneSeq::encode_to(w, *exps, exps->back());
+  else
+    w.append(l.subspan(r.pos(), l.size() - r.pos()));
+  return w.take();
+}
+
+TEST(Fuzz, ApproxEstimateOutsideUint64Throws) {
+  // Nodes 1 and 7 are siblings and 7, the light one, dominates their
+  // query: the answer is 2 d(7, w) + rd(1) - rd(7), rounded up. A root
+  // distance of 2^62 on 7's label puts that near -2^62, a float-to-integer
+  // conversion out of range unless the estimate is checked first.
+  const auto t = tree::random_tree(512, 7);
+  const core::ApproxScheme s(t, 0.125);
+  const BitSpan l1 = s.label(1);
+  ASSERT_EQ(approx_label(s.label(7), t.root_distance(7)), BitVec(s.label(7)));
+  ASSERT_EQ(core::ApproxScheme::query(s.powers(), s.label(7), l1), 2u);
+  const BitVec crafted = approx_label(s.label(7), std::uint64_t{1} << 62);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), crafted, l1),
+               bits::DecodeError);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), l1, crafted),
+               bits::DecodeError);
+  const auto a7 = core::ApproxScheme::attach(crafted);
+  const auto a1 = core::ApproxScheme::attach(l1);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), a7, a1),
+               bits::DecodeError);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), a1, a7),
+               bits::DecodeError);
+}
+
+TEST(Fuzz, ApproxExponentPast32BitsThrows) {
+  // The same pair, with node 7's exponents all 2^32: the attached form
+  // keeps 32-bit exponents, so the decoders must reject it, not truncate
+  // it to 0.
+  const auto t = tree::random_tree(512, 7);
+  const core::ApproxScheme s(t, 0.125);
+  bits::BitReader r(s.label(7));
+  (void)r.get_delta0();
+  r.skip(static_cast<std::size_t>(r.get_delta0()));
+  ASSERT_FALSE(r.get_bit());
+  const std::vector<std::uint64_t> exps(
+      bits::MonotoneSeq::read_from(r).size(), std::uint64_t{1} << 32);
+  ASSERT_FALSE(exps.empty());
+  const BitVec crafted =
+      approx_label(s.label(7), t.root_distance(7), &exps);
+  const BitSpan l1 = s.label(1);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), crafted, l1),
+               bits::DecodeError);
+  EXPECT_THROW((void)core::ApproxScheme::query(s.powers(), l1, crafted),
+               bits::DecodeError);
+  EXPECT_THROW((void)core::ApproxScheme::attach(crafted), bits::DecodeError);
 }
 
 TEST(Fuzz, HugeLengthFieldDoesNotWrap) {

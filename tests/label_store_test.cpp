@@ -130,8 +130,9 @@ TEST(LabelStoreSchemes, ApproxRoundtripAndQueryParity) {
   for (NodeId u = 0; u < kN; u += 13)
     for (NodeId v = 0; v < kN; v += 7)
       ASSERT_EQ(
-          core::ApproxScheme::query(eps, loaded.labels[u], loaded.labels[v]),
-          core::ApproxScheme::query(eps, s.label(u), s.label(v)));
+          core::ApproxScheme::query(s.powers(), loaded.labels[u],
+                                    loaded.labels[v]),
+          core::ApproxScheme::query(s.powers(), s.label(u), s.label(v)));
 }
 
 TEST(LabelStoreSchemes, KDistanceRoundtripAndQueryParity) {

@@ -100,9 +100,10 @@ TEST_P(SweepTest, ApproxDominatedByTighterEps) {
   for (int i = 0; i < 400; ++i) {
     const NodeId u = pick(rng), v = pick(rng);
     const auto d = oracle.distance(u, v);
-    const auto el = core::ApproxScheme::query(1.0, loose.label(u), loose.label(v));
-    const auto et =
-        core::ApproxScheme::query(0.0625, tight.label(u), tight.label(v));
+    const auto el = core::ApproxScheme::query(loose.powers(), loose.label(u),
+                                              loose.label(v));
+    const auto et = core::ApproxScheme::query(tight.powers(), tight.label(u),
+                                              tight.label(v));
     ASSERT_GE(el, d);
     ASSERT_GE(et, d);
     ASSERT_LE(static_cast<double>(et), 1.0625 * static_cast<double>(d) + 1e-9);
