@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "bits/kernels.hpp"
 #include "bits/wordops.hpp"
 
 namespace treelab::bits {
@@ -53,7 +52,7 @@ MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
   out.lows_off_ = r.pos() - start;
   r.skip(out.s_ * static_cast<std::size_t>(out.low_width_));
   out.highs_off_ = r.pos() - start;
-  // Walk the s unary codes of the high vector: get() relies on it holding
+  // Walk the s unary codes of the high vector: walk() relies on it holding
   // exactly s ones and ending with the last.
   std::uint64_t hi_total = 0;
   for (std::size_t i = 0; i < out.s_; ++i) hi_total += r.get_unary();
@@ -63,37 +62,13 @@ MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
   return out;
 }
 
-std::uint64_t MonotoneSeq::get(std::size_t i) const {
-  if (i >= s_) throw std::out_of_range("MonotoneSeq::get");
-  // y_i = (position of the i-th one in the high vector) - i. The vector
-  // holds exactly s_ ones and ends with the last of them, so the word scan
-  // finds the i-th one before it reaches the end of enc_.
-  const kernels::Ops& k = kernels::ops();
-  std::size_t pos = highs_off_;
-  std::size_t rem = i;
-  for (;;) {
-    const int take =
-        static_cast<int>(std::min<std::size_t>(64, enc_.size() - pos));
-    const std::uint64_t w = enc_.read_bits(pos, take);
-    const auto ones = static_cast<std::size_t>(k.popcount(w));
-    if (rem < ones) {
-      const std::size_t one =
-          pos - highs_off_ +
-          static_cast<std::size_t>(k.select_in_word(w, static_cast<int>(rem)));
-      return (one - i) * b_ + low(i);
-    }
-    rem -= ones;
-    pos += 64;
-  }
-}
-
-std::size_t MonotoneSeq::successor(std::uint64_t x) const noexcept {
-  // Element i is y_i * b + low_i with low_i < b, and its high part y_i is
-  // the position of the i-th one in the high vector minus i. Walking the
-  // ones in order walks the elements in order; a low part is read only
-  // when x falls inside element i's block, the one case y_i cannot decide.
-  // read_from checked that the vector holds exactly s_ ones and ends with
-  // the last, so the walk stops inside enc_.
+// Element i is y_i * b + low_i with low_i < b, and its high part y_i is the
+// position of the i-th one in the high vector minus i. Walking the ones in
+// order, one std::countr_zero each, walks the elements in order. read_from
+// checked that the vector holds exactly s_ ones and ends with the last, so
+// the walk stops inside enc_.
+template <typename Stop>
+std::size_t MonotoneSeq::walk(Stop stop) const noexcept {
   std::size_t i = 0;
   for (std::size_t base = 0; i < s_; base += 64) {
     const std::size_t pos = highs_off_ + base;
@@ -103,11 +78,28 @@ std::size_t MonotoneSeq::successor(std::uint64_t x) const noexcept {
          w &= w - 1, ++i) {
       const std::uint64_t block =
           (base + static_cast<std::size_t>(std::countr_zero(w)) - i) * b_;
-      if (block >= x) return i;
-      if (x - block < b_ && block + low(i) >= x) return i;
+      if (stop(i, block)) return i;
     }
   }
   return s_;
+}
+
+std::uint64_t MonotoneSeq::get(std::size_t i) const {
+  if (i >= s_) throw std::out_of_range("MonotoneSeq::get");
+  std::uint64_t block = 0;
+  (void)walk([&](std::size_t j, std::uint64_t blk) {
+    block = blk;
+    return j == i;
+  });
+  return block + low(i);
+}
+
+std::size_t MonotoneSeq::successor(std::uint64_t x) const noexcept {
+  // A low part is read only when x falls inside element i's block, the one
+  // case its high part cannot decide.
+  return walk([&](std::size_t i, std::uint64_t block) {
+    return block >= x || (x - block < b_ && block + low(i) >= x);
+  });
 }
 
 }  // namespace treelab::bits

@@ -13,12 +13,12 @@
 //   (3) lcs_of_prefixes: longest common suffix of two specified prefixes.
 // The paper obtains O(1) time when s, M = O(log n) because the whole
 // encoding fits in O(1) machine words. That is also how (1) and (2) are
-// answered here, straight from the high vector a word at a time: get(i)
-// takes a per-word count, then an in-word select; successor(x) walks the
-// ones in one pass with std::countr_zero, reading a low part only where
+// answered here, straight from the high vector a word at a time: both walk
+// its ones in order with std::countr_zero, get(i) up to the i-th one and
+// successor(x) until an element reaches x, reading a low part only where
 // the high part alone cannot decide. (3) is built on get(). In every label
 // of random trees at n = 2^14 and 2^18 the high vector is at most 65 bits,
-// so either walk is one or two words.
+// so the walk covers one or two words.
 //
 // A MonotoneSeq is a view: read_from() checks an encoding where it lies
 // inside a label and records where its parts start, copying nothing.
@@ -68,6 +68,12 @@ class MonotoneSeq {
     return enc_.read_bits(lows_off_ + i * static_cast<std::size_t>(low_width_),
                           low_width_);
   }
+
+  /// Walks the elements in order and returns the first i for which
+  /// stop(i, block) is true, or size() if none; block is y_i * b, the first
+  /// value of element i's block.
+  template <typename Stop>
+  [[nodiscard]] std::size_t walk(Stop stop) const noexcept;
 
   BitSpan enc_;         // the encoding, in place (this is what is counted)
   std::size_t s_ = 0;   // number of elements

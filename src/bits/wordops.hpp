@@ -59,20 +59,4 @@ namespace treelab::bits {
   return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
 }
 
-/// Position (0-based) of the k-th set bit of `w` by popcount-guided binary
-/// halving — a constant number of popcounts/shifts, no data-dependent loop.
-/// Precondition: k < popcount(w).
-[[nodiscard]] constexpr int select_in_word(std::uint64_t w, int k) noexcept {
-  int pos = 0;
-  for (int width = 32; width >= 1; width >>= 1) {
-    const int c = std::popcount(w & low_mask(width));
-    if (k >= c) {
-      k -= c;
-      w >>= width;
-      pos += width;
-    }
-  }
-  return pos;
-}
-
 }  // namespace treelab::bits

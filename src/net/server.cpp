@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -243,8 +244,14 @@ struct Server::Impl {
       return;
     }
     const std::uint64_t t0 = obs::now_ns();
-    const std::vector<serve::QueryResult> results =
-        index.query_batch_checked(reqs);
+    std::vector<serve::QueryResult> results;
+    try {
+      results = index.query_batch_checked(reqs);
+    } catch (const std::exception&) {
+      // A label that fails to decode: refuse this batch, keep the loop.
+      send_error(c, "query batch failed");
+      return;
+    }
     ctr.query_batches.fetch_add(1, std::memory_order_relaxed);
     ctr.queries.fetch_add(reqs.size(), std::memory_order_relaxed);
     queue_frame(c, MsgType::kQueryReply, encode_query_reply(results));

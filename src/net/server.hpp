@@ -4,9 +4,11 @@
 // sends kQueryBatch frames, the server answers each with one kQueryReply
 // from ForestIndex::query_batch_checked — the non-throwing API, so one bad
 // tree or node id degrades one result, never the connection, and never the
-// process. Replication traffic rides the same loop: a follower sends
-// kSubscribe and the server streams the attached DeltaJournal's committed
-// records (kDelta frames) at it, falling back to a full kSnapshot when the
+// process. A label that fails to decode fails its whole batch: that batch
+// gets one kError frame, the connection is closed, and the loop serves on.
+// Replication traffic rides the same loop: a follower sends kSubscribe and
+// the server streams the attached DeltaJournal's committed records (kDelta
+// frames) at it, falling back to a full kSnapshot when the
 // follower's epoch predates the journal (see net/replicator.hpp for the
 // other side). A subscriber that drains the committed records gets one
 // kCaughtUp frame (re-armed by every later delta/snapshot), and any peer

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
-#include "bits/kernels.hpp"
 #include "util/failpoint.hpp"
-#include "util/fs.hpp"
 #include "util/io_error.hpp"
 #include "util/parallel.hpp"
 
@@ -51,7 +48,6 @@ ForestIndex::ForestIndex(ForestOptions opt) : opt_(opt) {
   // Registry::snapshot() takes shard locks (cache_stats()) under its mutex:
   // resolve the lazy lookups a first query would make here.
   (void)ServeMetrics::get();
-  (void)bits::kernels::level();
   const std::size_t shards =
       opt_.shards > 0 ? opt_.shards
                       : static_cast<std::size_t>(util::thread_count());
@@ -433,22 +429,6 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
     });
     return old->epoch + 1;
   }
-}
-
-std::uint64_t ForestIndex::apply_delta_file(TreeId tree,
-                                            const std::string& path) {
-  Slot& sl = slot(tree);
-  std::istringstream is(with_retries(sl, [&] { return util::read_file(path); }),
-                        std::ios::binary);
-  core::LabelDelta d;
-  try {
-    d = core::LabelStore::load_delta(is);
-  } catch (const std::runtime_error&) {
-    // The bytes were read fine but are not a valid delta container.
-    note_integrity_failure(sl);
-    throw;
-  }
-  return apply_delta(tree, d);
 }
 
 AnyScheme ForestIndex::scheme(TreeId tree) const { return entry(tree)->scheme; }

@@ -40,8 +40,8 @@
 //     answering for whatever node now occupies the slot.
 //
 //   * graceful degradation: every tree carries a health state (live /
-//     stale / quarantined). Transient I/O failures (util::IoError) in the
-//     file-fed update paths are retried with exponential backoff; if they
+//     stale / quarantined). Transient I/O failures (util::IoError) in
+//     update_file() are retried with exponential backoff; if they
 //     persist the tree is marked *stale* — it keeps serving its last good
 //     labeling. Integrity failures (corrupt files, deltas that do not
 //     chain) are never retried; after kQuarantineAfter consecutive ones
@@ -199,9 +199,6 @@ class ForestIndex {
   /// the delta does not match the live labeling or is corrupt.
   std::uint64_t apply_delta(TreeId tree, const core::LabelDelta& delta);
 
-  /// apply_delta() from a v3 delta file.
-  std::uint64_t apply_delta_file(TreeId tree, const std::string& path);
-
   [[nodiscard]] std::size_t tree_count() const noexcept {
     return trees_.size();
   }
@@ -245,8 +242,8 @@ class ForestIndex {
   /// Below this many requests per thread, fan-out overhead beats the win.
   static constexpr std::size_t kFanoutBatchPerThread = 256;
 
-  /// Transient (util::IoError) failures in update_file()/apply_delta_file()
-  /// are retried this many times beyond the first attempt...
+  /// Transient (util::IoError) failures in update_file() are retried this
+  /// many times beyond the first attempt...
   static constexpr int kRetries = 2;
   /// ...sleeping this long before the first retry, doubling each time.
   static constexpr int kRetryBackoffMs = 1;
@@ -289,7 +286,8 @@ class ForestIndex {
   /// (same snapshotting, sharding and caching rules). This is the front
   /// end a network server should call — one poisoned tree (or one bad
   /// client id) must not take down a batch that also touches healthy
-  /// trees.
+  /// trees. A label that fails to decode throws (bits::DecodeError), which
+  /// fails the whole batch.
   [[nodiscard]] std::vector<QueryResult> query_batch_checked(
       std::span<const Request> reqs) const;
 

@@ -1,6 +1,6 @@
 // Unit and property tests for the bits substrate: BitVec, BitReader/Writer,
-// Elias codes, alphabetic codes, in-word select, and the Lemma 2.2
-// monotone sequence codec.
+// Elias codes, alphabetic codes, and the Lemma 2.2 monotone sequence
+// codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,22 +182,6 @@ TEST(BitIo, GammaCodeLengths) {
   }
 }
 
-TEST(WordOps, SelectInWord) {
-  std::mt19937_64 rng(11);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t w = rng() & rng();  // varied density
-    int k = 0;
-    for (int i = 0; i < 64; ++i) {
-      if ((w >> i) & 1) {
-        EXPECT_EQ(select_in_word(w, k++), i) << w;
-      }
-    }
-  }
-  EXPECT_EQ(select_in_word(1, 0), 0);
-  EXPECT_EQ(select_in_word(std::uint64_t{1} << 63, 0), 63);
-  EXPECT_EQ(select_in_word(~std::uint64_t{0}, 63), 63);
-}
-
 TEST(BitVec, MoveLeavesSourceEmpty) {
   BitVec v;
   for (int i = 0; i < 200; ++i) v.push_back(i % 3 == 0);
@@ -218,61 +202,78 @@ class MonotoneSeqParamTest
 TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
   const auto [s, m] = GetParam();
   std::mt19937_64 rng(s * 1000003 + m);
-  std::vector<std::uint64_t> xs(s);
-  for (auto& x : xs) x = m == 0 ? 0 : rng() % (m + 1);
-  std::sort(xs.begin(), xs.end());
+  const auto check = [&](const std::vector<std::uint64_t>& xs) {
+    const Encoded e = encode(xs, m);
+    const MonotoneSeq& seq = e.seq;
+    ASSERT_EQ(seq.size(), s);
+    EXPECT_EQ(seq.bit_size(), e.bits.size());
+    for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(seq.get(i), xs[i]) << i;
 
-  const Encoded e = encode(xs, m);
-  const MonotoneSeq& seq = e.seq;
-  ASSERT_EQ(seq.size(), s);
-  EXPECT_EQ(seq.bit_size(), e.bits.size());
-  for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(seq.get(i), xs[i]) << i;
-
-  // Successor against naive, probing values around every element, on the
-  // aligned encoding and on copies of it at every bit offset 1-63 (so the
-  // high vector's words straddle the buffer's).
-  const auto naive_succ = [&](std::uint64_t x) {
-    for (std::size_t i = 0; i < s; ++i)
-      if (xs[i] >= x) return i;
-    return s;
-  };
-  std::vector<std::uint64_t> probes{0, m / 2, m, m + 1, ~std::uint64_t{0}};
-  for (const std::uint64_t x : xs) {
-    probes.push_back(x);
-    if (x > 0) probes.push_back(x - 1);
-    probes.push_back(x + 1);
-  }
-  std::vector<std::size_t> want;
-  for (const std::uint64_t x : probes) want.push_back(naive_succ(x));
-  for (std::size_t p = 0; p < probes.size(); ++p)
-    EXPECT_EQ(seq.successor(probes[p]), want[p]) << "x=" << probes[p];
-  for (std::size_t off = 1; off < 64; ++off) {
-    const BitVec buf = embed(e.bits, off, 130, rng);
-    BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
-    const MonotoneSeq at = MonotoneSeq::read_from(r);
+    // get and successor against naive, probing values around every
+    // element, on the aligned encoding and on copies of it at every bit
+    // offset 1-63 (so the high vector's words straddle the buffer's).
+    const auto naive_succ = [&](std::uint64_t x) {
+      for (std::size_t i = 0; i < s; ++i)
+        if (xs[i] >= x) return i;
+      return s;
+    };
+    std::vector<std::uint64_t> probes{0, m / 2, m, m + 1, ~std::uint64_t{0}};
+    for (const std::uint64_t x : xs) {
+      probes.push_back(x);
+      if (x > 0) probes.push_back(x - 1);
+      probes.push_back(x + 1);
+    }
+    std::vector<std::size_t> want;
+    for (const std::uint64_t x : probes) want.push_back(naive_succ(x));
     for (std::size_t p = 0; p < probes.size(); ++p)
-      ASSERT_EQ(at.successor(probes[p]), want[p])
-          << "off=" << off << " x=" << probes[p];
-  }
+      EXPECT_EQ(seq.successor(probes[p]), want[p]) << "x=" << probes[p];
+    for (std::size_t off = 1; off < 64; ++off) {
+      const BitVec buf = embed(e.bits, off, 130, rng);
+      BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
+      const MonotoneSeq at = MonotoneSeq::read_from(r);
+      for (std::size_t i = 0; i < s; ++i)
+        ASSERT_EQ(at.get(i), xs[i]) << "off=" << off << " i=" << i;
+      for (std::size_t p = 0; p < probes.size(); ++p)
+        ASSERT_EQ(at.successor(probes[p]), want[p])
+            << "off=" << off << " x=" << probes[p];
+    }
 
-  // Serialization roundtrip via a surrounding stream.
-  BitWriter w;
-  w.put_delta0(42);
-  const std::size_t written = MonotoneSeq::encode_to(w, xs, m);
-  w.put_delta0(99);
-  const BitVec enc = w.take();
-  BitReader r(enc);
-  EXPECT_EQ(r.get_delta0(), 42u);
-  const MonotoneSeq back = MonotoneSeq::read_from(r);
-  EXPECT_EQ(r.get_delta0(), 99u);
-  ASSERT_EQ(back.size(), s);
-  EXPECT_EQ(back.bit_size(), written);
-  for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(back.get(i), xs[i]);
+    // Serialization roundtrip via a surrounding stream.
+    BitWriter w;
+    w.put_delta0(42);
+    const std::size_t written = MonotoneSeq::encode_to(w, xs, m);
+    w.put_delta0(99);
+    const BitVec enc = w.take();
+    BitReader r(enc);
+    EXPECT_EQ(r.get_delta0(), 42u);
+    const MonotoneSeq back = MonotoneSeq::read_from(r);
+    EXPECT_EQ(r.get_delta0(), 99u);
+    ASSERT_EQ(back.size(), s);
+    EXPECT_EQ(back.bit_size(), written);
+    for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(back.get(i), xs[i]);
+  };
+
+  std::vector<std::uint64_t> random(s);
+  for (auto& x : random) x = m == 0 ? 0 : rng() % (m + 1);
+  std::sort(random.begin(), random.end());
+  {
+    SCOPED_TRACE("random");
+    check(random);
+  }
+  // s-1 zeros, then M: the high vector is s-1 ones, one long gap, and a
+  // last one. At s = 150 and 500 with M >= 1000 the gap covers at least
+  // one whole word, so the walk crosses a word that holds no ones.
+  std::vector<std::uint64_t> clustered(s, 0);
+  if (s > 0) clustered.back() = m;
+  {
+    SCOPED_TRACE("clustered");
+    check(clustered);
+  }
 }
 
 // The high vector holds s to 2s bits: one word for s <= 31, exactly 64
 // bits at s = 64, M = 0 (65 at M = 1), two words at s = 100, M = 0 and
-// three at s = 150, M = 0, so successor's word walk meets 1, 2 and 3 words.
+// three at s = 150, M = 0, so the word walk meets 1, 2 and 3 words.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MonotoneSeqParamTest,
     ::testing::Combine(::testing::Values<std::size_t>(0, 1, 2, 7, 31, 64, 100,

@@ -2,8 +2,10 @@
 // the replication-lag metrics: after real query traffic the counters and
 // latency histograms a dump carries must be non-zero; after a follower
 // converges the lag gauges must read caught-up; a malformed kStats frame
-// (non-empty payload) must be rejected without hurting the server; and an
-// overloaded server must shed batches, count it, and recover.
+// (non-empty payload) must be rejected without hurting the server; a
+// batch whose labels fail to decode must get kError while the server
+// keeps serving; and an overloaded server must shed batches, count it, and
+// recover.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,12 +16,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bits/label_arena.hpp"
+#include "core/alstrup_scheme.hpp"
 #include "core/delta_journal.hpp"
 #include "core/incremental_relabeler.hpp"
+#include "core/label_store.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/net_io.hpp"
@@ -214,6 +220,48 @@ TEST(NetStats, MalformedStatsFrameIsRejected) {
   EXPECT_TRUE(client.stats(lines));
   EXPECT_GE(stat_value(lines, "net.server.bad_frames"), 1u);
   server.stop();
+}
+
+TEST(NetStats, UndecodableLabelFailsItsBatchNotTheServer) {
+  // Both files are valid containers, but every label of the second is 40
+  // one-bits, which no Alstrup decoder accepts. The batch that reaches one
+  // gets kError; the server keeps answering other connections.
+  const tree::Tree t = tree::random_tree(64, 1);
+  const tree::NcaIndex oracle(t);
+  const std::string stem = testing::TempDir() + "/net_stats_decode_" +
+                           std::to_string(::getpid());
+  const std::string good_path = stem + "_good.lbl";
+  const std::string junk_path = stem + "_junk.lbl";
+  core::LabelStore::save_file(good_path, "alstrup",
+                              core::AlstrupScheme(t).labels());
+  core::LabelStore::save_file(
+      junk_path, "alstrup",
+      bits::LabelArena::build(64, 1, [](std::size_t, bits::BitWriter& w) {
+        for (int b = 0; b < 40; ++b) w.put_bit(true);
+      }));
+  serve::ForestIndex index;
+  const serve::TreeId good = index.add_file(good_path);
+  const serve::TreeId junk = index.add_file(junk_path);
+  net::Server server(index);
+  server.start();
+
+  using Status = net::QueryClient::BatchStatus;
+  std::vector<serve::QueryResult> out;
+  net::QueryClient first("127.0.0.1", server.port());
+  ASSERT_TRUE(first.connected());
+  const std::vector<serve::Request> poisoned{{good, 1, 2}, {junk, 1, 2}};
+  EXPECT_EQ(first.query_batch(poisoned, out), Status::kError);
+
+  net::QueryClient second("127.0.0.1", server.port());
+  ASSERT_TRUE(second.connected());
+  const std::vector<serve::Request> clean{{good, 1, 2}};
+  ASSERT_EQ(second.query_batch(clean, out), Status::kOk);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].status, serve::QueryStatus::kOk);
+  EXPECT_EQ(out[0].dist.value, oracle.distance(1, 2));
+  server.stop();
+  std::remove(good_path.c_str());
+  std::remove(junk_path.c_str());
 }
 
 TEST(NetStats, OverloadShedsThenRecovers) {
