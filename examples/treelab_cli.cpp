@@ -24,10 +24,6 @@
 //                                                  version-1 files)
 //   treelab_cli load <labels.lbl>                 (open for serving, report
 //                                                  mapped vs streamed)
-//   treelab_cli serve-bench <labels.lbl...> [--shards S] [--threads T]
-//                                           [--batch B] [--seed X]
-//                                                 (ForestIndex batch QPS
-//                                                  over the given forest)
 //   treelab_cli update <tree.txt> <out.lbl> [--edits E] [--seed X]
 //                                           [--tree-out grown.txt]
 //                                                 (dynamic forests: build
@@ -108,7 +104,6 @@
 //   treelab_cli gen random 1000 7 > t.txt
 //   treelab_cli label fgnw t.txt t.lbl
 //   treelab_cli query t.lbl 12 900
-//   treelab_cli serve-bench t.lbl --shards 4
 //   treelab_cli update t.txt t2.lbl --edits 500 --tree-out t2.txt
 //   treelab_cli delta-save t.txt base.lbl churn.delta --edits 200
 //   treelab_cli delta-apply base.lbl churn.delta patched.lbl
@@ -159,8 +154,6 @@ int usage() {
                "  treelab_cli stats <host>:<port> [--probe N]\n"
                "  treelab_cli save <in.lbl> <out.lbl>\n"
                "  treelab_cli load <labels.lbl>\n"
-               "  treelab_cli serve-bench <labels.lbl...> [--shards S] "
-               "[--threads T] [--batch B] [--seed X]\n"
                "  treelab_cli update <tree.txt> <out.lbl> [--edits E] "
                "[--seed X] [--tree-out grown.txt]\n"
                "  treelab_cli delta-save <tree.txt> <base.lbl> <out.delta> "
@@ -290,84 +283,6 @@ int print_label_file(const char* path) {
 int cmd_load(int argc, char** argv) {
   if (argc != 3) return usage();
   return print_label_file(argv[2]);
-}
-
-int cmd_serve_bench(int argc, char** argv) {
-  serve::ForestOptions opt;
-  std::size_t batch = 4096;
-  std::uint64_t seed = 1;
-  std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      const std::string name = argv[i];
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name.c_str());
-        return 2;
-      }
-      const char* val = argv[++i];
-      char* end = nullptr;
-      const long long v = std::strtoll(val, &end, 10);
-      if (*val == '\0' || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "bad value '%s' for %s\n", val, name.c_str());
-        return 2;
-      }
-      if (name == "--shards")
-        opt.shards = static_cast<std::size_t>(v);
-      else if (name == "--threads")
-        opt.threads = static_cast<int>(v);
-      else if (name == "--batch")
-        batch = static_cast<std::size_t>(v);
-      else if (name == "--seed")
-        seed = static_cast<std::uint64_t>(v);
-      else
-        return usage();
-      continue;
-    }
-    files.emplace_back(argv[i]);
-  }
-  if (files.empty() || batch == 0) return usage();
-
-  serve::ForestIndex index(opt);
-  for (const auto& f : files) {
-    const serve::TreeId id = index.add_file(f);
-    if (index.label_count(id) == 0) {
-      std::fprintf(stderr, "%s holds no labels; nothing to query\n",
-                   f.c_str());
-      return 1;
-    }
-    std::printf("tree %u: %s, %zu labels, %s\n", id,
-                index.scheme(id).name().c_str(), index.label_count(id),
-                index.mapped(id) ? "mmap" : "owned");
-  }
-
-  std::mt19937_64 rng(seed);
-  std::vector<serve::Request> reqs(batch);
-  for (auto& r : reqs) {
-    r.tree = static_cast<serve::TreeId>(rng() % index.tree_count());
-    const auto n = static_cast<std::uint64_t>(index.label_count(r.tree));
-    r.u = static_cast<tree::NodeId>(rng() % n);
-    r.v = static_cast<tree::NodeId>(rng() % n);
-  }
-
-  using clock = std::chrono::steady_clock;
-  (void)index.query_batch(reqs);  // warmup (and cache fill)
-  const auto t0 = clock::now();
-  std::size_t done = 0;
-  double dt = 0;
-  do {
-    (void)index.query_batch(reqs);
-    done += reqs.size();
-    dt = std::chrono::duration<double>(clock::now() - t0).count();
-  } while (dt < 0.5);
-  const auto st = index.cache_stats();
-  std::printf(
-      "batch_qps=%.0f (shards=%zu threads=%d batch=%zu)\n"
-      "cache: %zu entries, %zu bytes, %zu hits, %zu misses, %zu evictions, "
-      "%zu refused\n",
-      static_cast<double>(done) / dt, index.shard_count(),
-      opt.threads, batch, st.entries, st.bytes, st.hits, st.misses,
-      st.evictions, st.refused);
-  return 0;
 }
 
 int cmd_update(int argc, char** argv) {
@@ -952,8 +867,8 @@ int cmd_stats_remote(int argc, char** argv) {
     return 1;
   }
   // Warm the server's query/latency metrics before the dump. Out-of-range
-  // ids only degrade individual results (query_batch_checked), so blind
-  // probes against a small tree are safe.
+  // ids only degrade individual results (ForestIndex::query_batch), so
+  // blind probes against a small tree are safe.
   std::mt19937_64 rng(1);
   for (long long b = 0; b < probe; ++b) {
     std::vector<serve::Request> reqs(64);
@@ -999,8 +914,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[1], "stats") == 0) return cmd_stats(argc, argv);
     if (std::strcmp(argv[1], "save") == 0) return cmd_save(argc, argv);
     if (std::strcmp(argv[1], "load") == 0) return cmd_load(argc, argv);
-    if (std::strcmp(argv[1], "serve-bench") == 0)
-      return cmd_serve_bench(argc, argv);
     if (std::strcmp(argv[1], "update") == 0) return cmd_update(argc, argv);
     if (std::strcmp(argv[1], "delta-save") == 0)
       return cmd_delta_save(argc, argv);

@@ -246,7 +246,7 @@ struct Server::Impl {
     const std::uint64_t t0 = obs::now_ns();
     std::vector<serve::QueryResult> results;
     try {
-      results = index.query_batch_checked(reqs);
+      results = index.query_batch(reqs);
     } catch (const std::exception&) {
       // A label that fails to decode: refuse this batch, keep the loop.
       send_error(c, "query batch failed");

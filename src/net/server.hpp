@@ -2,9 +2,9 @@
 //
 // One event loop owns every socket. Query traffic is batch-RPC: a client
 // sends kQueryBatch frames, the server answers each with one kQueryReply
-// from ForestIndex::query_batch_checked — the non-throwing API, so one bad
-// tree or node id degrades one result, never the connection, and never the
-// process. A label that fails to decode fails its whole batch: that batch
+// from ForestIndex::query_batch, whose typed per-request results mean one
+// bad tree or node id degrades one result, never the connection, and never
+// the process. A label that fails to decode fails its whole batch: that batch
 // gets one kError frame, the connection is closed, and the loop serves on.
 // Replication traffic rides the same loop: a follower sends kSubscribe and
 // the server streams the attached DeltaJournal's committed records (kDelta

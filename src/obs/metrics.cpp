@@ -49,12 +49,13 @@ Registry& Registry::global() {
   // Leaked on purpose (never destroyed): hot-path metric references held
   // by long-lived objects must stay valid through static destruction. The
   // util-layer globals ride along as permanent callbacks — their guards
-  // are leaked too.
+  // are leaked too, held by a static pointer so that LeakSanitizer sees
+  // them as reachable rather than lost.
   static Registry* g = [] {
     // lint: allow(naked-new): deliberate leak — must outlive static dtors
     auto* r = new Registry();
     // lint: allow(naked-new): guards leak with the registry they point at
-    auto* guards = new std::vector<CallbackGuard>();
+    static auto* guards = new std::vector<CallbackGuard>();
     guards->push_back(r->set_callback("util.thread_env_rejections",
                                       [] { return util::thread_env_rejections(); }));
     guards->push_back(r->set_callback("util.failpoint.trips",

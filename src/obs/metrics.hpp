@@ -11,9 +11,9 @@
 //   * safe from any thread — mutators never take a lock; only
 //     registration and snapshot serialize on the registry mutex,
 //   * compile-out — `-DTREELAB_OBS=OFF` defines TREELAB_NO_OBS and turns
-//     every mutation into a no-op (and ScopedTimer stops reading the
-//     clock), mirroring TREELAB_FAILPOINTS; CI asserts the *enabled*
-//     build costs <= 2% batch QPS against this baseline.
+//     every mutation into a no-op (and now_ns() stops reading the clock);
+//     CI asserts the *enabled* build costs <= 2% batch QPS against this
+//     baseline.
 //
 // Instances of ForestIndex / net::Server / net::Replicator come and go
 // (tests build dozens); their per-instance counters are exposed through
@@ -168,21 +168,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-};
-
-/// Times a scope into a histogram (2 clock reads; none when compiled out).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& h) : h_(h), t0_(now_ns()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if constexpr (kEnabled) h_.record(now_ns() - t0_);
-  }
-
- private:
-  Histogram& h_;
-  std::uint64_t t0_;
 };
 
 /// One flattened metric line: histograms expand into `<name>_count`,

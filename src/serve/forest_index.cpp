@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/failpoint.hpp"
@@ -21,11 +22,10 @@ std::uint64_t cache_key(TreeId tree, tree::NodeId u) noexcept {
 
 // Latency/size metrics shared by every ForestIndex in the process;
 // references resolved once so the batch hot path never touches the
-// registry map. The single-query path times every query exactly; the
-// batch path records two clock reads per batch plus a *sampled* per-query
-// latency (every kLatencySampleEvery-th answered request) into the same
-// `serve.query.latency_ns` histogram, so the latency metric sees batch
-// traffic without paying two clock reads per query.
+// registry map. A batch reads the clock twice for its own latency and
+// records a *sampled* per-query latency (every kLatencySampleEvery-th
+// answered request) into `serve.query.latency_ns`, so that histogram sees
+// batch traffic without paying two clock reads per query.
 struct ServeMetrics {
   obs::Histogram& query_ns;
   obs::Histogram& batch_ns;
@@ -155,7 +155,7 @@ auto ForestIndex::with_retries(Slot& s, Read&& read) {
 
 tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
   if (ext < 0 || static_cast<std::size_t>(ext) >= e.ext_size())
-    throw std::out_of_range("ForestIndex: node id out of range");
+    return tree::kNoNode;
   const tree::NodeId i =
       e.ext_to_int.empty() ? ext
                            : e.ext_to_int[static_cast<std::size_t>(ext)];
@@ -164,7 +164,7 @@ tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
   // same deterministic way — never answer for whatever occupies the slot.
   if (i == tree::kNoNode ||
       e.labels.label_bits(static_cast<std::size_t>(i)) == 0)
-    throw std::out_of_range("ForestIndex: node id is no longer in the tree");
+    return tree::kNoNode;
   return i;
 }
 
@@ -257,10 +257,11 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
   for (;;) {
     // Entry construction (chain seed, ext-map composition — O(n) work)
     // runs OUTSIDE the shard lock against a snapshot; the lock covers only
-    // the validate-and-swap plus the invalidation. Every query runs its
-    // attach/cache section under the same lock, re-loading the slot there
-    // — so any section ordered after ours sees the new entry, and no stale
-    // attachment can be re-inserted once the erase has run.
+    // the validate-and-swap plus the invalidation. A batch uses the cache
+    // only after checking, under the same lock, that its snapshot is still
+    // the slot's entry — so any section ordered after ours sees the new
+    // entry, and no stale attachment can be re-inserted once the erase has
+    // run.
     const EntryPtr old = sl.entry.load(std::memory_order_acquire);
     std::vector<tree::NodeId> ext_map;
     if (remap != nullptr) {
@@ -523,30 +524,14 @@ Dist ForestIndex::query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
                         e.labels.view(static_cast<std::size_t>(iv)));
 }
 
-Dist ForestIndex::query(const Request& r) const {
-  const obs::ScopedTimer timer(ServeMetrics::get().query_ns);
-  const Slot& sl = slot(r.tree);
-  if (health_of(sl) == TreeHealth::kQuarantined)
-    throw QuarantinedError(r.tree);
-  Shard& sh = *shards_[shard_of(r.tree)];
-  const util::MutexLock lock(sh.mu);
-  // Load the slot *under the shard lock*: anything this query inserts into
-  // the cache belongs to the labeling a concurrent update() will (or did)
-  // invalidate against — see swap_entry().
-  const EntryPtr e = sl.entry.load(std::memory_order_acquire);
-  const tree::NodeId iu = resolve(*e, r.u);
-  const tree::NodeId iv = resolve(*e, r.v);
-  return query_resolved_locked(sh, r, iu, iv, *e);
-}
-
 ForestIndex::BatchPlan ForestIndex::plan_batch(
     std::span<const Request> reqs, std::span<QueryResult> results) const {
   BatchPlan plan;
   plan.t0 = obs::now_ns();
   plan.by_shard.resize(shards_.size());
-  // One serial pass in request order, so the first non-OK status is the
-  // first offender in request order. A tree's first request loads its entry
-  // snapshot; the rest of the batch resolves against the same one.
+  std::unordered_map<TreeId, std::uint32_t> snap_of;  // tree -> plan.snaps
+  // One serial pass in request order. A tree's first request loads its
+  // entry snapshot; the rest of the batch resolves against the same one.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const Request& r = reqs[i];
     if (r.tree >= trees_.size()) {
@@ -557,19 +542,20 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
       results[i].status = QueryStatus::kQuarantined;
       continue;
     }
-    const auto [it, fresh] = plan.snap_of.try_emplace(
+    const auto [it, fresh] = snap_of.try_emplace(
         r.tree, static_cast<std::uint32_t>(plan.snaps.size()));
     if (fresh)
       plan.snaps.push_back(
           {r.tree, trees_[r.tree]->entry.load(std::memory_order_acquire)});
     const TreeEntry& e = *plan.snaps[it->second].entry;
-    try {
-      plan.by_shard[shard_of(r.tree)].push_back(
-          {static_cast<std::uint32_t>(i), it->second, resolve(e, r.u),
-           resolve(e, r.v)});
-    } catch (const std::out_of_range&) {
+    const tree::NodeId iu = resolve(e, r.u);
+    const tree::NodeId iv = resolve(e, r.v);
+    if (iu == tree::kNoNode || iv == tree::kNoNode) {
       results[i].status = QueryStatus::kBadNode;
+      continue;
     }
+    plan.by_shard[shard_of(r.tree)].push_back(
+        {static_cast<std::uint32_t>(i), it->second, iu, iv});
   }
   return plan;
 }
@@ -615,36 +601,8 @@ void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
   }
 }
 
-std::vector<Dist> ForestIndex::query_batch(
+std::vector<QueryResult> ForestIndex::query_batch(
     std::span<const Request> reqs) const {
-  std::vector<QueryResult> res(reqs.size());
-  BatchPlan plan = plan_batch(reqs, res);
-  // Throw for the first rejected request in request order, before any
-  // query runs or any label attaches. Re-running the check that rejected
-  // it (against the batch's own snapshot) throws exactly what query()
-  // would.
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const Request& r = reqs[i];
-    const QueryStatus st = res[i].status;
-    if (st == QueryStatus::kQuarantined) throw QuarantinedError(r.tree);
-    if (st == QueryStatus::kBadTree) (void)slot(r.tree);
-    if (st == QueryStatus::kBadNode) {
-      const TreeEntry& e = *plan.snaps[plan.snap_of.at(r.tree)].entry;
-      (void)resolve(e, r.u);
-      (void)resolve(e, r.v);
-    }
-  }
-  execute_plan(plan, reqs, res);
-  std::vector<Dist> out(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) out[i] = res[i].dist;
-  return out;
-}
-
-std::vector<QueryResult> ForestIndex::query_batch_checked(
-    std::span<const Request> reqs) const {
-  // A bad request is *recorded* (typed status, request order) instead of
-  // aborting the batch: one quarantined tree or one bad client id must not
-  // cost every other request its answer.
   std::vector<QueryResult> out(reqs.size());
   BatchPlan plan = plan_batch(reqs, out);
   execute_plan(plan, reqs, out);

@@ -13,15 +13,15 @@
 //     full it admits only labels that recur (LruCache::admit: a label
 //     refused on one miss gets in on its next), and a query with a
 //     refused side answers from the raw labels, as every scheme can,
-//   * a batch front end: query_batch() partitions requests by shard and
-//     fans the shards out across threads (util/parallel), filling one
-//     result slot per request — deterministic for any thread count. Both
-//     tree and node ids are validated in a serial pre-pass, so a bad
-//     request always reports in request order, before any parallel work,
+//   * one query entry point: query_batch() checks tree and node ids in a
+//     serial pass, partitions the accepted requests by shard and fans the
+//     shards out across threads (util/parallel), filling one typed result
+//     per request in request order — deterministic for any thread count.
+//     A bad id or a quarantined tree costs only its own request's answer,
 //   * hot swap: update() replaces one tree's labeling in place — an
 //     epoch-bumping shared_ptr swap of the immutable TreeEntry plus
 //     invalidation of that tree's attached-label cache keys — safe under
-//     concurrent query()/query_batch(). This is how a serving node takes an
+//     concurrent query_batch(). This is how a serving node takes an
 //     IncrementalRelabeler's refreshed labels without downtime.
 //   * delta shipping: apply_delta() patches one tree's labeling from a
 //     LabelStore v3 delta instead of a whole file — the new entry is built
@@ -36,7 +36,7 @@
 //     the internal label indices; ForestIndex composes the remap into a
 //     per-tree external→internal map so surviving nodes keep answering
 //     under their original ids and deleted/compacted-away ids fail
-//     deterministically (std::out_of_range "NotFound") instead of silently
+//     deterministically (QueryStatus::kBadNode) instead of silently
 //     answering for whatever node now occupies the slot.
 //
 //   * graceful degradation: every tree carries a health state (live /
@@ -45,14 +45,13 @@
 //     persist the tree is marked *stale* — it keeps serving its last good
 //     labeling. Integrity failures (corrupt files, deltas that do not
 //     chain) are never retried; after kQuarantineAfter consecutive ones
-//     the tree is *quarantined*: its queries fail with a typed error
-//     (QuarantinedError from the throwing API, kQuarantined from
-//     query_batch_checked()) while every other tree keeps serving.
+//     the tree is *quarantined*: its requests get
+//     QueryStatus::kQuarantined while every other tree keeps serving.
 //     A subsequent clean update()/apply_delta() is the repair path — it
 //     restores the tree to live. cache_stats() exposes the retry /
 //     failure / health counters.
 //
-// Thread-safety: query(), query_batch(), update(), apply_delta(),
+// Thread-safety: query_batch(), update(), apply_delta(),
 // cache_stats() and the per-tree accessors may all run concurrently.
 // add_file()/add() grow the tree table and must not race with anything —
 // build the initial index first, then serve (updates of *existing* trees
@@ -63,10 +62,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bits/mapped_arena.hpp"
@@ -98,7 +95,7 @@ enum class TreeHealth : std::uint8_t {
   kQuarantined = 2,
 };
 
-/// Typed per-query outcome for the non-throwing batch API.
+/// Typed per-request outcome of ForestIndex::query_batch().
 enum class QueryStatus : std::uint8_t {
   kOk = 0,
   kBadTree = 1,      ///< tree id out of range
@@ -109,19 +106,6 @@ enum class QueryStatus : std::uint8_t {
 struct QueryResult {
   Dist dist;  ///< valid only when status == kOk
   QueryStatus status = QueryStatus::kOk;
-};
-
-/// Thrown by the throwing query API for a quarantined tree.
-class QuarantinedError : public std::runtime_error {
- public:
-  explicit QuarantinedError(TreeId tree)
-      : std::runtime_error("ForestIndex: tree " + std::to_string(tree) +
-                           " is quarantined"),
-        tree_(tree) {}
-  [[nodiscard]] TreeId tree() const noexcept { return tree_; }
-
- private:
-  TreeId tree_;
 };
 
 struct ForestOptions {
@@ -166,8 +150,8 @@ class ForestIndex {
   /// compaction: `remap` is IncrementalRelabeler::compact()'s old-id →
   /// new-id map (kNoNode = dropped), sized to the tree's current internal
   /// label count. External ids keep answering for the nodes they always
-  /// named; remapped-away ids fail queries with std::out_of_range from then
-  /// on (deterministic NotFound, never the wrong node's answer). Labels the
+  /// named; remapped-away ids get QueryStatus::kBadNode from then on
+  /// (deterministic NotFound, never the wrong node's answer). Labels the
   /// remap does not reach (appended after the compaction) get fresh
   /// external ids at the top of the id space. Throws std::invalid_argument
   /// if remap's size does not match the current labeling.
@@ -232,10 +216,10 @@ class ForestIndex {
   [[nodiscard]] core::LabelStore::LoadedArena snapshot_labels(
       TreeId tree) const;
 
-  /// The thread fan-out query_batch()/query_batch_checked() will use for a
-  /// batch of `batch` requests: the configured thread count clamped to
-  /// util::usable_cpus(), the shard count, and the batch size (one thread
-  /// per kFanoutBatchPerThread requests, floor 1). A fan-out of 1 runs the
+  /// The thread fan-out query_batch() will use for a batch of `batch`
+  /// requests: the configured thread count clamped to util::usable_cpus(),
+  /// the shard count, and the batch size (one thread per
+  /// kFanoutBatchPerThread requests, floor 1). A fan-out of 1 runs the
   /// whole batch serially inline — no pool, no synchronization.
   [[nodiscard]] int planned_fanout(std::size_t batch) const noexcept;
 
@@ -251,44 +235,29 @@ class ForestIndex {
   /// chain) on one tree before it is quarantined.
   static constexpr std::uint32_t kQuarantineAfter = 3;
 
-  /// The batch path records every this-many-th per-query latency into
-  /// `serve.query.latency_ns` (sampling keeps the clock off the per-query
-  /// hot path; the single-query API still records exactly).
+  /// query_batch() records every this-many-th answered request's latency
+  /// into `serve.query.latency_ns`, the histogram's only feed (sampling
+  /// keeps the clock off the per-query hot path).
   static constexpr std::size_t kLatencySampleEvery = 64;
 
   /// The tree's current health. Throws std::out_of_range on a bad id.
   [[nodiscard]] TreeHealth health(TreeId tree) const;
 
-  /// One query through the shard's attached-label cache. Throws
-  /// std::out_of_range on a bad tree or node id, QuarantinedError on a
-  /// quarantined tree.
-  [[nodiscard]] Dist query(const Request& r) const;
-
-  /// Answers every request, one result per request in request order.
-  /// Requests are partitioned by shard (keeping request order), each shard
-  /// attaches its recurring labels once via its cache (a full cache answers
-  /// a label's first miss raw instead), and shards are fanned out across
-  /// `opt.threads`. Tree AND node ids are validated in a serial
-  /// pre-pass: a bad request throws deterministically — the first offender
-  /// in request order, with the exception query() throws for it
-  /// (std::out_of_range, QuarantinedError) — before any parallel work. The
-  /// batch then answers from the entries it validated (one labeling per
-  /// tree for the whole batch), so an update() landing mid-batch can never
-  /// fail requests the pre-pass accepted — those answers come from the
-  /// pre-update labeling, uncached.
-  [[nodiscard]] std::vector<Dist> query_batch(
-      std::span<const Request> reqs) const;
-
-  /// Non-throwing query_batch: every request gets a typed QueryStatus in
-  /// request order instead of the first offender aborting the batch. Bad
-  /// tree ids, bad/tombstoned node ids and quarantined trees are reported
-  /// per-request; everything else is answered exactly like query_batch()
-  /// (same snapshotting, sharding and caching rules). This is the front
-  /// end a network server should call — one poisoned tree (or one bad
-  /// client id) must not take down a batch that also touches healthy
-  /// trees. A label that fails to decode throws (bits::DecodeError), which
-  /// fails the whole batch.
-  [[nodiscard]] std::vector<QueryResult> query_batch_checked(
+  /// Answers every request: one typed QueryResult per request, in request
+  /// order. A bad tree id (kBadTree), a bad, deleted or compacted-away node
+  /// id (kBadNode) and a quarantined tree (kQuarantined) cost only their
+  /// own request's answer, so one poisoned tree or one bad client id never
+  /// takes down a batch that also touches healthy trees. Requests are
+  /// checked in one serial pass and partitioned by shard (keeping request
+  /// order); each shard attaches its recurring labels once via its cache
+  /// (a full cache answers a label's first miss raw instead), and shards
+  /// are fanned out across `opt.threads`. The batch answers from the
+  /// entries it checked against (one labeling per tree for the whole
+  /// batch), so an update() landing mid-batch can never fail requests the
+  /// pass accepted — those answers come from the pre-update labeling,
+  /// uncached. A label that fails to decode throws (bits::DecodeError),
+  /// which fails the whole batch.
+  [[nodiscard]] std::vector<QueryResult> query_batch(
       std::span<const Request> reqs) const;
 
   struct CacheStats {
@@ -371,8 +340,8 @@ class ForestIndex {
       AnyScheme handle, std::string_view scheme, std::string_view params,
       bits::MappedArena labels, std::uint64_t epoch,
       std::vector<tree::NodeId> ext_map);
-  /// External → internal id, validating range, tombstones (zero-length
-  /// labels) and compacted-away ids. Throws std::out_of_range.
+  /// External → internal id; tree::kNoNode for an id out of range, a
+  /// tombstone (zero-length label) or an id compacted away.
   [[nodiscard]] static tree::NodeId resolve(const TreeEntry& e,
                                             tree::NodeId ext);
   /// The next entry's ext_to_int after replacing `old`'s labeling with one
@@ -415,7 +384,6 @@ class ForestIndex {
     };
     std::vector<std::vector<Item>> by_shard;
     std::vector<Snap> snaps;
-    std::unordered_map<TreeId, std::uint32_t> snap_of;  ///< tree -> snaps
     std::uint64_t t0 = 0;  ///< planning start, for serve.batch.latency_ns
   };
   /// Validates every request in request order: a rejected one gets its

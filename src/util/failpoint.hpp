@@ -6,10 +6,9 @@
 //
 // When nothing is armed — the production state — check() is one relaxed
 // atomic load and a predicted-not-taken branch (tools/overhead_gate.py
-// holds the armed slow path to >= 0.7 of disarmed perfbench throughput),
-// and compiles to a literal no-op under -DTREELAB_NO_FAILPOINTS (CMake
-// option TREELAB_FAILPOINTS=OFF). Sites are armed programmatically (tests, the
-// crash-recovery fuzzer) or from the environment at process start:
+// holds the armed slow path to >= 0.7 of disarmed perfbench throughput).
+// Sites are armed programmatically (tests, the crash-recovery fuzzer) or
+// from the environment at process start:
 //
 //   TREELAB_FAILPOINTS="site=mode[:skip[:count[:arg]]][,site=...]"
 //   e.g. TREELAB_FAILPOINTS="fs.write=torn-write:2:1:100"
@@ -83,14 +82,9 @@ extern std::atomic<int> armed_sites;
 /// means "inject this". Cost with nothing armed is one relaxed load.
 [[nodiscard]] inline std::optional<FailpointHit> check(
     std::string_view site) noexcept {
-#if defined(TREELAB_NO_FAILPOINTS)
-  (void)site;
-  return std::nullopt;
-#else
   if (detail::armed_sites.load(std::memory_order_relaxed) == 0)
     return std::nullopt;
   return detail::check_slow(site);
-#endif
 }
 
 /// Arms `site`: after `skip` passes it fires `count` times (-1 = every

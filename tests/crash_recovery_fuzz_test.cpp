@@ -289,7 +289,7 @@ class CrashDriver {
     for (int attempt = 0; attempt < 32; ++attempt) {
       const Request q{0, static_cast<NodeId>(rng_() % bound),
                       static_cast<NodeId>(rng_() % bound)};
-      const auto res = index_->query_batch_checked({&q, 1});
+      const auto res = index_->query_batch({&q, 1});
       if (res[0].status == QueryStatus::kOk) return {q, res[0].dist, true};
     }
     return {};
@@ -327,7 +327,7 @@ class CrashDriver {
         return;
       }
       if (spot.valid) {
-        const auto res = index_->query_batch_checked({&spot.req, 1});
+        const auto res = index_->query_batch({&spot.req, 1});
         if (res[0].status != QueryStatus::kOk || !(res[0].dist == spot.dist)) {
           fail("failed apply_delta changed a served answer");
           return;
@@ -532,16 +532,15 @@ TEST(CrashRecoveryFuzz, QuarantinedTreeDoesNotTakeDownTheForest) {
                                       : TreeHealth::kQuarantined);
   }
 
-  // Typed errors from both query APIs; tb still answers.
-  EXPECT_THROW((void)index.query(Request{ta, 0, 1}), serve::QuarantinedError);
+  // Typed errors per request; tb still answers.
   const std::vector<Request> reqs{{ta, 0, 1}, {tb, 0, 1}, {99, 0, 1},
                                   {tb, 0, 5999}};
-  std::vector<serve::QueryResult> res = index.query_batch_checked(reqs);
+  std::vector<serve::QueryResult> res = index.query_batch(reqs);
   EXPECT_EQ(res[0].status, QueryStatus::kQuarantined);
   EXPECT_EQ(res[1].status, QueryStatus::kOk);
   EXPECT_EQ(res[2].status, QueryStatus::kBadTree);
   EXPECT_EQ(res[3].status, QueryStatus::kBadNode);
-  EXPECT_EQ(res[1].dist, index.query(Request{tb, 0, 1}));
+  EXPECT_EQ(res[1].dist, index.query_batch({&reqs[1], 1})[0].dist);
   const auto st = index.cache_stats();
   EXPECT_EQ(st.quarantined, 1u);
   EXPECT_GE(st.integrity_failures, 3u);
@@ -550,8 +549,7 @@ TEST(CrashRecoveryFuzz, QuarantinedTreeDoesNotTakeDownTheForest) {
   // Repair: a clean full update restores live serving.
   (void)index.update(ta, ra.to_loaded());
   EXPECT_EQ(index.health(ta), TreeHealth::kLive);
-  EXPECT_EQ(index.query_batch_checked({reqs.data(), 1})[0].status,
-            QueryStatus::kOk);
+  EXPECT_EQ(index.query_batch({reqs.data(), 1})[0].status, QueryStatus::kOk);
 }
 
 }  // namespace

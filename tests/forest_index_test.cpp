@@ -1,14 +1,16 @@
 // Serving-layer coverage: a ForestIndex holding a heterogeneous forest
 // (all five schemes, mapped files and in-memory arenas mixed) must answer
-// exactly like the underlying schemes, for single queries and batches, at
-// any shard/thread count, under cache pressure, and fail loudly on bad
-// ids, unknown scheme tags, and cross-scheme attached labels.
+// exactly like the underlying schemes, for batches of one and of many, at
+// any shard/thread count, under cache pressure; report bad ids per request
+// with a typed status; and fail loudly on unknown scheme tags and
+// cross-scheme attached labels.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +38,8 @@ using serve::AnyScheme;
 using serve::Dist;
 using serve::ForestIndex;
 using serve::ForestOptions;
+using serve::QueryResult;
+using serve::QueryStatus;
 using serve::Request;
 using serve::TreeId;
 using tree::NodeId;
@@ -113,6 +117,31 @@ void cleanup(const std::vector<std::string>& files) {
   for (const auto& f : files) std::remove(f.c_str());
 }
 
+/// The status query_batch() gives a batch of one.
+QueryStatus status_of(const ForestIndex& index, const Request& r) {
+  return index.query_batch({&r, 1})[0].status;
+}
+
+/// The answer to a batch of one that must answer.
+Dist answer(const ForestIndex& index, const Request& r) {
+  const QueryResult res = index.query_batch({&r, 1})[0];
+  EXPECT_EQ(res.status, QueryStatus::kOk)
+      << "tree " << r.tree << " u " << r.u << " v " << r.v;
+  return res.dist;
+}
+
+/// The answers to a batch that must answer every request.
+std::vector<Dist> answers(const ForestIndex& index,
+                          std::span<const Request> reqs) {
+  const std::vector<QueryResult> res = index.query_batch(reqs);
+  std::vector<Dist> out;
+  for (std::size_t i = 0; i < res.size(); ++i) {
+    EXPECT_EQ(res[i].status, QueryStatus::kOk) << "req " << i;
+    out.push_back(res[i].dist);
+  }
+  return out;
+}
+
 TEST(ForestIndex, ServesHeterogeneousForestExactly) {
   ForestOptions opt;
   opt.shards = 2;
@@ -134,7 +163,7 @@ TEST(ForestIndex, ServesHeterogeneousForestExactly) {
         0, static_cast<NodeId>(index.label_count(id)) - 1);
     for (int it = 0; it < 40; ++it) {
       const NodeId u = pick(rng), v = pick(rng);
-      expect_correct(trees[id], id, u, v, index.query({id, u, v}));
+      expect_correct(trees[id], id, u, v, answer(index, {id, u, v}));
     }
   }
   cleanup(files);
@@ -156,7 +185,7 @@ TEST(ForestIndex, BatchMatchesSinglesAtEveryThreadAndShardCount) {
         0, static_cast<NodeId>(ref.label_count(id)) - 1);
     reqs.push_back({id, pick(rng), pick(rng)});
   }
-  const std::vector<Dist> want = ref.query_batch(reqs);
+  const std::vector<Dist> want = answers(ref, reqs);
   for (std::size_t i = 0; i < reqs.size(); ++i)
     expect_correct(trees[reqs[i].tree], reqs[i].tree, reqs[i].u, reqs[i].v,
                    want[i]);
@@ -169,7 +198,7 @@ TEST(ForestIndex, BatchMatchesSinglesAtEveryThreadAndShardCount) {
       ForestIndex index(opt);
       std::vector<std::string> files2;
       build_forest(index, files2);
-      const std::vector<Dist> got = index.query_batch(reqs);
+      const std::vector<Dist> got = answers(index, reqs);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], want[i])
@@ -228,7 +257,7 @@ TEST(ForestIndex, TinyCacheEvictsButStaysCorrect) {
   // label: those misses are admitted, and each insert evicts the previous
   // entry.
   for (int pass = 0; pass < 2; ++pass) {
-    const std::vector<Dist> got = index.query_batch(reqs);
+    const std::vector<Dist> got = answers(index, reqs);
     for (std::size_t i = 0; i < reqs.size(); ++i)
       expect_correct(trees[reqs[i].tree], reqs[i].tree, reqs[i].u, reqs[i].v,
                      got[i]);
@@ -243,70 +272,67 @@ TEST(ForestIndex, TinyCacheEvictsButStaysCorrect) {
 }
 
 TEST(ForestIndex, BatchValidatesNodeIdsInRequestOrder) {
-  // A bad node id deep in the batch must be reported deterministically —
-  // the FIRST offending request in request order, before any parallel work
-  // — not from whichever shard chunk trips over it first.
+  // Bad node ids deep in the batch must be reported deterministically, each
+  // at its own request index, whichever shard chunk runs first, and must
+  // not cost the good requests their answers.
   ForestOptions opt;
   opt.shards = 4;
   opt.threads = 4;
   ForestIndex index(opt);
   std::vector<std::string> files;
-  build_forest(index, files);
+  const std::vector<Tree> trees = build_forest(index, files);
   std::vector<Request> reqs;
   for (NodeId u = 0; u < 20; ++u) reqs.push_back({0, u, NodeId{0}});
-  reqs.push_back({1, NodeId{100000}, 0});  // first offender, request 20
-  reqs.push_back({2, NodeId{-7}, 0});      // later offender, never reached
-  try {
-    (void)index.query_batch(reqs);
-    FAIL() << "expected out_of_range";
-  } catch (const std::out_of_range& e) {
-    EXPECT_STREQ(e.what(), "ForestIndex: node id out of range");
+  reqs.push_back({1, NodeId{100000}, 0});  // request 20: past the end
+  reqs.push_back({2, NodeId{-7}, 0});      // request 21: negative
+  const std::vector<QueryResult> res = index.query_batch(reqs);
+  ASSERT_EQ(res.size(), reqs.size());
+  for (std::size_t i = 0; i < 20; ++i) {
+    ASSERT_EQ(res[i].status, QueryStatus::kOk) << "req " << i;
+    expect_correct(trees[0], 0, reqs[i].u, reqs[i].v, res[i].dist);
   }
-  // The serial pre-pass rejected the batch before any query ran or any
-  // label got attached.
-  EXPECT_EQ(index.cache_stats().entries, 0u);
+  EXPECT_EQ(res[20].status, QueryStatus::kBadNode);
+  EXPECT_EQ(res[21].status, QueryStatus::kBadNode);
   cleanup(files);
 }
 
 TEST(ForestIndex, ReorderingPreservesErrorOrder) {
   // The batch executes partitioned by shard, not in request order, and
-  // rejects bad trees and bad nodes by different checks. The thrown error
-  // must still be the first offender in REQUEST order, whichever check
-  // found it.
+  // rejects bad trees and bad nodes by different checks. Each status must
+  // still land at its own REQUEST index, whichever check found it.
   ForestOptions opt;
   opt.shards = 4;
   opt.threads = 4;
   ForestIndex index(opt);
   std::vector<std::string> files;
-  build_forest(index, files);
+  const std::vector<Tree> trees = build_forest(index, files);
 
-  // Bad node before bad tree: node error wins.
+  const auto expect_statuses = [&](const std::vector<Request>& reqs,
+                                   const std::vector<QueryStatus>& want) {
+    const std::vector<QueryResult> res = index.query_batch(reqs);
+    ASSERT_EQ(res.size(), want.size());
+    for (std::size_t i = 0; i < res.size(); ++i) {
+      EXPECT_EQ(res[i].status, want[i]) << "req " << i;
+      if (want[i] == QueryStatus::kOk)
+        expect_correct(trees[reqs[i].tree], reqs[i].tree, reqs[i].u,
+                       reqs[i].v, res[i].dist);
+    }
+  };
+  // Bad node before bad tree.
   std::vector<Request> reqs{
       {4, 0, 1}, {3, NodeId{100000}, 0}, {2, 0, 1}, {99, 0, 0}};
-  try {
-    (void)index.query_batch(reqs);
-    FAIL() << "expected out_of_range";
-  } catch (const std::out_of_range& e) {
-    EXPECT_STREQ(e.what(), "ForestIndex: node id out of range");
-  }
-  EXPECT_EQ(index.cache_stats().entries, 0u);
-
-  // Bad tree before bad node: tree error wins.
+  expect_statuses(reqs, {QueryStatus::kOk, QueryStatus::kBadNode,
+                         QueryStatus::kOk, QueryStatus::kBadTree});
+  // Bad tree before bad node.
   std::swap(reqs[1], reqs[3]);
-  try {
-    (void)index.query_batch(reqs);
-    FAIL() << "expected out_of_range";
-  } catch (const std::out_of_range& e) {
-    EXPECT_STREQ(e.what(), "ForestIndex: tree id out of range");
-  }
-  EXPECT_EQ(index.cache_stats().entries, 0u);
+  expect_statuses(reqs, {QueryStatus::kOk, QueryStatus::kBadTree,
+                         QueryStatus::kOk, QueryStatus::kBadNode});
   cleanup(files);
 }
 
 TEST(ForestIndex, BatchTrafficSamplesQueryLatency) {
-  // `serve.query.latency_ns` used to see only the single-query path, so an
-  // all-batch workload published an empty latency histogram. The batch
-  // path now records every kLatencySampleEvery-th answered request.
+  // query_batch() is the only feed of `serve.query.latency_ns`: it records
+  // every kLatencySampleEvery-th answered request.
   if constexpr (!obs::kEnabled) {
     GTEST_SKIP() << "metrics compiled out";
   }
@@ -339,7 +365,7 @@ TEST(ForestIndex, UpdateSwapsLabelingAndInvalidatesCache) {
   EXPECT_EQ(index.update_epoch(id), 0u);
 
   // Warm the cache on the original labeling.
-  for (NodeId u = 0; u < 40; ++u) (void)index.query({id, u, NodeId{0}});
+  for (NodeId u = 0; u < 40; ++u) (void)answer(index, {id, u, NodeId{0}});
   EXPECT_GT(index.cache_stats().entries, 0u);
 
   // Grow the tree, hot-swap the refreshed labels.
@@ -357,7 +383,7 @@ TEST(ForestIndex, UpdateSwapsLabelingAndInvalidatesCache) {
   const tree::NcaIndex oracle(now);
   for (NodeId u = 0; u < now.size(); u += 7)
     for (NodeId v = 0; v < now.size(); v += 11)
-      EXPECT_EQ(index.query({id, u, v}).value, oracle.distance(u, v));
+      EXPECT_EQ(answer(index, {id, u, v}).value, oracle.distance(u, v));
 
   EXPECT_THROW(
       (void)index.update(TreeId{99}, relab.to_loaded()),
@@ -389,10 +415,10 @@ TEST(ForestIndex, UpdateFileSwapsToTheNewMappedLabeling) {
 #endif
   const tree::NcaIndex oracle(t_new);
   for (NodeId u = 0; u < 90; u += 5)
-    EXPECT_EQ(index.query({0, u, NodeId{3}}).value, oracle.distance(u, 3));
+    EXPECT_EQ(answer(index, {0, u, NodeId{3}}).value, oracle.distance(u, 3));
   // Other trees are untouched.
   EXPECT_EQ(index.update_epoch(1), 0u);
-  expect_correct(trees[1], 1, 4, 9, index.query({1, 4, 9}));
+  expect_correct(trees[1], 1, 4, 9, answer(index, {1, 4, 9}));
   cleanup(files);
 }
 
@@ -428,9 +454,10 @@ TEST(ForestIndex, UpdateIsSafeUnderConcurrentBatchQueries) {
   for (int r = 0; r < 3; ++r)
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::vector<Dist> got = index.query_batch(reqs);
+        const std::vector<QueryResult> got = index.query_batch(reqs);
         for (std::size_t i = 0; i < got.size(); ++i)
-          if (!got[i].within || got[i].value != want[i])
+          if (got[i].status != QueryStatus::kOk || !got[i].dist.within ||
+              got[i].dist.value != want[i])
             wrong.fetch_add(1, std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -455,10 +482,11 @@ TEST(ForestIndex, UpdateIsSafeUnderConcurrentBatchQueries) {
 TEST(ForestIndex, ShrinkingUpdatesCannotFailAValidatedBatch) {
   // update() may shrink a tree's labeling. A batch validated against the
   // bigger labeling must then still answer every request — from its
-  // snapshot, uncached — never throw from the parallel section. Readers
+  // snapshot, uncached — never fail from the parallel section. Readers
   // batch pairs that only exist in the big labeling while the writer flips
-  // big <-> small; a batch may be rejected up front (small was live at
-  // validation, deterministic) but once admitted it must complete exactly.
+  // big <-> small. A batch sees one labeling per tree, so every request in
+  // it gets the same status: all kBadNode when small was live at planning,
+  // else all kOk with exact answers.
   const Tree t_small = tree::random_tree(120, 96);
   core::IncrementalRelabeler relab(t_small);
   std::mt19937_64 grow(97);
@@ -482,8 +510,7 @@ TEST(ForestIndex, ShrinkingUpdatesCannotFailAValidatedBatch) {
   const tree::NcaIndex oracle(t_big);
   std::vector<Request> reqs;
   std::vector<std::uint64_t> want;
-  // Request 0 references a node only the big labeling has, so admission is
-  // decided deterministically at the first request.
+  // Every request references a node only the big labeling has.
   for (int i = 0; i < 64; ++i) {
     const auto u = static_cast<NodeId>(120 + i % 80);
     const auto v = static_cast<NodeId>(i % 120);
@@ -497,15 +524,17 @@ TEST(ForestIndex, ShrinkingUpdatesCannotFailAValidatedBatch) {
   for (int r = 0; r < 2; ++r)
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        try {
-          const std::vector<Dist> got = index.query_batch(reqs);
-          for (std::size_t i = 0; i < got.size(); ++i)
-            if (!got[i].within || got[i].value != want[i])
-              wrong.fetch_add(1, std::memory_order_relaxed);
-          served.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::out_of_range&) {
-          rejected.fetch_add(1, std::memory_order_relaxed);
-        }
+        const std::vector<QueryResult> got = index.query_batch(reqs);
+        const QueryStatus st = got[0].status;
+        if (st != QueryStatus::kOk && st != QueryStatus::kBadNode)
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        for (std::size_t i = 0; i < got.size(); ++i)
+          if (got[i].status != st ||
+              (st == QueryStatus::kOk &&
+               (!got[i].dist.within || got[i].dist.value != want[i])))
+            wrong.fetch_add(1, std::memory_order_relaxed);
+        (st == QueryStatus::kOk ? served : rejected)
+            .fetch_add(1, std::memory_order_relaxed);
       }
     });
 
@@ -534,7 +563,7 @@ TEST(ForestIndex, ApplyDeltaInvalidatesOnlyDirtyAttachments) {
   const TreeId id = index.add(relab.to_loaded());
 
   // Attach every label once.
-  for (NodeId u = 0; u < 200; ++u) (void)index.query({id, u, NodeId{0}});
+  for (NodeId u = 0; u < 200; ++u) (void)answer(index, {id, u, NodeId{0}});
   const auto warm = index.cache_stats();
   ASSERT_EQ(warm.entries, 200u);
   ASSERT_EQ(warm.invalidated, 0u);
@@ -560,7 +589,7 @@ TEST(ForestIndex, ApplyDeltaInvalidatesOnlyDirtyAttachments) {
   const tree::NcaIndex oracle(now);
   for (NodeId u = 0; u < now.size(); u += 7)
     for (NodeId v = 0; v < now.size(); v += 13)
-      EXPECT_EQ(index.query({id, u, v}).value, oracle.distance(u, v));
+      EXPECT_EQ(answer(index, {id, u, v}).value, oracle.distance(u, v));
 }
 
 TEST(ForestIndex, ApplyDeltaShipsTombstonesAndRefusesDeadIds) {
@@ -587,17 +616,23 @@ TEST(ForestIndex, ApplyDeltaShipsTombstonesAndRefusesDeadIds) {
   EXPECT_EQ(index.apply_delta(id, core::LabelStore::load_delta(ss)), 1u);
 
   // The dead id fails deterministically; live pairs still answer.
-  EXPECT_THROW((void)index.query({id, victim, NodeId{0}}), std::out_of_range);
-  const std::vector<Request> batch{{id, 0, 1}, {id, victim, 2}};
-  EXPECT_THROW((void)index.query_batch(batch), std::out_of_range);
+  EXPECT_EQ(status_of(index, {id, victim, NodeId{0}}), QueryStatus::kBadNode);
   const Tree now = relab.snapshot();
   const tree::NcaIndex oracle(now);
   const std::vector<NodeId> map = relab.dense_map();
+  const auto want = [&](NodeId u, NodeId v) {
+    return oracle.distance(map[static_cast<std::size_t>(u)],
+                           map[static_cast<std::size_t>(v)]);
+  };
+  const std::vector<Request> batch{{id, 0, 1}, {id, victim, 2}};
+  const std::vector<QueryResult> res = index.query_batch(batch);
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].status, QueryStatus::kOk);
+  EXPECT_EQ(res[0].dist.value, want(0, 1));
+  EXPECT_EQ(res[1].status, QueryStatus::kBadNode);
   for (NodeId u = 0; u < 140; u += 11) {
     if (map[static_cast<std::size_t>(u)] == tree::kNoNode) continue;
-    EXPECT_EQ(index.query({id, u, NodeId{0}}).value,
-              oracle.distance(map[static_cast<std::size_t>(u)],
-                              map[0]));
+    EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value, want(u, 0));
   }
 }
 
@@ -641,7 +676,7 @@ TEST(ForestIndex, QueryByOldIdAfterCompactionIsNotFoundNotWrong) {
 
     // Dropped old ids: deterministic NotFound.
     for (const NodeId v : killed)
-      EXPECT_THROW((void)index.query({id, v, NodeId{0}}), std::out_of_range)
+      EXPECT_EQ(status_of(index, {id, v, NodeId{0}}), QueryStatus::kBadNode)
           << "via_delta=" << via_delta << " id " << v;
     // Surviving old ids: the answer the client always got. Deleting leaves
     // never changes distances between survivors, so the original oracle is
@@ -650,7 +685,8 @@ TEST(ForestIndex, QueryByOldIdAfterCompactionIsNotFoundNotWrong) {
     for (const NodeId v : killed) dead[static_cast<std::size_t>(v)] = 1;
     for (NodeId u = 0; u < 180; u += 7) {
       if (dead[static_cast<std::size_t>(u)]) continue;
-      EXPECT_EQ(index.query({id, u, NodeId{0}}).value, oracle0.distance(u, 0))
+      EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value,
+                oracle0.distance(u, 0))
           << "via_delta=" << via_delta << " id " << u;
     }
   }
@@ -712,9 +748,10 @@ TEST(ForestIndex, ApplyDeltaIsSafeUnderConcurrentBatchQueries) {
   for (int r = 0; r < 3; ++r)
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::vector<Dist> got = index.query_batch(reqs);
+        const std::vector<QueryResult> got = index.query_batch(reqs);
         for (std::size_t i = 0; i < got.size(); ++i)
-          if (!got[i].within || got[i].value != want[i])
+          if (got[i].status != QueryStatus::kOk || !got[i].dist.within ||
+              got[i].dist.value != want[i])
             wrong.fetch_add(1, std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -753,24 +790,27 @@ TEST(ForestIndex, ApplyDeltaIsSafeUnderConcurrentBatchQueries) {
   EXPECT_EQ(index.update_epoch(id), 48u);
 }
 
-TEST(ForestIndex, BadIdsThrow) {
+TEST(ForestIndex, BadIdsGetTypedStatuses) {
   ForestOptions opt;
   opt.shards = 2;
   ForestIndex index(opt);
   std::vector<std::string> files;
-  build_forest(index, files);
-  EXPECT_THROW((void)index.query({99, 0, 0}), std::out_of_range);
-  EXPECT_THROW((void)index.query({0, 0, NodeId{100000}}), std::out_of_range);
-  EXPECT_THROW((void)index.query({0, NodeId{-1}, 0}), std::out_of_range);
+  const std::vector<Tree> trees = build_forest(index, files);
+  EXPECT_EQ(status_of(index, {99, 0, 0}), QueryStatus::kBadTree);
+  EXPECT_EQ(status_of(index, {0, 0, NodeId{100000}}), QueryStatus::kBadNode);
+  EXPECT_EQ(status_of(index, {0, NodeId{-1}, 0}), QueryStatus::kBadNode);
   const std::vector<Request> batch{{0, 0, 1}, {99, 0, 0}};
-  EXPECT_THROW((void)index.query_batch(batch), std::out_of_range);
+  const std::vector<QueryResult> res = index.query_batch(batch);
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].status, QueryStatus::kOk);
+  expect_correct(trees[0], 0, 0, 1, res[0].dist);
+  EXPECT_EQ(res[1].status, QueryStatus::kBadTree);
   cleanup(files);
 }
 
 // --- graceful degradation -------------------------------------------------
 
 namespace failpoint = util::failpoint;
-using serve::QueryStatus;
 using serve::TreeHealth;
 
 /// A two-tree index (both alstrup) plus an on-disk refresh file for tree 0,
@@ -812,15 +852,13 @@ TEST(ForestIndexDegradation, TransientOpenErrorsAreRetriedThenSucceed) {
 
 TEST(ForestIndexDegradation, PersistentIoErrorMarksStaleButKeepsServing) {
   DegradationRig rig;
-  const Dist before = rig.index.query({rig.t0, 0, 1});
+  const Dist before = answer(rig.index, {rig.t0, 0, 1});
   failpoint::arm("label_store.open_mapped", util::FailMode::kError);
   EXPECT_THROW((void)rig.index.update_file(rig.t0, rig.path), util::IoError);
   EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kStale);
   EXPECT_EQ(rig.index.cache_stats().stale, 1u);
   // Stale = refresh failing, serving intact: the old labeling still answers.
-  EXPECT_EQ(rig.index.query({rig.t0, 0, 1}), before);
-  const std::vector<Request> one{{rig.t0, 0, 1}};
-  EXPECT_EQ(rig.index.query_batch_checked(one)[0].status, QueryStatus::kOk);
+  EXPECT_EQ(answer(rig.index, {rig.t0, 0, 1}), before);
   // The moment a refresh lands, the tree is live again.
   failpoint::disarm_all();
   (void)rig.index.update_file(rig.t0, rig.path);
@@ -843,31 +881,22 @@ TEST(ForestIndexDegradation, CorruptFileStreakQuarantinesTypedErrorsRepair) {
   EXPECT_EQ(rig.index.cache_stats().quarantined, 1u);
   EXPECT_GE(rig.index.cache_stats().integrity_failures, 3u);
   EXPECT_EQ(rig.index.cache_stats().quarantine_events, 1u);
-  // Typed refusal from every query API; the other tree keeps serving.
-  EXPECT_THROW((void)rig.index.query({rig.t0, 0, 1}),
-               serve::QuarantinedError);
-  // The throwing batch names the quarantined tree when it is the first
-  // offender in request order (the bad node after it does not win), and
-  // refuses before any label attaches.
+  // Typed refusal for the quarantined tree; the other tree keeps serving.
+  EXPECT_EQ(status_of(rig.index, {rig.t0, 0, 1}), QueryStatus::kQuarantined);
+  // In one batch each offender gets its own status in request order (the
+  // quarantined tree, then a bad node), and the good request answers.
   const std::vector<Request> batch{
       {rig.t1, 0, 1}, {rig.t0, 0, 1}, {rig.t1, 0, NodeId{100000}}};
-  try {
-    (void)rig.index.query_batch(batch);
-    FAIL() << "expected QuarantinedError";
-  } catch (const serve::QuarantinedError& e) {
-    EXPECT_EQ(e.tree(), rig.t0);
-  }
-  EXPECT_EQ(rig.index.cache_stats().entries, 0u);
-  const std::vector<Request> reqs{{rig.t0, 0, 1}, {rig.t1, 0, 1}};
-  const auto res = rig.index.query_batch_checked(reqs);
-  EXPECT_EQ(res[0].status, QueryStatus::kQuarantined);
-  EXPECT_EQ(res[1].status, QueryStatus::kOk);
-  EXPECT_EQ(res[1].dist, rig.index.query({rig.t1, 0, 1}));
+  const auto res = rig.index.query_batch(batch);
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[0].status, QueryStatus::kOk);
+  EXPECT_EQ(res[0].dist, answer(rig.index, {rig.t1, 0, 1}));
+  EXPECT_EQ(res[1].status, QueryStatus::kQuarantined);
+  EXPECT_EQ(res[2].status, QueryStatus::kBadNode);
   // A clean update is the repair path.
   (void)rig.index.update_file(rig.t0, rig.path);
   EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kLive);
-  EXPECT_EQ(rig.index.query_batch_checked({reqs.data(), 1})[0].status,
-            QueryStatus::kOk);
+  EXPECT_EQ(status_of(rig.index, {rig.t0, 0, 1}), QueryStatus::kOk);
   util::remove_file(bad);
 }
 
@@ -875,7 +904,7 @@ TEST(ForestIndexDegradation, FailedApplyDeltaLeavesOldEpochServing) {
   core::IncrementalRelabeler r(tree::random_tree(60, 33));
   ForestIndex index;
   const TreeId id = index.add(r.to_loaded());
-  const Dist before = index.query({id, 0, 1});
+  const Dist before = answer(index, {id, 0, 1});
   for (int i = 0; i < 4; ++i) r.insert_leaf(1);
   const core::LabelDelta d = r.make_delta();
   r.advance_delta(d);
@@ -883,7 +912,7 @@ TEST(ForestIndexDegradation, FailedApplyDeltaLeavesOldEpochServing) {
   failpoint::arm("forest.apply_delta", util::FailMode::kAllocFail, 0, 1);
   EXPECT_THROW((void)index.apply_delta(id, d), std::bad_alloc);
   EXPECT_EQ(index.update_epoch(id), 0u);
-  EXPECT_EQ(index.query({id, 0, 1}), before);
+  EXPECT_EQ(answer(index, {id, 0, 1}), before);
   EXPECT_EQ(index.health(id), TreeHealth::kLive);  // transient, no streak
   // The retry applies cleanly.
   EXPECT_EQ(index.apply_delta(id, d), 1u);
@@ -900,7 +929,7 @@ TEST(ForestIndexDegradation, CheckedBatchReportsBadIdsPerRequest) {
       {0, 2, 7},          {99, 0, 0}, {1, 0, NodeId{100000}},
       {4, 5, 9},          {2, 1, 3},  {0, NodeId{-1}, 0},
   };
-  const auto res = index.query_batch_checked(reqs);
+  const auto res = index.query_batch(reqs);
   ASSERT_EQ(res.size(), reqs.size());
   EXPECT_EQ(res[0].status, QueryStatus::kOk);
   EXPECT_EQ(res[1].status, QueryStatus::kBadTree);
@@ -908,11 +937,11 @@ TEST(ForestIndexDegradation, CheckedBatchReportsBadIdsPerRequest) {
   EXPECT_EQ(res[3].status, QueryStatus::kOk);
   EXPECT_EQ(res[4].status, QueryStatus::kOk);
   EXPECT_EQ(res[5].status, QueryStatus::kBadNode);
-  // Answered requests answer exactly like the throwing API.
+  // Answered requests answer exactly like a batch of one.
   for (std::size_t i : {std::size_t{0}, std::size_t{3}, std::size_t{4}}) {
     expect_correct(trees[reqs[i].tree], reqs[i].tree, reqs[i].u, reqs[i].v,
                    res[i].dist);
-    EXPECT_EQ(res[i].dist, index.query(reqs[i]));
+    EXPECT_EQ(res[i].dist, answer(index, reqs[i]));
   }
 
   // A bad tree and a bad node inside a batch that interleaves every tree
@@ -926,10 +955,10 @@ TEST(ForestIndexDegradation, CheckedBatchReportsBadIdsPerRequest) {
         0, static_cast<NodeId>(index.label_count(id)) - 1);
     mixed.push_back({id, pick(rng), pick(rng)});
   }
-  const std::vector<Dist> want = index.query_batch(mixed);
+  const std::vector<Dist> want = answers(index, mixed);
   mixed[3] = {99, 0, 0};
   mixed[7] = {1, NodeId{100000}, 0};
-  const auto got = index.query_batch_checked(mixed);
+  const auto got = index.query_batch(mixed);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     const QueryStatus expect = i == 3   ? QueryStatus::kBadTree
