@@ -47,10 +47,12 @@ inline std::string timestamp_utc() {
 }
 
 /// The shared BENCH_*.json provenance header: when the run happened, the
-/// CPUs the process could use (util::usable_cpus), the fan-out the bench
-/// planned (0 = single-threaded / not applicable), and the decode kernel
-/// level (always "scalar": the kernels have one implementation). Call
-/// inside an open JSON object; emits trailing-comma'd fields.
+/// CPUs the process could use (util::usable_cpus), the fan-out of the
+/// timed work (0 = the timed calls are single-threaded; untimed set-up,
+/// such as a parallel build before the timer starts, does not count), and
+/// the decode kernel level (always "scalar": the kernels have one
+/// implementation). Call inside an open JSON object; emits trailing-comma'd
+/// fields.
 inline void json_provenance(std::FILE* f, int planned_fanout) {
   std::fprintf(f, "  \"timestamp_utc\": \"%s\",\n", timestamp_utc().c_str());
   std::fprintf(f, "  \"threads_available\": %d,\n", util::usable_cpus());

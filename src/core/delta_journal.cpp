@@ -13,7 +13,7 @@
 
 namespace treelab::core {
 
-using util::fnv1a;
+using util::crc32c;
 
 namespace {
 
@@ -46,7 +46,7 @@ struct JournalMetrics {
 
 constexpr char kJournalMagic[4] = {'T', 'L', 'J', 'N'};
 constexpr char kRecordMagic[4] = {'T', 'L', 'R', 'C'};
-constexpr std::uint32_t kJournalVersion = 1;
+constexpr std::uint32_t kJournalVersion = 2;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kFrameBytes = util::kFrameHeaderBytes;
 // A single record cannot meaningfully exceed this; anything larger in a
@@ -54,13 +54,15 @@ constexpr std::size_t kFrameBytes = util::kFrameHeaderBytes;
 constexpr std::uint64_t kMaxPayload = std::uint64_t{1} << 40;
 
 /// Parses the kHeaderBytes journal header at `p`; false on a bad magic,
-/// version or checksum.
-bool read_journal_header(const char* p, std::uint64_t& chain,
-                         std::uint64_t& lens) {
-  if (std::memcmp(p, kJournalMagic, 4) != 0 ||
-      util::load_le<std::uint32_t>(p + 4) != kJournalVersion ||
+/// version or checksum. `version` receives the version field whenever the
+/// magic matches, so a caller can tell an older format from corruption.
+bool read_journal_header(const char* p, std::uint32_t& version,
+                         std::uint64_t& chain, std::uint64_t& lens) {
+  if (std::memcmp(p, kJournalMagic, 4) != 0) return false;
+  version = util::load_le<std::uint32_t>(p + 4);
+  if (version != kJournalVersion ||
       util::load_le<std::uint64_t>(p + kHeaderBytes - 8) !=
-          fnv1a(p, kHeaderBytes - 8))
+          crc32c(p, kHeaderBytes - 8))
     return false;
   chain = util::load_le<std::uint64_t>(p + 8);
   lens = util::load_le<std::uint64_t>(p + 16);
@@ -99,7 +101,7 @@ void DeltaJournal::write_fresh_journal() {
   util::put_le(hdr, kJournalVersion);
   util::put_le(hdr, chain_);
   util::put_le(hdr, LabelStore::lens_hash(labels_));
-  util::put_le(hdr, fnv1a(hdr.data(), hdr.size()));
+  util::put_le<std::uint64_t>(hdr, crc32c(hdr.data(), hdr.size()));
   util::atomic_write_file(journal_path_, hdr);
   record_count_ = 0;
   journal_bytes_ = hdr.size();
@@ -155,14 +157,24 @@ DeltaJournal DeltaJournal::open(const std::string& base_path,
   }
 
   const std::string jb = util::read_file(j.journal_path_);
+  std::uint32_t hdr_version = kJournalVersion;
   std::uint64_t hdr_chain = 0;
   std::uint64_t hdr_lens = 0;
   if (jb.size() < kHeaderBytes ||
-      !read_journal_header(jb.data(), hdr_chain, hdr_lens))
+      !read_journal_header(jb.data(), hdr_version, hdr_chain, hdr_lens)) {
+    // Refused before any record is read, so the file stays as it was: an
+    // older journal's records would all fail this version's checksum and
+    // read as one torn tail to truncate.
+    if (hdr_version != kJournalVersion)
+      throw std::runtime_error(
+          "DeltaJournal: " + j.journal_path_ + " is journal version " +
+          std::to_string(hdr_version) + "; this build reads version " +
+          std::to_string(kJournalVersion));
     // Headers only ever land via atomic full-file writes, so a crash
     // cannot tear one: a bad header is real corruption.
     throw std::runtime_error("DeltaJournal: corrupt journal header in " +
                              j.journal_path_);
+  }
 
   if (hdr_lens != base_hash) {
     // The crash window inside checkpoint(): new base renamed in, journal
@@ -421,9 +433,10 @@ std::optional<DeltaJournal::Tail> DeltaJournal::tail_from(
   // lint: allow(io-failpoint): lock-free; any failure degrades to nullopt
   std::ifstream in(journal_path_, std::ios::binary);
   char hdr[kHeaderBytes];
+  std::uint32_t hdr_version = 0;
   std::uint64_t hdr_lens = 0;
   if (!in.is_open() || !in.read(hdr, kHeaderBytes) ||
-      !read_journal_header(hdr, t.chain_, hdr_lens))
+      !read_journal_header(hdr, hdr_version, t.chain_, hdr_lens))
     return std::nullopt;
   t.offset_ = kHeaderBytes;
   // Walk the committed records until the running chain meets from_chain;

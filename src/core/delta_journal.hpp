@@ -9,10 +9,12 @@
 //   <base>.journal  header + append-only framed v3 delta records
 //
 // Journal layout (all integers little-endian):
-//   header:  "TLJN" | u32 version=1 | u64 base_chain | u64 base_lens_hash
-//            | u64 fnv (over the 24 bytes before it)
-//   record*: "TLRC" | u32 reserved=0 | u64 payload_len | u64 payload_fnv
+//   header:  "TLJN" | u32 version=2 | u64 base_chain | u64 base_lens_hash
+//            | u64 crc32c (over the 24 bytes before it, zero-extended)
+//   record*: "TLRC" | u32 reserved=0 | u64 payload_len | u64 payload_crc32c
 //            | payload  (payload = one LabelStore v3 delta container)
+// Version 1 carried FNV-1a sums in both places; open() refuses it by
+// version without touching the file.
 //
 // Durability discipline:
 //  * append(d) writes the frame and fsyncs (JournalOptions::sync) before
@@ -28,7 +30,7 @@
 //    into the base.
 //
 // Recovery (open()) replays records in order; each must frame-check
-// (magic, length bound, payload FNV), parse as a v3 delta, and chain from
+// (magic, length bound, payload CRC), parse as a v3 delta, and chain from
 // the running epoch. The first record failing any check is a torn tail:
 // the file is truncated at the last good record boundary and replay
 // stops. Recovery therefore always lands on the longest committed prefix
@@ -108,7 +110,9 @@ class DeltaJournal {
   /// Throws util::IoError if the base cannot be read, std::runtime_error
   /// if the base container or the journal *header* is corrupt (headers
   /// are atomically written, so a bad one is real corruption, not a
-  /// crash artifact). Torn record tails are truncated, not errors.
+  /// crash artifact) or names another journal version; either way the
+  /// journal file is left as it was. Torn record tails are truncated, not
+  /// errors.
   [[nodiscard]] static DeltaJournal open(const std::string& base_path,
                                          JournalOptions opt = {});
 

@@ -2,13 +2,15 @@
 //
 // Every message is one length-prefixed, checksum-framed unit: the frame
 // header of util/bytes.hpp that delta journal records (TLRC) also use, byte
-// for byte (24 bytes, little-endian integers, FNV-1a over the payload):
+// for byte (24 bytes, little-endian integers, CRC32C over the payload):
 //
-//   "TLNF" | u32 type | u64 payload_len | u64 payload_fnv | payload
+//   "TLNF" | u32 type | u64 payload_len | u64 payload_crc32c | payload
 //
 // so a torn or corrupted frame is detected the same way on the wire as in
 // the journal file: the checksum fails, the connection (like the journal
 // tail) is declared out of sync and re-planned — never parsed into garbage.
+// The CRC sits zero-extended in its u64 field, and no reader of the older
+// FNV-1a frames is kept, so both peers must run builds of one format.
 //
 // Message types and their payloads (all integers little-endian):
 //

@@ -8,7 +8,10 @@
 //  * append_frame / read_frame_header are the one 24-byte frame header that
 //    journal records and wire frames share byte for byte:
 //
-//      magic[4] | u32 tag | u64 payload_len | u64 payload_fnv1a | payload
+//      magic[4] | u32 tag | u64 payload_len | u64 payload_crc32c | payload
+//
+//    The sum field holds the payload's CRC32C zero-extended, so a sum with
+//    any of its high 32 bits set never verifies.
 #pragma once
 
 #include <bit>
@@ -128,24 +131,25 @@ class ByteReader {
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 8;
 
 /// Appends one frame: `magic` (4 bytes) | u32 `tag` | u64 payload length |
-/// u64 FNV-1a of the payload | payload.
+/// u64 CRC32C of the payload, zero-extended | payload.
 inline void append_frame(std::string& out, const char* magic,
                          std::uint32_t tag, std::string_view payload) {
   out.reserve(out.size() + kFrameHeaderBytes + payload.size());
   out.append(magic, 4);
   put_le(out, tag);
   put_le<std::uint64_t>(out, payload.size());
-  put_le(out, fnv1a(payload.data(), payload.size()));
+  put_le<std::uint64_t>(out, crc32c(payload.data(), payload.size()));
   out.append(payload);
 }
 
 struct FrameHeader {
   std::uint32_t tag = 0;
   std::uint64_t len = 0;  ///< payload bytes after the header
-  std::uint64_t sum = 0;  ///< FNV-1a of those bytes
+  std::uint64_t sum = 0;  ///< CRC32C of those bytes, zero-extended
 
+  /// False for a sum with a high bit set: no CRC32C reaches them.
   [[nodiscard]] bool verifies(std::string_view payload) const noexcept {
-    return fnv1a(payload.data(), payload.size()) == sum;
+    return sum == crc32c(payload.data(), payload.size());
   }
 };
 

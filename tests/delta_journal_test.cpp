@@ -1,21 +1,24 @@
 // DeltaJournal unit coverage: clean round-trips, every recovery rule
 // (torn tail, stale journal after a checkpoint crash, missing journal),
-// the checkpoint/compaction policy, chain discipline (refusal + rechain),
-// and poisoning after a failed append. The randomized companion is
-// crash_recovery_fuzz_test.
+// the refusal of an older journal version, the checkpoint/compaction
+// policy, chain discipline (refusal + rechain), and poisoning after a
+// failed append. The randomized companion is crash_recovery_fuzz_test.
 #include "core/delta_journal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <sstream>
 #include <string>
 
 #include "core/incremental_relabeler.hpp"
 #include "core/label_store.hpp"
 #include "tree/generators.hpp"
 #include "tree/tree.hpp"
+#include "util/bytes.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
+#include "util/hash.hpp"
 #include "util/io_error.hpp"
 
 namespace treelab {
@@ -202,10 +205,54 @@ TEST_F(DeltaJournalTest, CorruptHeaderThrows) {
   IncrementalRelabeler r(tree::random_tree(25, 9));
   DeltaJournal j = DeltaJournal::create(base_path_, r.to_loaded());
   const std::string jpath = DeltaJournal::journal_path(base_path_);
-  std::string bytes = util::read_file(jpath);
-  bytes[9] ^= 0x40;  // flip a bit inside the atomically-written header
-  util::atomic_write_file(jpath, bytes);
-  EXPECT_THROW((void)DeltaJournal::open(base_path_), std::runtime_error);
+  const std::string good = util::read_file(jpath);
+  // A bit inside the atomically-written header, and a high byte of its
+  // u64 sum, which holds a zero-extended CRC32C.
+  for (const std::size_t at : {std::size_t{9}, std::size_t{31}}) {
+    std::string bytes = good;
+    bytes[at] ^= 0x40;
+    util::atomic_write_file(jpath, bytes);
+    EXPECT_THROW((void)DeltaJournal::open(base_path_), std::runtime_error)
+        << "byte " << at;
+  }
+}
+
+TEST_F(DeltaJournalTest, VersionOneJournalIsRefusedByNameAndLeftAlone) {
+  IncrementalRelabeler r(tree::random_tree(25, 12));
+  DeltaJournal j = DeltaJournal::create(base_path_, r.to_loaded());
+  // A well-formed version-1 journal holding one record: the same header
+  // and record frames, summed with FNV-1a instead of CRC32C.
+  std::string v1;
+  v1.append("TLJN", 4);
+  util::put_le<std::uint32_t>(v1, 1);
+  util::put_le(v1, j.chain());
+  util::put_le(v1, LabelStore::lens_hash(j.labels()));
+  util::put_le(v1, util::fnv1a(v1.data(), v1.size()));
+  std::ostringstream ps(std::ios::binary);
+  LabelStore::save_delta(ps, grow(r, 3));
+  const std::string payload = ps.str();
+  v1.append("TLRC", 4);
+  util::put_le<std::uint32_t>(v1, 0);
+  util::put_le<std::uint64_t>(v1, payload.size());
+  util::put_le(v1, util::fnv1a(payload.data(), payload.size()));
+  v1 += payload;
+  const std::string jpath = DeltaJournal::journal_path(base_path_);
+  util::atomic_write_file(jpath, v1);
+
+  // Refused before any record is read: every version-1 record would fail
+  // the CRC and be truncated away as a torn tail.
+  try {
+    (void)DeltaJournal::open(base_path_);
+    FAIL() << "expected the version-1 journal to be refused";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+  }
+  EXPECT_EQ(util::read_file(jpath), v1);
+  // A follower planning a tail over the file gets no cursor, so it falls
+  // back to a snapshot.
+  EXPECT_FALSE(j.tail_from(j.chain()).has_value());
 }
 
 TEST_F(DeltaJournalTest, MissingBaseIsIoErrorWithPath) {

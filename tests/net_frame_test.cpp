@@ -1,9 +1,10 @@
 // net/frame unit tests: round-trips for every payload codec, incremental
-// decoding under arbitrary byte-level fragmentation, and the rejection
-// matrix — bad magic, bad checksum, oversized lengths, truncated and
-// trailing payload bytes. The end-to-end behavior of the protocol under
-// live faults is net_fault_fuzz_test's job; this suite pins the codec
-// contract itself.
+// decoding under arbitrary byte-level fragmentation, the CRC32C that
+// checks every frame (known answers, instruction path against the table),
+// and the rejection matrix — bad magic, bad checksum, oversized lengths,
+// truncated and trailing payload bytes. The end-to-end behavior of the
+// protocol under live faults is net_fault_fuzz_test's job; this suite pins
+// the codec contract itself.
 #include <gtest/gtest.h>
 
 #if defined(__GLIBC__)
@@ -12,10 +13,13 @@
 
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "serve/forest_index.hpp"
+#include "util/bytes.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -139,13 +143,80 @@ TEST(NetFrame, BadMagicIsSticky) {
 
 TEST(NetFrame, ChecksumCatchesEveryFlippedPayloadByte) {
   const std::string good = net::encode_frame(MsgType::kError, "sensitive");
-  for (std::size_t i = net::kFrameHeaderBytes; i < good.size(); ++i) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ 0x01);
+  const auto status_of = [](const std::string& bytes) {
     FrameReader r;
-    r.feed(bad.data(), bad.size());
+    r.feed(bytes.data(), bytes.size());
     Frame f;
-    EXPECT_EQ(r.next(f), FrameReader::Status::kBad) << "byte " << i;
+    return r.next(f);
+  };
+  ASSERT_EQ(status_of(good), FrameReader::Status::kFrame);
+  // Every bit of the u64 sum field (bytes 16-23) and of every payload byte.
+  for (std::size_t i = 16; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+      EXPECT_EQ(status_of(bad), FrameReader::Status::kBad)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  // The CRC sits zero-extended: the right low half under a nonzero high
+  // half is still a bad sum.
+  std::string high = good;
+  for (std::size_t i = 20; i < 24; ++i) high[i] = '\xff';
+  EXPECT_EQ(status_of(high), FrameReader::Status::kBad);
+}
+
+TEST(NetFrame, Crc32cKnownAnswers) {
+  // "123456789" is the customary check value; the rest are RFC 3720's
+  // Appendix B.4 vectors. Both paths must give every one.
+  const std::string zeros(32, '\0');
+  const std::string ones(32, '\xff');
+  std::string up(32, '\0');
+  std::string down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<std::string, std::uint32_t> cases[] = {
+      {"123456789", 0xE3069283u}, {zeros, 0x8A9136AAu},
+      {ones, 0x62A8AB43u},        {up, 0x46DD794Eu},
+      {down, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), want);
+    EXPECT_EQ(util::crc32c_portable(bytes.data(), bytes.size()), want);
+  }
+  EXPECT_EQ(util::crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(util::crc32c_portable(nullptr, 0), 0u);
+
+  // The frame's u64 sum field is the CRC, little-endian, zero-extended.
+  const std::string frame = net::encode_frame(MsgType::kError, "123456789");
+  EXPECT_EQ(util::load_le<std::uint64_t>(frame.data() + 16), 0xE3069283u);
+}
+
+TEST(NetFrame, Crc32cInstructionMatchesTable) {
+#if defined(__x86_64__)
+  RecordProperty("crc32c_path",
+                 __builtin_cpu_supports("sse4.2") ? "sse4.2" : "table");
+#endif
+  // Every start offset within a word and every length up to 300 give the
+  // instruction path each split into 8-byte loads and tail bytes, aligned
+  // or not; the two big buffers are the hot workload's request and reply
+  // frame sizes.
+  std::mt19937_64 rng(2203);
+  std::string buf(8 + 300, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(util::crc32c(buf.data() + off, len),
+                util::crc32c_portable(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+  for (const std::size_t len : {std::size_t{98308}, std::size_t{81924}}) {
+    std::string big(len, '\0');
+    for (char& c : big) c = static_cast<char>(rng());
+    EXPECT_EQ(util::crc32c(big.data(), big.size()),
+              util::crc32c_portable(big.data(), big.size()))
+        << "length " << len;
   }
 }
 
