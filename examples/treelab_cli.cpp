@@ -18,12 +18,13 @@
 //                                                  query batches first so
 //                                                  the latency histograms
 //                                                  are warm)
-//   treelab_cli save <in.lbl> <out.lbl>          (rewrite any container as
-//                                                  a mappable one: the
-//                                                  upgrade path for
-//                                                  version-1 files)
-//   treelab_cli load <labels.lbl>                 (open for serving, report
-//                                                  mapped vs streamed)
+//   treelab_cli save <in.lbl> <out.lbl>          (read a version-2 container
+//                                                  and write it again,
+//                                                  crash-safely)
+//   treelab_cli load <labels.lbl>                 (open for serving as a
+//                                                  server would, report
+//                                                  mapped vs streamed;
+//                                                  version 2 only)
 //   treelab_cli update <tree.txt> <out.lbl> [--edits E] [--seed X]
 //                                           [--tree-out grown.txt]
 //                                                 (dynamic forests: build
@@ -821,6 +822,17 @@ int cmd_follow(int argc, char** argv) {
   if (!ended) {
     std::fprintf(stderr, "gave up: leader made no progress for %d attempts\n",
                  ropt.max_attempts);
+    // Nothing applied and every session cut short by a frame that failed
+    // verification reads like a flaky link, but is nearly always a build
+    // mismatch: the frame format carries no version to compare.
+    if (rs.snapshots_applied + rs.deltas_applied == 0 && rs.connects > 0 &&
+        rs.frame_errors >= rs.connects)
+      std::fprintf(stderr,
+                   "no frame from the leader verified in any of %llu "
+                   "sessions: it likely runs a build with another frame "
+                   "format (this build checks frames with CRC32C, earlier "
+                   "builds with FNV-1a)\n",
+                   static_cast<unsigned long long>(rs.connects));
     return 1;
   }
   const core::LabelStore::LoadedArena snap = index.snapshot_labels(tree0);

@@ -1,20 +1,30 @@
-// LabelArena — pooled label storage: one contiguous word buffer plus a
-// per-label (offset, length) directory, replacing n individually allocated
-// BitVecs. Every label starts on a 64-bit boundary (padded with zero bits),
-// so label i is served as a BitSpan that behaves exactly like a standalone
-// BitVec for every read operation, and bulk I/O (LabelStore) can stream a
-// label's bytes straight out of the word buffer.
+// LabelArena — the one container of a labeling: a per-label (offset,
+// length) directory over one contiguous word buffer, in place of n
+// individually allocated BitVecs. Every label starts on a 64-bit boundary
+// (padded with zero bits), so label i is served as a BitSpan that behaves
+// exactly like a standalone BitVec for every read operation, and bulk I/O
+// (LabelStore) can stream a label's bytes straight out of the word buffer.
 //
-// build() is the one way labels get in: it runs an emitter over [0, n) on a
-// deterministic chunked schedule and concatenates the per-chunk buffers in
-// chunk order. Because each label is emitted independently and padded to a
-// word boundary, the arena contents are bit-identical for every thread
-// count — the property the serial-vs-parallel parity tests assert.
+// The word buffer is immutable once an arena is made, and either owned
+// (every factory: build, patched, composed, gathered) or a read-only mmap
+// of a LabelStore version-2 file (map(), whose container payload is this
+// layout verbatim). Copies share the buffer — a copy costs the directory,
+// never the words — and the buffer lives while any arena holding it does,
+// so a view stays valid while the arena it came from (or a copy) lives.
+//
+// build() is the one way new labels get in: it runs an emitter over [0, n)
+// on a deterministic chunked schedule and concatenates the per-chunk
+// buffers in chunk order. Because each label is emitted independently and
+// padded to a word boundary, the arena contents are bit-identical for
+// every thread count — the property the serial-vs-parallel parity tests
+// assert.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -32,9 +42,13 @@ class LabelArena {
   [[nodiscard]] std::size_t size() const noexcept { return len_.size(); }
   [[nodiscard]] bool empty() const noexcept { return len_.empty(); }
 
-  /// Label i as a word-aligned view. Valid while the arena lives.
+  /// True when the words are an mmap'ed file rather than owned memory.
+  [[nodiscard]] bool mapped() const noexcept { return mapped_; }
+
+  /// Label i as a word-aligned view. Valid while the arena (or a copy)
+  /// lives.
   [[nodiscard]] BitSpan view(std::size_t i) const noexcept {
-    return {words_.data() + start_word_[i], len_[i]};
+    return {words_.get() + start_word_[i], len_[i]};
   }
   [[nodiscard]] BitSpan operator[](std::size_t i) const noexcept {
     return view(i);
@@ -50,14 +64,27 @@ class LabelArena {
 
   /// The word storage of label i (for bulk serialization).
   [[nodiscard]] const std::uint64_t* label_words(std::size_t i) const noexcept {
-    return words_.data() + start_word_[i];
+    return words_.get() + start_word_[i];
   }
 
   /// The whole word buffer: every label in index order, each starting on a
   /// word boundary — LabelStore's container payload layout.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
-    return words_;
+    return {words_.get(), start_word_.empty() ? 0 : start_word_.back()};
   }
+
+  /// Maps `path` read-only and serves labels from the word buffer that
+  /// starts `words_offset` bytes into the file (8-byte aligned; label i
+  /// occupies ceil(lens[i]/64) little-endian words, zero-padded past its
+  /// last bit). Returns nullopt when zero-copy is impossible — no mmap on
+  /// this platform, a big-endian host, a misaligned offset, a file too
+  /// small for the directory, or directory allocation failure — so the
+  /// caller can fall back to streamed loading (and report *its* errors,
+  /// which see the same truncation). The mapping outlives the file's
+  /// directory entry: it is released with the last arena sharing it.
+  [[nodiscard]] static std::optional<LabelArena> map(
+      const char* path, std::size_t words_offset,
+      std::vector<std::size_t> lens);
 
   /// Builds an arena of `n` labels by running `emit(i, writer)` for every
   /// i in [0, n), on up to `threads` threads (0 = TREELAB_THREADS / hardware
@@ -94,23 +121,17 @@ class LabelArena {
           ch.bits = w.take();
         });
 
-    LabelArena out;
-    out.len_.reserve(n);
-    out.start_word_.reserve(n + 1);
-    std::size_t word = 0;
+    std::vector<std::size_t> lens;
+    lens.reserve(n);
     for (const Chunk& ch : parts)
-      for (const std::size_t len : ch.lens) {
-        out.start_word_.push_back(word);
-        out.len_.push_back(len);
-        word += (len + 63) / 64;
-      }
-    out.start_word_.push_back(word);
-    out.words_.resize(word);
+      lens.insert(lens.end(), ch.lens.begin(), ch.lens.end());
+    LabelArena out;
+    std::uint64_t* const words = out.lay_out(std::move(lens));
     std::size_t base = 0;
     for (const Chunk& ch : parts) {
       const std::size_t nw = ch.bits.words().size();
       if (nw != 0)
-        std::memcpy(out.words_.data() + base, ch.bits.words().data(),
+        std::memcpy(words + base, ch.bits.words().data(),
                     nw * sizeof(std::uint64_t));
       base += nw;
     }
@@ -141,25 +162,18 @@ class LabelArena {
     }
     const BitVec fresh = w.take();
 
+    std::vector<std::size_t> lens(n);
+    for (std::size_t i = 0, df = 0; i < n; ++i)
+      lens[i] = dirty[i] ? fresh_len[df++] : old.len_[i];
     LabelArena out;
-    out.len_.reserve(n);
-    out.start_word_.reserve(n + 1);
-    std::size_t word = 0, df = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t len = dirty[i] ? fresh_len[df++] : old.len_[i];
-      out.start_word_.push_back(word);
-      out.len_.push_back(len);
-      word += (len + 63) / 64;
-    }
-    out.start_word_.push_back(word);
-    out.words_.resize(word);
+    std::uint64_t* const words = out.lay_out(std::move(lens));
 
     std::size_t fresh_word = 0;
     for (std::size_t i = 0; i < n;) {
       if (dirty[i]) {
         const std::size_t nw = (out.len_[i] + 63) / 64;
         if (nw != 0)
-          std::memcpy(out.words_.data() + out.start_word_[i],
+          std::memcpy(words + out.start_word_[i],
                       fresh.words().data() + fresh_word,
                       nw * sizeof(std::uint64_t));
         fresh_word += nw;
@@ -170,8 +184,7 @@ class LabelArena {
       while (j < n && !dirty[j]) ++j;
       const std::size_t nw = old.start_word_[j] - old.start_word_[i];
       if (nw != 0)
-        std::memcpy(out.words_.data() + out.start_word_[i],
-                    old.words_.data() + old.start_word_[i],
+        std::memcpy(words + out.start_word_[i], old.label_words(i),
                     nw * sizeof(std::uint64_t));
       i = j;
     }
@@ -179,8 +192,8 @@ class LabelArena {
   }
 
   /// A borrowed label: `bits` bits in `ceil(bits/64)` words whose bit 0 is
-  /// the label's first bit (any word-aligned label — an arena view, a
-  /// MappedArena view, a standalone BitVec). The source type of composed().
+  /// the label's first bit (any word-aligned label — an arena view, owned
+  /// or mapped, or a standalone BitVec). The source type of composed().
   struct LabelRef {
     const std::uint64_t* words = nullptr;
     std::size_t bits = 0;
@@ -194,23 +207,15 @@ class LabelArena {
   /// compact() drops tombstoned slots with it).
   template <typename Src>
   [[nodiscard]] static LabelArena composed(std::size_t n, const Src& src) {
+    std::vector<std::size_t> lens(n);
+    for (std::size_t i = 0; i < n; ++i) lens[i] = src(i).bits;
     LabelArena out;
-    out.len_.reserve(n);
-    out.start_word_.reserve(n + 1);
-    std::size_t word = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t bits = src(i).bits;
-      out.start_word_.push_back(word);
-      out.len_.push_back(bits);
-      word += (bits + 63) / 64;
-    }
-    out.start_word_.push_back(word);
-    out.words_.resize(word);
+    std::uint64_t* const words = out.lay_out(std::move(lens));
     for (std::size_t i = 0; i < n; ++i) {
       const LabelRef r = src(i);
       const std::size_t nw = (r.bits + 63) / 64;
       if (nw != 0)
-        std::memcpy(out.words_.data() + out.start_word_[i], r.words,
+        std::memcpy(words + out.start_word_[i], r.words,
                     nw * sizeof(std::uint64_t));
     }
     return out;
@@ -226,9 +231,18 @@ class LabelArena {
   }
 
  private:
-  std::vector<std::uint64_t> words_;
+  /// Takes `lens` as the directory; returns the words it spans, or nullopt
+  /// when that count would wrap a size_t (only an adversarial directory
+  /// can: see map()).
+  std::optional<std::size_t> set_directory(std::vector<std::size_t> lens);
+  /// set_directory() plus a fresh owned buffer of that many zeroed words,
+  /// returned for the factory to fill before the arena is handed out.
+  std::uint64_t* lay_out(std::vector<std::size_t> lens);
+
+  std::shared_ptr<const std::uint64_t> words_;  // owned or mapped; shared
   std::vector<std::size_t> start_word_;  // size() + 1 entries
   std::vector<std::size_t> len_;         // exact bit lengths
+  bool mapped_ = false;
 };
 
 }  // namespace treelab::bits

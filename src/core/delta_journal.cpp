@@ -228,8 +228,7 @@ DeltaJournal DeltaJournal::open(const std::string& base_path,
   j.tail_shared_ = std::make_shared<Tail::Shared>();
   j.publish_committed();
 
-  if (j.opt_.auto_checkpoint && j.checkpoint_due_locked())
-    j.checkpoint_locked();
+  if (j.checkpoint_due_locked()) j.checkpoint_locked();
   return j;
 }
 
@@ -281,7 +280,7 @@ void DeltaJournal::append(const LabelDelta& d) {
   m.bytes.set(journal_bytes_);
   publish_committed();
 
-  if (opt_.auto_checkpoint && checkpoint_due_locked()) checkpoint_locked();
+  if (checkpoint_due_locked()) checkpoint_locked();
 }
 
 void DeltaJournal::checkpoint() {

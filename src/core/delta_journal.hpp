@@ -58,13 +58,11 @@
 namespace treelab::core {
 
 struct JournalOptions {
-  /// Fold the chain into a fresh base once the journal holds at least
-  /// this many records (auto_checkpoint) — bounds replay work on open.
+  /// append() and open() fold the chain into a fresh base once the
+  /// journal holds at least this many records — bounds replay work on open.
   std::uint64_t checkpoint_records = 64;
   /// ... or once the journal file exceeds this many bytes.
   std::uint64_t checkpoint_bytes = std::uint64_t{64} << 20;
-  /// Checkpoint automatically inside append()/open() when due.
-  bool auto_checkpoint = true;
   /// fsync every append before it counts as committed. Turning this off
   /// trades the append-durability guarantee for speed (bulk loads,
   /// tests); recovery correctness is unaffected.

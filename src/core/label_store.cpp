@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "bits/bitio.hpp"
 #include "util/bytes.hpp"
@@ -24,7 +24,6 @@ using util::fnv1a;
 using util::kFnvOffset;
 
 constexpr char kMagic[4] = {'T', 'L', 'A', 'B'};
-constexpr std::uint32_t kVersion = 1;  // compact; read-only
 constexpr std::uint32_t kVersionMappable = 2;
 constexpr std::uint32_t kVersionDelta = 3;
 
@@ -32,7 +31,7 @@ constexpr std::uint32_t kMaxSchemeBytes = 256;
 constexpr std::uint32_t kMaxParamsBytes = 4096;
 constexpr std::uint64_t kMaxLabels = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMaxLabelBits = std::uint64_t{1} << 32;
-/// The longest v1/v2 header: both strings at their caps.
+/// The longest v2 header: both strings at their caps.
 constexpr std::size_t kMaxHeaderBytes =
     4 + 4 + 4 + kMaxSchemeBytes + 4 + kMaxParamsBytes + 8;
 
@@ -74,7 +73,6 @@ void put_header(std::string& out, std::uint32_t version,
 }
 
 struct Header {
-  std::uint32_t version = 0;
   std::string scheme;
   std::string params;
 };
@@ -88,24 +86,26 @@ std::string read_string(util::ByteReader& r, std::uint32_t max_len) {
   return std::string(s);
 }
 
-/// Parses put_header's fields, refusing a version outside [lo, hi].
-Header read_header(util::ByteReader& r, std::uint32_t lo, std::uint32_t hi) {
+/// Parses put_header's fields, refusing any version but `want` by number.
+Header read_header(util::ByteReader& r, std::uint32_t want) {
   if (r.bytes(4) != std::string_view(kMagic, 4))
     throw std::runtime_error("LabelStore: bad magic");
-  Header h;
-  h.version = r.get<std::uint32_t>();
+  const auto version = r.get<std::uint32_t>();
   r.require("LabelStore: truncated input");
-  if (h.version < lo || h.version > hi)
-    throw std::runtime_error("LabelStore: unsupported version");
+  if (version != want)
+    throw std::runtime_error("LabelStore: container version " +
+                             std::to_string(version) +
+                             " is not supported; this build reads version " +
+                             std::to_string(want));
+  Header h;
   h.scheme = read_string(r, kMaxSchemeBytes);
   h.params = read_string(r, kMaxParamsBytes);
   return h;
 }
 
-/// The v1/v2 label count, bounded by the `stream_bytes` the container
-/// spans: every label costs >= 8 bytes in either version (a v1 length
-/// prefix, a v2 directory entry), so a corrupt count fails here, not via
-/// count-sized allocations.
+/// The v2 label count, bounded by the `stream_bytes` the container spans:
+/// every label costs an 8-byte directory entry, so a corrupt count fails
+/// here, not via count-sized allocations.
 std::uint64_t read_count(util::ByteReader& r, std::uint64_t stream_bytes) {
   const auto count = r.get<std::uint64_t>();
   r.require("LabelStore: truncated input");
@@ -117,7 +117,7 @@ std::uint64_t read_count(util::ByteReader& r, std::uint64_t stream_bytes) {
 }
 
 /// A length directory (v2 container, v3 delta payload): `count` u64 bit
-/// lengths, each at most 2^32 bits. Mirroring MappedArena::map's defence,
+/// lengths, each at most 2^32 bits. Mirroring LabelArena::map's defence,
 /// the *accumulated* word count is guarded too: the per-entry bound alone
 /// still lets an adversarial directory overflow a size_t accumulator
 /// downstream (32-bit hosts; or future arithmetic on the total).
@@ -146,30 +146,20 @@ Directory read_lens(util::ByteReader& r, std::uint64_t count) {
   return d;
 }
 
-/// Appends `bits` bits to `w` from `bytes`, which holds them little-endian
-/// from bit 0 in at least ceil(bits/8) bytes: a v1 label's byte string, or
-/// a v2/v3 label's word run.
-void append_bits(bits::BitWriter& w, std::string_view bytes,
-                 std::size_t bits) {
-  std::size_t b = 0;
-  for (; b + 64 <= bits; b += 64)
-    w.put_bits(util::load_le<std::uint64_t>(bytes.data() + b / 8), 64);
-  if (b < bits) {
-    char tail[8] = {};
-    std::memcpy(tail, bytes.data() + b / 8, (bits - b + 7) / 8);
-    w.put_bits(util::load_le<std::uint64_t>(tail), static_cast<int>(bits - b));
-  }
-}
-
 /// The word buffer behind a length directory: label i is ceil(lens[i]/64)
-/// little-endian words. Single-threaded build visits labels strictly in
-/// order, matching the buffer layout.
+/// little-endian words (put_bits drops the padding past its last bit).
+/// Single-threaded build visits labels strictly in order, matching the
+/// buffer layout.
 bits::LabelArena read_words(util::ByteReader& r, const Directory& dir) {
   if (dir.words > r.remaining() / 8)
     throw std::runtime_error("LabelStore: truncated label payload");
   return bits::LabelArena::build(
       dir.lens.size(), 1, [&](std::size_t i, bits::BitWriter& w) {
-        append_bits(w, r.bytes(words_of(dir.lens[i]) * 8), dir.lens[i]);
+        const std::size_t bits = dir.lens[i];
+        const std::string_view words = r.bytes(words_of(bits) * 8);
+        for (std::size_t b = 0; b < bits; b += 64)
+          w.put_bits(util::load_le<std::uint64_t>(words.data() + b / 8),
+                     static_cast<int>(std::min<std::size_t>(64, bits - b)));
       });
 }
 
@@ -193,31 +183,14 @@ void LabelStore::save_mappable(std::ostream& os, std::string_view scheme,
 LabelStore::LoadedArena LabelStore::load_arena(std::istream& is) {
   const std::string buf = read_all(is);
   util::ByteReader r(buf);
-  Header h = read_header(r, kVersion, kVersionMappable);
-  const std::uint64_t count = read_count(r, buf.size());
-  LoadedArena out{std::move(h.scheme), std::move(h.params), {}};
-  if (h.version == kVersionMappable) {
-    const Directory dir = read_lens(r, count);
-    (void)r.bytes(pad8(r.offset()));
-    r.require("LabelStore: truncated padding");
-    out.labels = read_words(r, dir);
-    return out;
-  }
-  // Version 1: each label is a u64 bit length, then ceil(bits/8) bytes.
-  out.labels = bits::LabelArena::build(
-      static_cast<std::size_t>(count), 1,
-      [&](std::size_t, bits::BitWriter& w) {
-        const auto bitlen = r.get<std::uint64_t>();
-        if (bitlen > kMaxLabelBits)
-          throw std::runtime_error("LabelStore: implausible label length");
-        const std::string_view bytes = r.bytes((bitlen + 7) / 8);
-        r.require("LabelStore: truncated label");
-        append_bits(w, bytes, static_cast<std::size_t>(bitlen));
-      });
-  return out;
+  Header h = read_header(r, kVersionMappable);
+  const Directory dir = read_lens(r, read_count(r, buf.size()));
+  (void)r.bytes(pad8(r.offset()));
+  r.require("LabelStore: truncated padding");
+  return {std::move(h.scheme), std::move(h.params), read_words(r, dir)};
 }
 
-LabelStore::MappedLoaded LabelStore::open_mapped(const std::string& path) {
+LabelStore::LoadedArena LabelStore::open_mapped(const std::string& path) {
   if (auto fp = util::failpoint::check("label_store.open_mapped"))
     util::failpoint::raise(*fp, "label_store.open_mapped", path);
   {
@@ -233,30 +206,26 @@ LabelStore::MappedLoaded LabelStore::open_mapped(const std::string& path) {
         is, static_cast<std::size_t>(std::min<std::uint64_t>(
                 size, kMaxHeaderBytes)));
     util::ByteReader r(head);
-    Header h = read_header(r, kVersion, kVersionMappable);
+    Header h = read_header(r, kVersionMappable);
     const std::uint64_t count = read_count(r, size);
-    if (h.version == kVersionMappable) {
-      const std::size_t dir_at = r.offset();
-      is.clear();
-      is.seekg(static_cast<std::streamoff>(dir_at));
-      const std::string dir_bytes =
-          read_upto(is, static_cast<std::size_t>(count) * 8);
-      util::ByteReader dr(dir_bytes);
-      Directory dir = read_lens(dr, count);
-      const std::size_t words_at = dir_at + dir.lens.size() * 8;
-      if (auto mapped = bits::MappedArena::map(
-              path.c_str(), words_at + pad8(words_at), std::move(dir.lens)))
-        return {std::move(h.scheme), std::move(h.params), std::move(*mapped)};
-    }
+    const std::size_t dir_at = r.offset();
+    is.clear();
+    is.seekg(static_cast<std::streamoff>(dir_at));
+    const std::string dir_bytes =
+        read_upto(is, static_cast<std::size_t>(count) * 8);
+    util::ByteReader dr(dir_bytes);
+    Directory dir = read_lens(dr, count);
+    const std::size_t words_at = dir_at + dir.lens.size() * 8;
+    if (auto mapped = bits::LabelArena::map(
+            path.c_str(), words_at + pad8(words_at), std::move(dir.lens)))
+      return {std::move(h.scheme), std::move(h.params), std::move(*mapped)};
   }
-  // Streamed fallback: version-1 files, and version-2 files that could not
-  // be mapped (its validation also catches a word buffer shorter than the
-  // directory promises, which map() refuses silently).
+  // Streamed fallback for a file that could not be mapped (its validation
+  // also catches a word buffer shorter than the directory promises, which
+  // map() refuses silently).
   std::ifstream is(path, std::ios::binary);
   if (!is) throw util::IoError(path, "open labels for reading", errno);
-  LoadedArena la = load_arena(is);
-  return {std::move(la.scheme), std::move(la.params),
-          bits::MappedArena::adopt(std::move(la.labels))};
+  return load_arena(is);
 }
 
 void LabelStore::save_file(const std::string& path, std::string_view scheme,
@@ -298,14 +267,6 @@ std::vector<IdRun> read_runs(util::ByteReader& r, const char* what) {
     run.count = r.get<std::uint64_t>();
   }
   return runs;
-}
-
-template <typename Arena>
-std::uint64_t lens_hash_of(const Arena& a) {
-  std::uint64_t h = fnv1a_u64(kFnvOffset, a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    h = fnv1a_u64(h, a.label_bits(i));
-  return h;
 }
 
 /// Structural validation shared by load_delta (wire) and apply_delta
@@ -352,48 +313,6 @@ void validate_delta(const LabelDelta& d) {
   if (expect != d.new_count) bad("appended ids not covered by dirty payload");
 }
 
-template <typename Arena>
-bits::LabelArena apply_delta_to(const Arena& base, const LabelDelta& d) {
-  validate_delta(d);
-  if (base.size() != d.base_count)
-    throw std::runtime_error("LabelStore: delta base count mismatch");
-  if (lens_hash_of(base) != d.base_lens_hash)
-    throw std::runtime_error("LabelStore: delta does not match base labeling");
-  // Source of each new label: the delta payload for dirty ids, the
-  // (drop-shifted) base label otherwise. Survivors occupy the first
-  // base_count - dropped new ids in base order; validate_delta guarantees
-  // everything past that range is dirty.
-  const auto n = static_cast<std::size_t>(d.new_count);
-  std::vector<std::int64_t> src(n);
-  {
-    std::size_t next_drop = 0;
-    std::uint64_t new_id = 0;
-    for (std::uint64_t b = 0; b < d.base_count && new_id < d.new_count; ++b) {
-      while (next_drop < d.dropped.size() &&
-             b >= d.dropped[next_drop].first + d.dropped[next_drop].count)
-        ++next_drop;
-      if (next_drop < d.dropped.size() &&
-          b >= d.dropped[next_drop].first)
-        continue;  // dropped base id
-      src[static_cast<std::size_t>(new_id++)] = static_cast<std::int64_t>(b);
-    }
-    for (std::size_t t = 0; t < d.dirty.size(); ++t)
-      src[static_cast<std::size_t>(d.dirty[t])] =
-          ~static_cast<std::int64_t>(t);
-  }
-  return bits::LabelArena::composed(n, [&](std::size_t i) {
-    const std::int64_t s = src[i];
-    if (s >= 0) {
-      const auto b = static_cast<std::size_t>(s);
-      return bits::LabelArena::LabelRef{base.label_words(b),
-                                        base.label_bits(b)};
-    }
-    const auto t = static_cast<std::size_t>(~s);
-    return bits::LabelArena::LabelRef{d.payload.label_words(t),
-                                      d.payload.label_bits(t)};
-  });
-}
-
 }  // namespace
 
 std::vector<IdRun> id_runs(const std::vector<std::uint64_t>& sorted_ids) {
@@ -408,11 +327,10 @@ std::vector<IdRun> id_runs(const std::vector<std::uint64_t>& sorted_ids) {
 }
 
 std::uint64_t LabelStore::lens_hash(const bits::LabelArena& a) {
-  return lens_hash_of(a);
-}
-
-std::uint64_t LabelStore::lens_hash(const bits::MappedArena& a) {
-  return lens_hash_of(a);
+  std::uint64_t h = fnv1a_u64(kFnvOffset, a.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    h = fnv1a_u64(h, a.label_bits(i));
+  return h;
 }
 
 std::uint64_t LabelStore::chain_hash(std::uint64_t base_chain,
@@ -473,7 +391,7 @@ LabelDelta LabelStore::load_delta(std::istream& is) {
   // buffer size before anything is allocated.
   const std::string buf = read_all(is);
   util::ByteReader c(buf);
-  Header h = read_header(c, kVersionDelta, kVersionDelta);
+  Header h = read_header(c, kVersionDelta);
   LabelDelta d;
   d.scheme = std::move(h.scheme);
   d.params = std::move(h.params);
@@ -544,12 +462,44 @@ LabelDelta LabelStore::load_delta(std::istream& is) {
 
 bits::LabelArena LabelStore::apply_delta(const bits::LabelArena& base,
                                          const LabelDelta& d) {
-  return apply_delta_to(base, d);
-}
-
-bits::LabelArena LabelStore::apply_delta(const bits::MappedArena& base,
-                                         const LabelDelta& d) {
-  return apply_delta_to(base, d);
+  validate_delta(d);
+  if (base.size() != d.base_count)
+    throw std::runtime_error("LabelStore: delta base count mismatch");
+  if (lens_hash(base) != d.base_lens_hash)
+    throw std::runtime_error("LabelStore: delta does not match base labeling");
+  // Source of each new label: the delta payload for dirty ids, the
+  // (drop-shifted) base label otherwise. Survivors occupy the first
+  // base_count - dropped new ids in base order; validate_delta guarantees
+  // everything past that range is dirty.
+  const auto n = static_cast<std::size_t>(d.new_count);
+  std::vector<std::int64_t> src(n);
+  {
+    std::size_t next_drop = 0;
+    std::uint64_t new_id = 0;
+    for (std::uint64_t b = 0; b < d.base_count && new_id < d.new_count; ++b) {
+      while (next_drop < d.dropped.size() &&
+             b >= d.dropped[next_drop].first + d.dropped[next_drop].count)
+        ++next_drop;
+      if (next_drop < d.dropped.size() &&
+          b >= d.dropped[next_drop].first)
+        continue;  // dropped base id
+      src[static_cast<std::size_t>(new_id++)] = static_cast<std::int64_t>(b);
+    }
+    for (std::size_t t = 0; t < d.dirty.size(); ++t)
+      src[static_cast<std::size_t>(d.dirty[t])] =
+          ~static_cast<std::int64_t>(t);
+  }
+  return bits::LabelArena::composed(n, [&](std::size_t i) {
+    const std::int64_t s = src[i];
+    if (s >= 0) {
+      const auto b = static_cast<std::size_t>(s);
+      return bits::LabelArena::LabelRef{base.label_words(b),
+                                        base.label_bits(b)};
+    }
+    const auto t = static_cast<std::size_t>(~s);
+    return bits::LabelArena::LabelRef{d.payload.label_words(t),
+                                      d.payload.label_bits(t)};
+  });
 }
 
 void LabelStore::save_delta_file(const std::string& path,

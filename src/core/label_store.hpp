@@ -7,17 +7,16 @@
 // label bit lengths, then one 8-byte-aligned word buffer holding every label
 // word-aligned and zero-padded — LabelArena's in-memory layout verbatim. So
 // open_mapped() can mmap a file and serve BitSpan views straight out of the
-// page cache (bits::MappedArena). Loading validates the header and every
+// page cache (bits::LabelArena::map). Loading validates the header and every
 // length field and throws std::runtime_error on any corruption. Every
 // integer goes through util/bytes.hpp.
 //
 // Container versions:
-//   * version 2 — mappable, the one full-labeling writer (save_mappable,
-//     save_file).
-//   * version 1 — compact, each label a length-prefixed ceil(bits/8)-byte
-//     string. Read-only legacy: load_arena() and open_mapped()'s streamed
-//     fallback still open it; `treelab_cli save in out` rewrites it as v2.
+//   * version 2 — the one full-labeling container: mappable, written by
+//     save_mappable and save_file, read by load_arena and open_mapped.
 //   * version 3 — a delta against a base labeling (save_delta/load_delta).
+// Any other version in a full-labeling header — such as version 1, the
+// compact container of earlier builds — is refused with an error naming it.
 #pragma once
 
 #include <iosfwd>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "bits/label_arena.hpp"
-#include "bits/mapped_arena.hpp"
 
 namespace treelab::core {
 
@@ -104,12 +102,14 @@ struct LabelDelta {
 
 class LabelStore {
  public:
-  /// A loaded labeling in owned memory.
+  /// A loaded labeling: owned memory, or an mmap'ed file (open_mapped).
   struct LoadedArena {
     std::string scheme;       ///< e.g. "fgnw", "kdistance"
     std::string params;       ///< e.g. "k=4"; scheme-defined
     bits::LabelArena labels;  ///< indexed by node id
   };
+  /// open_mapped()'s result type under its former name.
+  using MappedLoaded = LoadedArena;
 
   /// Writes the version-2 mappable container: directory of bit lengths,
   /// then the arena's word buffer verbatim (8-byte-aligned in the file).
@@ -117,26 +117,20 @@ class LabelStore {
                             const bits::LabelArena& labels,
                             std::string_view params = {});
 
-  /// Parses a version-1 or version-2 container from the rest of `is`.
-  /// Throws std::runtime_error on bad magic, unsupported version, or
-  /// truncated/oversized fields.
+  /// Parses a version-2 container from the rest of `is` into owned memory.
+  /// Throws std::runtime_error on bad magic, any other version (the message
+  /// names it), or truncated/oversized fields.
   [[nodiscard]] static LoadedArena load_arena(std::istream& is);
 
-  /// Like LoadedArena, with the labels possibly served zero-copy from an
-  /// mmap'ed file — the serving-side entry point.
-  struct MappedLoaded {
-    std::string scheme;
-    std::string params;
-    bits::MappedArena labels;
-  };
-
-  /// Opens a label file for serving: a version-2 container on a mappable
-  /// platform is mmap'ed (labels.mapped() == true, no payload copy); any
-  /// other file — version 1, or when mapping fails — is streamed through
-  /// load_arena() into owned memory. Same validation and errors as
-  /// load_arena() in the fallback; a mappable open validates the header and
-  /// directory and bounds the word buffer against the file size.
-  [[nodiscard]] static MappedLoaded open_mapped(const std::string& path);
+  /// Opens a label file for serving — the serving-side entry point. It
+  /// reads only the header and the length directory, then mmaps the word
+  /// buffer (labels.mapped() == true, no payload copy). A version-2 file
+  /// that cannot be mapped — the mapped_arena.map failpoint, a big-endian
+  /// host, no mmap, or a word buffer shorter than the directory promises —
+  /// is streamed through load_arena() into owned memory instead, which
+  /// reports the truncation. Throws what load_arena() throws, including
+  /// for any version other than 2.
+  [[nodiscard]] static LoadedArena open_mapped(const std::string& path);
 
   // --- version-3 delta container --------------------------------------------
 
@@ -144,10 +138,9 @@ class LabelStore {
   /// every label's exact bit length. O(n) with no payload reads (cheap even
   /// on an mmap'ed arena — the word buffer is never touched), so
   /// apply_delta can verify a delta targets the right base without paging
-  /// the labels in. Identical for LabelArena and MappedArena views of the
-  /// same labeling.
+  /// the labels in. Identical for owned and mapped arenas of the same
+  /// labeling.
   [[nodiscard]] static std::uint64_t lens_hash(const bits::LabelArena& a);
-  [[nodiscard]] static std::uint64_t lens_hash(const bits::MappedArena& a);
 
   /// The successor epoch-chain value of applying `d` to an epoch whose
   /// chain value is `base_chain`: FNV-1a over the chain value and the
@@ -179,8 +172,6 @@ class LabelStore {
   /// otherwise.
   [[nodiscard]] static bits::LabelArena apply_delta(
       const bits::LabelArena& base, const LabelDelta& d);
-  [[nodiscard]] static bits::LabelArena apply_delta(
-      const bits::MappedArena& base, const LabelDelta& d);
 
   // --- crash-safe file writes -----------------------------------------------
 

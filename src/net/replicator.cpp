@@ -22,8 +22,7 @@ using Clock = std::chrono::steady_clock;
 Replicator::Replicator(serve::ForestIndex& index, ReplicatorOptions opt)
     : index_(index),
       opt_(std::move(opt)),
-      rng_(opt_.backoff_seed | 1),
-      force_snapshot_(opt_.force_snapshot) {
+      rng_(opt_.backoff_seed | 1) {
   if (opt_.tree >= index_.tree_count())
     throw std::invalid_argument(
         "net::Replicator: target tree does not exist in the index");

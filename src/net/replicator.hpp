@@ -63,8 +63,6 @@ struct ReplicatorOptions {
   /// Consecutive no-progress connection attempts before run() gives up;
   /// -1 = never.
   int max_attempts = -1;
-  /// Start from a full snapshot even if the local chain might match.
-  bool force_snapshot = false;
 };
 
 class Replicator {
@@ -124,7 +122,9 @@ class Replicator {
   /// keep it that way.
   util::ThreadRole follow_role_;
   std::uint64_t rng_ TREELAB_GUARDED_BY(follow_role_);
-  bool force_snapshot_ TREELAB_GUARDED_BY(follow_role_);
+  /// Ask the leader for a full snapshot next session: set after a
+  /// snapshot failed validation.
+  bool force_snapshot_ TREELAB_GUARDED_BY(follow_role_) = false;
   /// Any apply succeeded this session.
   bool progressed_ TREELAB_GUARDED_BY(follow_role_) = false;
   std::thread thread_;

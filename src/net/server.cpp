@@ -209,14 +209,14 @@ struct Server::Impl {
         ctr.accept_faults.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      if (draining || conns.size() >= opt.max_connections) {
+      if (draining || conns.size() >= Server::kMaxConnections) {
         ::close(fd);
         continue;
       }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto [it, inserted] =
-          conns.emplace(fd, Conn(fd, opt.max_frame_payload, now));
+          conns.emplace(fd, Conn(fd, Server::kMaxFramePayload, now));
       (void)inserted;
       epoll_event ev{};
       ev.events = EPOLLIN;

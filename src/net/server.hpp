@@ -61,10 +61,6 @@ struct ServerOptions {
   std::string bind_addr = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port() after start().
   std::uint16_t port = 0;
-  /// Accepted connections beyond this are closed immediately.
-  std::size_t max_connections = 256;
-  /// Largest frame payload a peer may make the server buffer.
-  std::uint64_t max_frame_payload = std::uint64_t{64} << 20;
   /// Per-connection queued-output cap: past it the connection is no longer
   /// read from until the peer drains (backpressure).
   std::size_t write_buffer_limit = std::size_t{4} << 20;
@@ -82,6 +78,11 @@ struct ServerOptions {
 
 class Server {
  public:
+  /// Accepted connections beyond this many are closed immediately.
+  static constexpr std::size_t kMaxConnections = 256;
+  /// Largest frame payload a peer may make the server buffer.
+  static constexpr std::uint64_t kMaxFramePayload = std::uint64_t{64} << 20;
+
   explicit Server(serve::ForestIndex& index, ServerOptions opt = {});
   ~Server();
   Server(const Server&) = delete;

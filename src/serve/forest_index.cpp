@@ -100,7 +100,10 @@ ForestIndex::Slot& ForestIndex::slot(TreeId tree) const {
 }
 
 ForestIndex::EntryPtr ForestIndex::entry(TreeId tree) const {
-  return slot(tree).entry.load(std::memory_order_acquire);
+  (void)slot(tree);  // the range check
+  Shard& sh = *shards_[shard_of(tree)];
+  const util::MutexLock lock(sh.mu);
+  return live_entry(sh, tree);
 }
 
 TreeHealth ForestIndex::health(TreeId tree) const {
@@ -170,7 +173,7 @@ tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
 
 std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
     AnyScheme handle, std::string_view scheme, std::string_view params,
-    bits::MappedArena labels, std::uint64_t epoch,
+    bits::LabelArena labels, std::uint64_t epoch,
     std::vector<tree::NodeId> ext_map) {
   auto e = std::make_shared<TreeEntry>();
   e->scheme = std::move(handle);
@@ -183,22 +186,25 @@ std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
   return e;
 }
 
-TreeId ForestIndex::add_entry(std::string_view scheme, std::string_view params,
-                              bits::MappedArena labels) {
-  trees_.push_back(std::make_unique<Slot>(make_entry(
-      AnyScheme::make(scheme, params), scheme, params, std::move(labels), 0,
-      {})));
-  return static_cast<TreeId>(trees_.size() - 1);
-}
-
 TreeId ForestIndex::add_file(const std::string& path) {
-  auto loaded = core::LabelStore::open_mapped(path);
-  return add_entry(loaded.scheme, loaded.params, std::move(loaded.labels));
+  return add(core::LabelStore::open_mapped(path));
 }
 
 TreeId ForestIndex::add(core::LabelStore::LoadedArena loaded) {
-  return add_entry(loaded.scheme, loaded.params,
-                   bits::MappedArena::adopt(std::move(loaded.labels)));
+  const auto tree = static_cast<TreeId>(trees_.size());
+  EntryPtr e = make_entry(AnyScheme::make(loaded.scheme, loaded.params),
+                          loaded.scheme, loaded.params,
+                          std::move(loaded.labels), 0, {});
+  Shard& sh = *shards_[shard_of(tree)];
+  {
+    // Indexed, not appended: if the push below throws, the next add of
+    // this id overwrites the entry.
+    const util::MutexLock lock(sh.mu);
+    sh.entries.resize(tree / shards_.size() + 1);
+    live_entry(sh, tree) = std::move(e);
+  }
+  trees_.push_back(std::make_unique<Slot>());
+  return tree;
 }
 
 std::vector<tree::NodeId> ForestIndex::compose_ext_map(
@@ -244,41 +250,42 @@ std::vector<tree::NodeId> ForestIndex::compose_ext_map(
   return out;
 }
 
-std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
-                                      std::string_view params,
-                                      bits::MappedArena labels,
+std::uint64_t ForestIndex::swap_entry(TreeId tree,
+                                      core::LabelStore::LoadedArena loaded,
                                       const std::vector<tree::NodeId>* remap,
                                       const std::uint64_t* chain) {
   Slot& sl = slot(tree);
   if (auto fp = util::failpoint::check("forest.swap"))
     util::failpoint::raise(*fp, "forest.swap", "tree " + std::to_string(tree));
   Shard& sh = *shards_[shard_of(tree)];
-  const AnyScheme handle = AnyScheme::make(scheme, params);
+  const AnyScheme handle = AnyScheme::make(loaded.scheme, loaded.params);
   for (;;) {
     // Entry construction (chain seed, ext-map composition — O(n) work)
     // runs OUTSIDE the shard lock against a snapshot; the lock covers only
     // the validate-and-swap plus the invalidation. A batch uses the cache
     // only after checking, under the same lock, that its snapshot is still
-    // the slot's entry — so any section ordered after ours sees the new
+    // the tree's entry — so any section ordered after ours sees the new
     // entry, and no stale attachment can be re-inserted once the erase has
     // run.
-    const EntryPtr old = sl.entry.load(std::memory_order_acquire);
+    const EntryPtr old = entry(tree);
     std::vector<tree::NodeId> ext_map;
     if (remap != nullptr) {
       if (remap->size() != old->labels.size())
         throw std::invalid_argument(
             "ForestIndex: remap does not match the current labeling");
-      ext_map = compose_ext_map(*old, *remap, labels.size(), nullptr, nullptr);
+      ext_map = compose_ext_map(*old, *remap, loaded.labels.size(), nullptr,
+                                nullptr);
     }
     std::shared_ptr<TreeEntry> fresh =
-        make_entry(handle, scheme, params, std::move(labels), old->epoch + 1,
+        make_entry(handle, loaded.scheme, loaded.params,
+                   std::move(loaded.labels), old->epoch + 1,
                    std::move(ext_map));
     if (chain != nullptr) fresh->chain = *chain;
     {
       const util::MutexLock lock(sh.mu);
-      if (sl.entry.load(std::memory_order_acquire) == old) {
-        sl.entry.store(EntryPtr(std::move(fresh)),
-                       std::memory_order_release);
+      EntryPtr& live = live_entry(sh, tree);
+      if (live == old) {
+        live = std::move(fresh);
         sh.invalidated += sh.cache.erase_if([tree](std::uint64_t key) {
           return static_cast<TreeId>(key >> 32) == tree;
         });
@@ -289,31 +296,26 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree, std::string_view scheme,
     }
     // Raced another writer: take the labels back and retry against the new
     // entry (epochs stay monotonic).
-    labels = std::move(fresh->labels);
+    loaded.labels = std::move(fresh->labels);
   }
 }
 
 std::uint64_t ForestIndex::update(TreeId tree,
                                   core::LabelStore::LoadedArena loaded) {
-  return swap_entry(tree, loaded.scheme, loaded.params,
-                    bits::MappedArena::adopt(std::move(loaded.labels)),
-                    nullptr);
+  return swap_entry(tree, std::move(loaded), nullptr);
 }
 
 std::uint64_t ForestIndex::update(TreeId tree,
                                   core::LabelStore::LoadedArena loaded,
                                   std::span<const tree::NodeId> remap) {
   const std::vector<tree::NodeId> r(remap.begin(), remap.end());
-  return swap_entry(tree, loaded.scheme, loaded.params,
-                    bits::MappedArena::adopt(std::move(loaded.labels)), &r);
+  return swap_entry(tree, std::move(loaded), &r);
 }
 
 std::uint64_t ForestIndex::update(TreeId tree,
                                   core::LabelStore::LoadedArena loaded,
                                   std::uint64_t chain) {
-  return swap_entry(tree, loaded.scheme, loaded.params,
-                    bits::MappedArena::adopt(std::move(loaded.labels)), nullptr,
-                    &chain);
+  return swap_entry(tree, std::move(loaded), nullptr, &chain);
 }
 
 std::uint64_t ForestIndex::update_file(TreeId tree, const std::string& path) {
@@ -321,8 +323,7 @@ std::uint64_t ForestIndex::update_file(TreeId tree, const std::string& path) {
   try {
     auto loaded =
         with_retries(sl, [&] { return core::LabelStore::open_mapped(path); });
-    return swap_entry(tree, loaded.scheme, loaded.params,
-                      std::move(loaded.labels), nullptr);
+    return swap_entry(tree, std::move(loaded), nullptr);
   } catch (const util::IoError&) {
     throw;  // counted (and the tree marked stale) in with_retries
   } catch (const util::FailpointAbort&) {
@@ -371,7 +372,7 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
     // large patch. The lock is only taken for the swap+invalidate; if
     // another writer replaced the entry meanwhile, start over (the delta
     // is then re-validated against the new epoch and rejected cleanly).
-    const EntryPtr old = trees_[tree]->entry.load(std::memory_order_acquire);
+    const EntryPtr old = entry(tree);
     if (d.scheme != old->scheme_name || d.params != old->params)
       throw std::invalid_argument("ForestIndex: delta scheme mismatch");
     // The epoch chain is the strong ordering check: lens_hash alone could
@@ -410,17 +411,16 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
 
     std::shared_ptr<TreeEntry> fresh =
         make_entry(old->scheme, old->scheme_name, old->params,
-                   bits::MappedArena::adopt(std::move(patched)),
-                   old->epoch + 1, std::move(ext_map));
+                   std::move(patched), old->epoch + 1, std::move(ext_map));
     fresh->chain = d.new_chain;
     const std::unordered_set<tree::NodeId> stale(stale_ext.begin(),
                                                  stale_ext.end());
 
     const util::MutexLock lock(sh.mu);
-    if (trees_[tree]->entry.load(std::memory_order_acquire) != old)
+    EntryPtr& live = live_entry(sh, tree);
+    if (live != old)
       continue;  // raced another writer: re-validate against its epoch
-    trees_[tree]->entry.store(EntryPtr(std::move(fresh)),
-                              std::memory_order_release);
+    live = std::move(fresh);
     // Selective invalidation: only attachments whose labels changed (or
     // whose ids died) go; clean hot labels stay attached across the swap.
     sh.invalidated += sh.cache.erase_if([tree, &stale](std::uint64_t key) {
@@ -456,12 +456,7 @@ std::uint64_t ForestIndex::chain(TreeId tree) const {
 
 core::LabelStore::LoadedArena ForestIndex::snapshot_labels(TreeId tree) const {
   const EntryPtr e = entry(tree);
-  bits::LabelArena copy = bits::LabelArena::composed(
-      e->labels.size(), [&](std::size_t i) {
-        return bits::LabelArena::LabelRef{e->labels.label_words(i),
-                                          e->labels.label_bits(i)};
-      });
-  return {e->scheme_name, e->params, std::move(copy)};
+  return {e->scheme_name, e->params, e->labels};
 }
 
 int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
@@ -544,9 +539,7 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
     }
     const auto [it, fresh] = snap_of.try_emplace(
         r.tree, static_cast<std::uint32_t>(plan.snaps.size()));
-    if (fresh)
-      plan.snaps.push_back(
-          {r.tree, trees_[r.tree]->entry.load(std::memory_order_acquire)});
+    if (fresh) plan.snaps.push_back({r.tree, entry(r.tree)});
     const TreeEntry& e = *plan.snaps[it->second].entry;
     const tree::NodeId iu = resolve(e, r.u);
     const tree::NodeId iv = resolve(e, r.v);
@@ -578,8 +571,7 @@ void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
         // tree lives in one shard, so no other worker touches its Snap.
         for (BatchPlan::Snap& sn : plan.snaps)
           if (shard_of(sn.tree) == s)
-            sn.live = trees_[sn.tree]->entry.load(std::memory_order_acquire) ==
-                      sn.entry;
+            sn.live = live_entry(sh, sn.tree) == sn.entry;
         std::size_t answered = 0;
         for (const BatchPlan::Item& it : plan.by_shard[s]) {
           const BatchPlan::Snap& sn = plan.snaps[it.snap];

@@ -5,8 +5,9 @@
 //
 //   * many labeled trees behind one API, heterogeneous schemes (AnyScheme
 //     dispatches on the scheme tag in each LabelStore header),
-//   * zero-copy label storage where possible (LabelStore::open_mapped /
-//     bits::MappedArena — a mappable file costs one mmap, not a copy),
+//   * zero-copy label storage where possible (LabelStore::open_mapped
+//     maps a version-2 file into a bits::LabelArena — one mmap, not a
+//     copy; in-memory labelings are served from the same arena type),
 //   * trees sharded by id across S shards, each shard owning a
 //     byte-bounded LRU cache of attached (pre-parsed) labels, so hot
 //     labels are parsed once and queried many times. Once the cache is
@@ -19,14 +20,16 @@
 //     per request in request order — deterministic for any thread count.
 //     A bad id or a quarantined tree costs only its own request's answer,
 //   * hot swap: update() replaces one tree's labeling in place — an
-//     epoch-bumping shared_ptr swap of the immutable TreeEntry plus
-//     invalidation of that tree's attached-label cache keys — safe under
-//     concurrent query_batch(). This is how a serving node takes an
-//     IncrementalRelabeler's refreshed labels without downtime.
+//     epoch-bumping swap of the shared_ptr to the immutable TreeEntry,
+//     made under the tree's shard lock, plus invalidation of that tree's
+//     attached-label cache keys — safe under concurrent query_batch(),
+//     which reads each tree's entry under the same lock. This is how a
+//     serving node takes an IncrementalRelabeler's refreshed labels
+//     without downtime.
 //   * delta shipping: apply_delta() patches one tree's labeling from a
 //     LabelStore v3 delta instead of a whole file — the new entry is built
 //     copy-on-write next to the live one (the mmap'ed base is never
-//     written), swapped under the same epoch'd slot machinery, and only the
+//     written), swapped under the same shard lock as update(), and only the
 //     cached attachments whose labels actually changed are invalidated
 //     (LruCache::erase_if over the dirty/dropped id set); clean hot labels
 //     stay attached across the swap.
@@ -66,7 +69,7 @@
 #include <string_view>
 #include <vector>
 
-#include "bits/mapped_arena.hpp"
+#include "bits/label_arena.hpp"
 #include "core/label_store.hpp"
 #include "obs/metrics.hpp"
 #include "serve/any_scheme.hpp"
@@ -174,8 +177,8 @@ class ForestIndex {
   /// IncrementalRelabeler::ship_delta): validates that the delta targets
   /// the live labeling (count + length-directory hash), materializes the
   /// patched arena copy-on-write, composes the delta's dropped runs into
-  /// the tree's external-id map, and hot-swaps the entry under the epoch'd
-  /// slot machinery. Only the cached attachments whose labels changed —
+  /// the tree's external-id map, and hot-swaps the entry under the tree's
+  /// shard lock. Only the cached attachments whose labels changed —
   /// dirty ids and dropped/shifted ids — are invalidated; clean cached
   /// attachments survive. The delta's scheme/params must match the tree's.
   /// Returns the new epoch. Throws std::out_of_range on a bad id,
@@ -209,10 +212,12 @@ class ForestIndex {
   /// when subscribing). Throws std::out_of_range on a bad id.
   [[nodiscard]] std::uint64_t chain(TreeId tree) const;
 
-  /// Owned copy of the tree's live labeling in hand-off form. This is the
-  /// leader side of snapshot catch-up (and the convergence probe of the
-  /// replication tests): the copy is taken from one atomic entry load, so
-  /// it is internally consistent under concurrent updates. O(total bits).
+  /// The tree's live labeling in hand-off form. This is the leader side of
+  /// snapshot catch-up (and the convergence probe of the replication
+  /// tests): the arena is copied from one entry read, so it is internally
+  /// consistent under concurrent updates. The copy shares the entry's
+  /// immutable words (owned or mapped) and keeps them alive; it costs the
+  /// O(n) directory, not the label bits.
   [[nodiscard]] core::LabelStore::LoadedArena snapshot_labels(
       TreeId tree) const;
 
@@ -289,7 +294,7 @@ class ForestIndex {
     AnyScheme scheme;
     std::string scheme_name;  ///< LabelStore header tag (delta validation)
     std::string params;
-    bits::MappedArena labels;
+    bits::LabelArena labels;
     std::uint64_t epoch = 0;
     /// Epoch-chain value this entry sits at: lens_hash of the arena for a
     /// fully loaded base, the applied delta's new_chain afterwards. A delta
@@ -305,12 +310,10 @@ class ForestIndex {
     }
   };
   using EntryPtr = std::shared_ptr<const TreeEntry>;
-  /// One tree: the epoch'd entry slot plus its health word. Health lives
-  /// beside the slot (not inside TreeEntry) so quarantining or repairing a
-  /// tree does not republish its labeling.
+  /// One tree's health word and integrity streak: lock-free atomics that
+  /// live beside the entry (not inside TreeEntry), so quarantining or
+  /// repairing a tree does not republish its labeling.
   struct Slot {
-    explicit Slot(EntryPtr e) : entry(std::move(e)) {}
-    std::atomic<EntryPtr> entry;
     std::atomic<std::uint8_t> health{
         static_cast<std::uint8_t>(TreeHealth::kLive)};
     /// Consecutive integrity failures; reset by any clean swap.
@@ -319,26 +322,32 @@ class ForestIndex {
   struct Shard {
     explicit Shard(std::size_t capacity_bytes) : cache(capacity_bytes) {}
     mutable util::Mutex mu;
+    /// The live entry of each tree in this shard, at index tree / shard
+    /// count. Readers copy it and writers replace it, both under `mu`.
+    std::vector<EntryPtr> entries TREELAB_GUARDED_BY(mu);
     LruCache<std::uint64_t, AnyScheme::AttachedPtr> cache
         TREELAB_GUARDED_BY(mu);
     std::size_t invalidated TREELAB_GUARDED_BY(mu) = 0;
   };
 
-  /// The tree's current entry (one atomic load). Throws std::out_of_range
-  /// on a bad id.
+  /// The tree's current entry, copied under its shard lock. Throws
+  /// std::out_of_range on a bad id.
   [[nodiscard]] EntryPtr entry(TreeId tree) const;
   [[nodiscard]] std::size_t shard_of(TreeId tree) const noexcept {
     return tree % shards_.size();
   }
-  TreeId add_entry(std::string_view scheme, std::string_view params,
-                   bits::MappedArena labels);
+  /// The tree's live-entry cell in its shard `sh`.
+  [[nodiscard]] EntryPtr& live_entry(Shard& sh, TreeId tree) const
+      TREELAB_REQUIRES(sh.mu) {
+    return sh.entries[tree / shards_.size()];
+  }
   /// Builds a fresh (still mutable) entry around `handle`, the dispatcher
   /// made from (scheme, params); the chain starts at the arena's lens_hash
   /// — apply_delta overrides it with the delta's new_chain, and reuses the
   /// live entry's handle, since a delta cannot change the scheme.
   [[nodiscard]] static std::shared_ptr<TreeEntry> make_entry(
       AnyScheme handle, std::string_view scheme, std::string_view params,
-      bits::MappedArena labels, std::uint64_t epoch,
+      bits::LabelArena labels, std::uint64_t epoch,
       std::vector<tree::NodeId> ext_map);
   /// External → internal id; tree::kNoNode for an id out of range, a
   /// tombstone (zero-length label) or an id compacted away.
@@ -355,13 +364,12 @@ class ForestIndex {
       const TreeEntry& old, std::span<const tree::NodeId> remap,
       std::size_t new_int_count, const std::vector<std::uint8_t>* dirty_int,
       std::vector<tree::NodeId>* dead_or_dirty);
-  /// Shared body of update()/update_file(): swap the slot and invalidate
+  /// Shared body of update()/update_file(): swap the entry and invalidate
   /// the tree's cached attachments, both under the shard lock. `remap`
   /// non-null composes the external-id map (see update(remap)); null
   /// resets it. `chain` non-null pins the entry's chain (snapshot
   /// hand-off); null seeds it from the arena's lens_hash.
-  std::uint64_t swap_entry(TreeId tree, std::string_view scheme,
-                           std::string_view params, bits::MappedArena labels,
+  std::uint64_t swap_entry(TreeId tree, core::LabelStore::LoadedArena loaded,
                            const std::vector<tree::NodeId>* remap,
                            const std::uint64_t* chain = nullptr);
   /// A batch's accepted requests, partitioned by shard in request order,
@@ -377,7 +385,7 @@ class ForestIndex {
     };
     struct Snap {
       TreeId tree = 0;
-      EntryPtr entry;
+      EntryPtr entry;  ///< read under the tree's shard lock by plan_batch
       /// Whether `entry` is still the live one; set by execute_plan under
       /// the tree's shard lock.
       bool live = false;
@@ -402,8 +410,10 @@ class ForestIndex {
                                            const TreeEntry& e) const
       TREELAB_REQUIRES(sh.mu);
   /// The raw-label answer: serves a replaced snapshot and refused misses.
-  [[nodiscard]] Dist query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
-                                             const TreeEntry& e) const;
+  /// Out of line: gcc 12 otherwise inlines it into execute_plan's
+  /// per-request loop, which measured slower on perfbench hot.
+  [[gnu::noinline]] [[nodiscard]] Dist query_resolved_uncached(
+      tree::NodeId iu, tree::NodeId iv, const TreeEntry& e) const;
 
   [[nodiscard]] Slot& slot(TreeId tree) const;
   [[nodiscard]] static TreeHealth health_of(const Slot& s) noexcept {
@@ -429,8 +439,8 @@ class ForestIndex {
   void register_metrics();
 
   ForestOptions opt_;
-  // One slot per tree: queries load slot.entry, update() stores it. The
-  // vector itself only grows in the (serialized) build phase.
+  // One health slot per tree; the entries live in the shards. Both only
+  // grow in the (serialized) build phase.
   std::vector<std::unique_ptr<Slot>> trees_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // RAII registrations; removed (and the `this` captures dropped) on

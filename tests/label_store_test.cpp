@@ -1,8 +1,8 @@
 // LabelStore round-trip coverage across every distance scheme: save from
-// the pooled arena, load both the written (version-2) container and a
-// legacy version-1 image of the same labels, verify bit-exact labels and
-// query parity against a brute-force oracle — plus truncation/corruption
-// failure cases for the header and the payload. This is the ship-and-serve
+// the pooled arena, load the written (version-2) container, verify
+// bit-exact labels and query parity against a brute-force oracle — plus
+// truncation/corruption failure cases for the header and the payload, and
+// the refusal of other container versions. This is the ship-and-serve
 // loop: labels computed centrally must come back from the wire
 // indistinguishable from the originals.
 #include <gtest/gtest.h>
@@ -37,28 +37,6 @@ using tree::Tree;
 
 constexpr NodeId kN = 300;
 
-/// A version-1 image of `labels`: the compact legacy container LabelStore
-/// still reads but no longer writes — the v2 header with version 1, then
-/// each label as a u64 bit length and its ceil(bits/8) little-endian bytes.
-std::string v1_image(const bits::LabelArena& labels, std::string_view scheme,
-                     std::string_view params) {
-  std::string out = "TLAB";
-  util::put_le<std::uint32_t>(out, 1);
-  util::put_le(out, static_cast<std::uint32_t>(scheme.size()));
-  out += scheme;
-  util::put_le(out, static_cast<std::uint32_t>(params.size()));
-  out += params;
-  util::put_le<std::uint64_t>(out, labels.size());
-  std::string scratch;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::size_t bits = labels.label_bits(i);
-    util::put_le<std::uint64_t>(out, bits);
-    out += util::le_bytes({labels.label_words(i), (bits + 63) / 64}, scratch)
-               .substr(0, (bits + 7) / 8);
-  }
-  return out;
-}
-
 std::string v2_image(const bits::LabelArena& labels, std::string_view scheme,
                      std::string_view params) {
   std::stringstream ss;
@@ -71,21 +49,17 @@ core::LabelStore::LoadedArena load(const std::string& wire) {
   return core::LabelStore::load_arena(in);
 }
 
-/// Saves `labels`, loads them back from the written container and from a
-/// v1 image of the same labels, and checks scheme/params/bit-exactness.
+/// Saves `labels`, loads them back from the written container, and checks
+/// scheme/params/bit-exactness.
 core::LabelStore::LoadedArena roundtrip(const bits::LabelArena& labels,
                                         const char* scheme,
                                         const char* params) {
-  core::LabelStore::LoadedArena loaded;
-  for (const std::string& wire :
-       {v1_image(labels, scheme, params), v2_image(labels, scheme, params)}) {
-    loaded = load(wire);
-    EXPECT_EQ(loaded.scheme, scheme);
-    EXPECT_EQ(loaded.params, params);
-    EXPECT_EQ(loaded.labels.size(), labels.size());
-    for (std::size_t i = 0; i < labels.size(); ++i)
-      EXPECT_TRUE(loaded.labels[i] == labels[i]) << scheme << " label " << i;
-  }
+  core::LabelStore::LoadedArena loaded = load(v2_image(labels, scheme, params));
+  EXPECT_EQ(loaded.scheme, scheme);
+  EXPECT_EQ(loaded.params, params);
+  EXPECT_EQ(loaded.labels.size(), labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    EXPECT_TRUE(loaded.labels[i] == labels[i]) << scheme << " label " << i;
   return loaded;
 }
 
@@ -163,7 +137,7 @@ TEST(LabelStoreSchemes, ParallelBuiltLabelsShipIdentically) {
 
 TEST(LabelStoreSchemes, EmptyAndOddSizes) {
   // A zero-length label, a 3-bit one, and 33 bits (a non-byte-aligned
-  // tail) through both container versions.
+  // tail).
   const bits::LabelArena labels =
       bits::LabelArena::build(3, 1, [](std::size_t i, bits::BitWriter& w) {
         if (i == 1) w.put_bits(0b101, 3);
@@ -177,7 +151,7 @@ TEST(LabelStoreSchemes, EmptyAndOddSizes) {
 TEST(LabelStoreFailure, TruncatedEverywhere) {
   const Tree t = tree::random_tree(60, 47);
   const core::FgnwScheme s(t);
-  const std::string wire = v1_image(s.labels(), "fgnw", "p=1");
+  const std::string wire = v2_image(s.labels(), "fgnw", "p=1");
   // Every strict prefix must throw (the container has no trailing slack).
   for (std::size_t len = 0; len < wire.size();
        len += 1 + len / 9) {  // denser probing near the header
@@ -223,18 +197,10 @@ void bit_flip_sweep(const std::string& wire, const Load& load,
   }
 }
 
-TEST(LabelStoreFailure, BitFlippedV1ContainerNeverReadsOutOfBounds) {
-  const Tree t = tree::random_tree(40, 49);
-  const core::FgnwScheme s(t);
-  bit_flip_sweep(v1_image(s.labels(), "fgnw", "p=1"),
-                 [](const std::string& wire) { return load(wire).labels; },
-                 "v1 load_arena");
-}
-
 TEST(LabelStoreFailure, BitFlippedV2ContainerNeverReadsOutOfBounds) {
-  // Mirror of the v1 loop for the mappable container, through both the
-  // streamed loader and the zero-copy open_mapped path — the mmap'ed BitSpan
-  // views are exactly what the sanitizer job should sweep.
+  // Through both the streamed loader and the zero-copy open_mapped path —
+  // the mmap'ed BitSpan views are exactly what the sanitizer job should
+  // sweep.
   const Tree t = tree::random_tree(40, 50);
   const core::AlstrupScheme s(t);
   std::stringstream ss;
@@ -468,35 +434,31 @@ TEST(LabelStorePersistence, MissingFileIsIoErrorWithPathAndErrno) {
 TEST(LabelStoreFailure, CorruptHeaderFields) {
   const Tree t = tree::random_tree(30, 48);
   const core::AlstrupScheme s(t);
-  // The header is the same in both versions; only the version field
-  // differs.
-  for (const std::string& wire : {v1_image(s.labels(), "alstrup", ""),
-                                  v2_image(s.labels(), "alstrup", "")}) {
-    {  // bad magic
-      std::string bad = wire;
-      bad[2] ^= 0x40;
-      EXPECT_THROW((void)load(bad), std::runtime_error);
-    }
-    {  // unsupported version
-      std::string bad = wire;
-      bad[4] = 9;
-      EXPECT_THROW((void)load(bad), std::runtime_error);
-    }
-    {  // oversized scheme-string length
-      std::string bad = wire;
-      bad[10] = '\x7f';  // high byte of the scheme length field
-      EXPECT_THROW((void)load(bad), std::runtime_error);
-    }
-    {  // implausible label count (little-endian u64 right after the strings)
-      std::string bad = wire;
-      const std::size_t count_off = 4 + 4 + 4 + 7 /*"alstrup"*/ + 4;
-      bad[count_off + 7] = '\x01';  // 2^56 labels
-      EXPECT_THROW((void)load(bad), std::runtime_error);
-    }
+  const std::string wire = v2_image(s.labels(), "alstrup", "");
+  {  // bad magic
+    std::string bad = wire;
+    bad[2] ^= 0x40;
+    EXPECT_THROW((void)load(bad), std::runtime_error);
+  }
+  {  // unsupported version
+    std::string bad = wire;
+    bad[4] = 9;
+    EXPECT_THROW((void)load(bad), std::runtime_error);
+  }
+  {  // oversized scheme-string length
+    std::string bad = wire;
+    bad[10] = '\x7f';  // high byte of the scheme length field
+    EXPECT_THROW((void)load(bad), std::runtime_error);
+  }
+  {  // implausible label count (little-endian u64 right after the strings)
+    std::string bad = wire;
+    const std::size_t count_off = 4 + 4 + 4 + 7 /*"alstrup"*/ + 4;
+    bad[count_off + 7] = '\x01';  // 2^56 labels
+    EXPECT_THROW((void)load(bad), std::runtime_error);
   }
 }
 
-// --- version-1 files still open ---------------------------------------------
+// --- other container versions are refused ---------------------------------
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + "treelab_store_" + name + ".lbl";
@@ -508,31 +470,34 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(LabelStoreV1, Version1AndVersion2LoadBitIdentical) {
-  const Tree t = tree::random_tree(260, 52);
-  const core::FgnwScheme s(t);
-  const auto l1 = load(v1_image(s.labels(), "fgnw", ""));
-  const auto l2 = load(v2_image(s.labels(), "fgnw", ""));
-  ASSERT_EQ(l1.labels.size(), l2.labels.size());
-  for (std::size_t i = 0; i < l1.labels.size(); ++i)
-    EXPECT_TRUE(l1.labels[i] == l2.labels[i]) << "label " << i;
-  // Rewriting the v1 file is the upgrade path: byte-identical to the
-  // container written from the original labels.
-  EXPECT_EQ(v2_image(l1.labels, l1.scheme, l1.params),
-            v2_image(s.labels(), "fgnw", ""));
-}
-
-TEST(LabelStoreV1, Version1FileFallsBackToOwnedArena) {
-  const Tree t = tree::random_tree(120, 53);
-  const core::FgnwScheme s(t);
-  const std::string path = temp_path("fgnw_v1");
-  write_file(path, v1_image(s.labels(), "fgnw", ""));
-
-  const auto opened = core::LabelStore::open_mapped(path);
-  EXPECT_FALSE(opened.labels.mapped());
-  ASSERT_EQ(opened.labels.size(), s.labels().size());
-  for (std::size_t i = 0; i < s.labels().size(); ++i)
-    EXPECT_TRUE(opened.labels.view(i) == s.labels().view(i)) << "label " << i;
+TEST(LabelStoreFailure, Version1ContainerIsRefusedByName) {
+  // A well-formed version-1 container, the compact format of earlier
+  // builds: the version-2 header with version 1, then each label as a u64
+  // bit length and its ceil(bits/8) bytes — here 0b101 and 17 bits 0x1beef.
+  std::string v1 = "TLAB";
+  util::put_le<std::uint32_t>(v1, 1);
+  util::put_le<std::uint32_t>(v1, 4);
+  v1 += "fgnw";
+  util::put_le<std::uint32_t>(v1, 0);
+  util::put_le<std::uint64_t>(v1, 2);
+  util::put_le<std::uint64_t>(v1, 3);
+  v1 += '\x05';
+  util::put_le<std::uint64_t>(v1, 17);
+  v1 += std::string("\xef\xbe\x01", 3);
+  const auto expect_refused = [](const auto& open, const char* loader) {
+    try {
+      (void)open();
+      ADD_FAILURE() << loader << " loaded a version-1 container";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+          << loader << ": " << e.what();
+    }
+  };
+  expect_refused([&] { return load(v1); }, "load_arena");
+  const std::string path = temp_path("v1");
+  write_file(path, v1);
+  expect_refused([&] { return core::LabelStore::open_mapped(path); },
+                 "open_mapped");
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,9 @@
 // Fixture: every rule's happy path in one mini-repo — must lint clean.
 #include <unistd.h>
 
+#include <atomic>
+#include <memory>
+
 namespace failpoint {
 bool check(const char*);
 }
@@ -34,3 +37,7 @@ int* intentional_leak() {
 
 // NOLINTNEXTLINE(bugprone-demo-check): reason present, so this is fine
 int g_counter = 0;
+
+using IntPtr = std::shared_ptr<int>;
+// lint: allow(atomic-shared-ptr): a reasoned allow suppresses the finding
+std::atomic<IntPtr> g_published;

@@ -1,16 +1,19 @@
 // Zero-copy serving coverage: the mappable (version-2) LabelStore container
 // must round-trip byte-identical with the streamed loader through
-// bits::MappedArena — mmap'ed views and the owned-arena fallback serve the
-// same bits — and every truncation/corruption of a mappable file must fail
-// loudly through open_mapped(). Version-1 files are label_store_test's.
+// bits::LabelArena::map — mmap'ed and owned arenas serve the same bits, and
+// a copy of a mapped arena keeps the mapping alive — and every
+// truncation/corruption of a mappable file must fail loudly through
+// open_mapped().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
-#include "bits/mapped_arena.hpp"
+#include "bits/label_arena.hpp"
 #include "core/fgnw_scheme.hpp"
 #include "core/label_store.hpp"
 #include "tree/generators.hpp"
@@ -42,7 +45,7 @@ std::string mappable_wire(const bits::LabelArena& labels, const char* scheme,
   return ss.str();
 }
 
-TEST(MappedArena, MappableFileServesZeroCopyAndBitIdentical) {
+TEST(MappedLabels, MappableFileServesZeroCopyAndBitIdentical) {
   const Tree t = tree::random_tree(kN, 51);
   const core::FgnwScheme s(t);
   const std::string path = temp_path("fgnw_v2");
@@ -78,7 +81,7 @@ TEST(MappedArena, MappableFileServesZeroCopyAndBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, MapFailureFallsBackToStreamedReadBitIdentical) {
+TEST(MappedLabels, MapFailureFallsBackToStreamedReadBitIdentical) {
   // When mmap is unavailable (here: forced off via the failpoint), a
   // mappable file must still open — streamed into an owned arena — and
   // serve the exact same bits as the zero-copy path.
@@ -111,21 +114,34 @@ TEST(MappedArena, MapFailureFallsBackToStreamedReadBitIdentical) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, AdoptedArenaServesIdentically) {
-  const Tree t = tree::random_tree(90, 54);
+TEST(MappedLabels, CopyOutlivesTheOriginalAndTheFile) {
+  // Copies share the word buffer, mapped or owned: a copy of a mapped
+  // arena must keep serving the exact bits after the original is gone and
+  // the file is deleted.
+  const Tree t = tree::random_tree(kN, 54);
   const core::FgnwScheme s(t);
-  std::stringstream ss(mappable_wire(s.labels(), "fgnw", ""));
-  auto loaded = core::LabelStore::load_arena(ss);
-  const std::size_t n = loaded.labels.size();
-  const bits::MappedArena adopted =
-      bits::MappedArena::adopt(std::move(loaded.labels));
-  EXPECT_FALSE(adopted.mapped());
-  ASSERT_EQ(adopted.size(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_TRUE(adopted.view(i) == s.labels().view(i)) << "label " << i;
+  const bits::LabelArena owned_copy = s.labels();
+  EXPECT_EQ(owned_copy.label_words(0), s.labels().label_words(0));
+
+  const std::string path = temp_path("copy");
+  write_file(path, mappable_wire(s.labels(), "fgnw", ""));
+  std::optional<bits::LabelArena> original =
+      core::LabelStore::open_mapped(path).labels;
+  const bits::LabelArena copy = *original;
+  EXPECT_EQ(copy.label_words(0), original->label_words(0));
+  original.reset();
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+#if defined(__unix__) || defined(__APPLE__)
+  EXPECT_TRUE(copy.mapped());
+#endif
+  ASSERT_EQ(copy.size(), s.labels().size());
+  for (std::size_t i = 0; i < copy.size(); ++i)
+    EXPECT_TRUE(copy.view(i) == s.labels().view(i)) << "label " << i;
+  // Padding included: the words are the file's, bit for bit.
+  EXPECT_TRUE(std::ranges::equal(copy.words(), s.labels().words()));
 }
 
-TEST(MappedArena, TruncatedMappableFileThrowsEverywhere) {
+TEST(MappedLabels, TruncatedMappableFileThrowsEverywhere) {
   const Tree t = tree::random_tree(60, 55);
   const core::FgnwScheme s(t);
   const std::string wire = mappable_wire(s.labels(), "fgnw", "p=1");
@@ -142,7 +158,7 @@ TEST(MappedArena, TruncatedMappableFileThrowsEverywhere) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, CorruptDirectoryThrows) {
+TEST(MappedLabels, CorruptDirectoryThrows) {
   const Tree t = tree::random_tree(40, 56);
   const core::FgnwScheme s(t);
   std::string wire = mappable_wire(s.labels(), "fgnw", "");
@@ -165,7 +181,7 @@ TEST(MappedArena, CorruptDirectoryThrows) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, AdversarialLengthDirectoryCannotWrapTheWordCount) {
+TEST(MappedLabels, AdversarialLengthDirectoryCannotWrapTheWordCount) {
   // A length directory whose running word count overflows size_t used to
   // wrap to a tiny total, pass the file-size check, and hand out BitSpans
   // pointing far outside the mapping. map() must refuse instead (nullopt →
@@ -177,20 +193,20 @@ TEST(MappedArena, AdversarialLengthDirectoryCannotWrapTheWordCount) {
   {
     std::vector<std::size_t> lens{SIZE_MAX - 10};
     EXPECT_FALSE(
-        bits::MappedArena::map(path.c_str(), 0, std::move(lens)).has_value());
+        bits::LabelArena::map(path.c_str(), 0, std::move(lens)).has_value());
   }
   // Several huge entries whose word counts only overflow when summed.
   {
     const std::size_t big = SIZE_MAX / 2;
     std::vector<std::size_t> lens{big, big, big};
     EXPECT_FALSE(
-        bits::MappedArena::map(path.c_str(), 0, std::move(lens)).has_value());
+        bits::LabelArena::map(path.c_str(), 0, std::move(lens)).has_value());
   }
   // Sane directories still map.
   {
     std::vector<std::size_t> lens{64, 130, 1};
     const auto arena =
-        bits::MappedArena::map(path.c_str(), 0, std::move(lens));
+        bits::LabelArena::map(path.c_str(), 0, std::move(lens));
 #if defined(__unix__) || defined(__APPLE__)
     ASSERT_TRUE(arena.has_value());
     EXPECT_EQ(arena->size(), 3u);
@@ -200,7 +216,7 @@ TEST(MappedArena, AdversarialLengthDirectoryCannotWrapTheWordCount) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, OverflowingDirectoryInAV2FileFailsLoudly) {
+TEST(MappedLabels, OverflowingDirectoryInAV2FileFailsLoudly) {
   // The same defence through LabelStore: a version-2 file whose directory
   // promises astronomically long labels must throw from every loader, not
   // serve out-of-bounds views. Directory entries are also individually
@@ -225,7 +241,7 @@ TEST(MappedArena, OverflowingDirectoryInAV2FileFailsLoudly) {
   std::remove(path.c_str());
 }
 
-TEST(MappedArena, EmptyLabelingRoundtrips) {
+TEST(MappedLabels, EmptyLabelingRoundtrips) {
   const bits::LabelArena empty;
   const std::string path = temp_path("empty");
   write_file(path, mappable_wire(empty, "fgnw", ""));

@@ -22,6 +22,13 @@ can see:
                   reason (see suppression below).
   nolint-reason   a NOLINT must name its check(s) and carry a reason:
                   ``// NOLINT(check-name): why this is fine``.
+  atomic-shared-ptr
+                  no ``std::atomic<std::shared_ptr<...>>`` in src/, spelled
+                  out or through an alias the same file declares
+                  (``using P = std::shared_ptr<...>`` / a typedef).
+                  libstdc++ 12's load() unlocks relaxed, so TSan reports
+                  its loads racing later stores; publish a shared_ptr under
+                  the mutex its readers take instead.
 
 Suppression: ``// lint: allow(<rule>): <reason>`` on the flagged line or up
 to 3 lines above it. The reason is mandatory.
@@ -52,6 +59,7 @@ RULES = (
     "metric-catalog",
     "naked-new",
     "nolint-reason",
+    "atomic-shared-ptr",
 )
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
@@ -62,6 +70,10 @@ FSTREAM_RE = re.compile(r"\bstd::[io]?fstream\s+\w+\s*[({]")
 FAILPOINT_RE = re.compile(r"failpoint::check|\bfp::check|TREELAB_FAILPOINT\b")
 NAKED_RE = re.compile(r"\bnew\b|\bmalloc\s*\(")
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?\([^)]+\)\s*:\s*\S")
+SHARED_ALIAS_RE = re.compile(
+    r"\busing\s+(\w+)\s*=\s*std::shared_ptr\s*<"
+    r"|\btypedef\s+std::shared_ptr\s*<[^;]*>\s*(\w+)\s*;"
+)
 METRIC_REG_RE = re.compile(
     r"\b(?:counter|gauge|histogram|set_callback|expose|stat)\s*\(\s*"
     r'"([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)"'
@@ -214,6 +226,24 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
             rp, idx, "naked-new",
             f"naked `{m.group(0).strip()}` — use make_unique/containers, or "
             "justify a deliberate leak with a lint: allow directive",
+        ))
+
+    # atomic-shared-ptr: std::atomic over a shared_ptr, spelled out or
+    # through an alias declared in this file (the one use it was written
+    # for was `std::atomic<EntryPtr>`).
+    code = "\n".join(code_lines)
+    aliases = sorted({a or b for a, b in SHARED_ALIAS_RE.findall(code)})
+    inner = r"std::shared_ptr\b"
+    if aliases:
+        inner += r"|(?:" + "|".join(map(re.escape, aliases)) + r")\s*>"
+    for m in re.finditer(r"\bstd::atomic\s*<\s*(?:" + inner + ")", code):
+        idx = code.count("\n", 0, m.start()) + 1
+        if is_allowed(allows, "atomic-shared-ptr", idx):
+            continue
+        findings.append(Finding(
+            rp, idx, "atomic-shared-ptr",
+            f"`{' '.join(m.group(0).split())}...` — std::atomic over a "
+            "shared_ptr; publish it under the mutex its readers take",
         ))
 
     # nolint-reason: NOLINT must name checks and say why (raw lines — the
