@@ -15,11 +15,6 @@ namespace treelab::serve {
 
 namespace {
 
-std::uint64_t cache_key(TreeId tree, tree::NodeId u) noexcept {
-  return (static_cast<std::uint64_t>(tree) << 32) |
-         static_cast<std::uint32_t>(u);
-}
-
 // Latency/size metrics shared by every ForestIndex in the process;
 // references resolved once so the batch hot path never touches the
 // registry map. A batch reads the clock twice for its own latency and
@@ -286,9 +281,8 @@ std::uint64_t ForestIndex::swap_entry(TreeId tree,
       EntryPtr& live = live_entry(sh, tree);
       if (live == old) {
         live = std::move(fresh);
-        sh.invalidated += sh.cache.erase_if([tree](std::uint64_t key) {
-          return static_cast<TreeId>(key >> 32) == tree;
-        });
+        sh.invalidated += sh.cache.erase_if(
+            local_of(tree), [](std::uint32_t) { return true; });
         // A clean full swap is the repair path: live again, streaks reset.
         note_success(sl);
         return old->epoch + 1;
@@ -423,11 +417,10 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
     live = std::move(fresh);
     // Selective invalidation: only attachments whose labels changed (or
     // whose ids died) go; clean hot labels stay attached across the swap.
-    sh.invalidated += sh.cache.erase_if([tree, &stale](std::uint64_t key) {
-      return static_cast<TreeId>(key >> 32) == tree &&
-             stale.count(static_cast<tree::NodeId>(
-                 static_cast<std::uint32_t>(key))) != 0;
-    });
+    sh.invalidated +=
+        sh.cache.erase_if(local_of(tree), [&stale](std::uint32_t ext) {
+          return stale.count(static_cast<tree::NodeId>(ext)) != 0;
+        });
     return old->epoch + 1;
   }
 }
@@ -474,43 +467,36 @@ int ForestIndex::planned_fanout(std::size_t batch) const noexcept {
   return static_cast<int>(std::max<std::size_t>(t, 1));
 }
 
-Dist ForestIndex::query_resolved_locked(Shard& sh, const Request& r,
-                                        tree::NodeId iu, tree::NodeId iv,
+Dist ForestIndex::query_resolved_locked(Shard& sh, std::uint32_t local,
+                                        const Request& r, tree::NodeId iu,
+                                        tree::NodeId iv,
                                         const TreeEntry& e) const {
-  // Cache lookup for both labels, used in place on hits — no shared_ptr
-  // refcount traffic on the all-hits fast path. A miss attaches and inserts
-  // its label only when the cache admits it: a full cache refuses a label
-  // on its first miss, since attaching pays only if the label is queried
-  // again before eviction. A query left with either side unattached
-  // answers from the raw labels. The only mutation between the u lookup
-  // and the query is the v-side put(), whose eviction sweep may drop u's
-  // entry: pin u with a strong reference before that one insert (the entry
-  // just inserted — v itself — is never evicted by its own put).
-  const std::uint64_t ku = cache_key(r.tree, r.u);
-  const std::uint64_t kv = cache_key(r.tree, r.v);
-  AnyScheme::AttachedPtr hold_u;
-  AnyScheme::AttachedPtr hold_v;
-  const AnyScheme::Attached* au = nullptr;
-  AnyScheme::AttachedPtr* pu = sh.cache.get(ku);
-  if (pu != nullptr) {
-    au = pu->get();
-  } else if (sh.cache.admit(ku)) {
-    hold_u = e.scheme.attach(e.labels.view(static_cast<std::size_t>(iu)));
-    au = hold_u.get();
-    sh.cache.put(ku, hold_u, hold_u->cost_bytes());
-  }
-  const AnyScheme::Attached* av = nullptr;
-  if (AnyScheme::AttachedPtr* pv = sh.cache.get(kv); pv != nullptr) {
-    av = pv->get();
-  } else if (sh.cache.admit(kv)) {
-    hold_v = e.scheme.attach(e.labels.view(static_cast<std::size_t>(iv)));
-    av = hold_v.get();
-    if (pu != nullptr) hold_u = *pu;
-    sh.cache.put(kv, hold_v, hold_v->cost_bytes());
-  }
+  // Both labels are used in place on hits. v's insert may evict u's
+  // attachment, but an evicted attachment stays allocated until the batch
+  // loop ends, so `au` stays valid through the query.
+  const auto u = static_cast<std::uint32_t>(r.u);
+  const auto v = static_cast<std::uint32_t>(r.v);
+  const AnyScheme::Attached* au = sh.cache.get(local, u);
+  if (au == nullptr) au = attach_locked(sh, local, u, iu, e);
+  const AnyScheme::Attached* av = sh.cache.get(local, v);
+  if (av == nullptr) av = attach_locked(sh, local, v, iv, e);
   if (au == nullptr || av == nullptr)
     return query_resolved_uncached(iu, iv, e);
   return e.scheme.query(*au, *av);
+}
+
+const AnyScheme::Attached* ForestIndex::attach_locked(
+    Shard& sh, std::uint32_t local, std::uint32_t ext, tree::NodeId in,
+    const TreeEntry& e) const {
+  // A full cache refuses a label on its first miss, since attaching pays
+  // only if the label is queried again before eviction; the query then
+  // answers from the raw labels.
+  if (!sh.cache.admit(local, ext)) return nullptr;
+  AnyScheme::AttachedPtr a =
+      e.scheme.attach(e.labels.view(static_cast<std::size_t>(in)));
+  const AnyScheme::Attached* raw = a.get();
+  sh.cache.put(local, ext, std::move(a), raw->cost_bytes(), e.ext_size());
+  return raw;
 }
 
 Dist ForestIndex::query_resolved_uncached(tree::NodeId iu, tree::NodeId iv,
@@ -539,7 +525,7 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
     }
     const auto [it, fresh] = snap_of.try_emplace(
         r.tree, static_cast<std::uint32_t>(plan.snaps.size()));
-    if (fresh) plan.snaps.push_back({r.tree, entry(r.tree)});
+    if (fresh) plan.snaps.push_back({r.tree, local_of(r.tree), entry(r.tree)});
     const TreeEntry& e = *plan.snaps[it->second].entry;
     const tree::NodeId iu = resolve(e, r.u);
     const tree::NodeId iv = resolve(e, r.v);
@@ -558,7 +544,8 @@ void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
   util::parallel_for_chunks(
       shards_.size(), shards_.size(), planned_fanout(reqs.size()),
       [&](std::size_t s, std::size_t, std::size_t) {
-        if (plan.by_shard[s].empty()) return;
+        const std::vector<BatchPlan::Item>& items = plan.by_shard[s];
+        if (items.empty()) return;
         Shard& sh = *shards_[s];
         const util::MutexLock lock(sh.mu);
         // Answers come from the planned snapshots, so the batch sees one
@@ -572,19 +559,43 @@ void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
         for (BatchPlan::Snap& sn : plan.snaps)
           if (shard_of(sn.tree) == s)
             sn.live = live_entry(sh, sn.tree) == sn.entry;
+        // Software pipelining: a request's lookups are two dependent cache
+        // misses (slot, then attachment), so while the loop answers request
+        // k it fetches the slots of request k + 2D and the attachments of
+        // request k + D, and the misses of consecutive requests overlap. A
+        // prefetch is only a hint: a slot that changes before its use costs
+        // a wasted fetch, never a wrong answer.
+        constexpr std::size_t kD = kPrefetchDistance;
         std::size_t answered = 0;
-        for (const BatchPlan::Item& it : plan.by_shard[s]) {
+        for (std::size_t k = 0; k < items.size(); ++k) {
+          if (k + 2 * kD < items.size()) {
+            const BatchPlan::Item& ahead = items[k + 2 * kD];
+            const Request& r = reqs[ahead.req];
+            const std::uint32_t local = plan.snaps[ahead.snap].local;
+            sh.cache.prefetch_slot(local, static_cast<std::uint32_t>(r.u));
+            sh.cache.prefetch_slot(local, static_cast<std::uint32_t>(r.v));
+          }
+          if (k + kD < items.size()) {
+            const BatchPlan::Item& ahead = items[k + kD];
+            const Request& r = reqs[ahead.req];
+            const std::uint32_t local = plan.snaps[ahead.snap].local;
+            sh.cache.prefetch_value(local, static_cast<std::uint32_t>(r.u));
+            sh.cache.prefetch_value(local, static_cast<std::uint32_t>(r.v));
+          }
+          const BatchPlan::Item& it = items[k];
           const BatchPlan::Snap& sn = plan.snaps[it.snap];
           const bool sampled =
               obs::kEnabled && (answered++ % kLatencySampleEvery) == 0;
           const std::uint64_t q0 = sampled ? obs::now_ns() : 0;
           out[it.req].dist =
-              sn.live ? query_resolved_locked(sh, reqs[it.req], it.iu, it.iv,
-                                              *sn.entry)
+              sn.live ? query_resolved_locked(sh, sn.local, reqs[it.req],
+                                              it.iu, it.iv, *sn.entry)
                       : query_resolved_uncached(it.iu, it.iv, *sn.entry);
           if (sampled)
             ServeMetrics::get().query_ns.record(obs::now_ns() - q0);
         }
+        // No answer holds an attachment past this point.
+        sh.cache.release_retired();
       });
   if constexpr (obs::kEnabled) {
     ServeMetrics& m = ServeMetrics::get();

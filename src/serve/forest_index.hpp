@@ -9,20 +9,25 @@
 //     maps a version-2 file into a bits::LabelArena — one mmap, not a
 //     copy; in-memory labelings are served from the same arena type),
 //   * trees sharded by id across S shards, each shard owning a
-//     byte-bounded LRU cache of attached (pre-parsed) labels, so hot
-//     labels are parsed once and queried many times. Once the cache is
-//     full it admits only labels that recur (LruCache::admit: a label
-//     refused on one miss gets in on its next), and a query with a
-//     refused side answers from the raw labels, as every scheme can,
+//     byte-bounded cache of attached (pre-parsed) labels, so hot labels
+//     are parsed once and queried many times. The cache (SlotCache) keeps
+//     one dense array of attachment pointers per tree, indexed by external
+//     node id, and a FIFO ring that owns the attachments and evicts the
+//     oldest. Once the cache is full it admits only labels that recur
+//     (SlotCache::admit: a label refused on one miss gets in on its next),
+//     and a query with a refused side answers from the raw labels, as
+//     every scheme can,
 //   * one query entry point: query_batch() checks tree and node ids in a
 //     serial pass, partitions the accepted requests by shard and fans the
 //     shards out across threads (util/parallel), filling one typed result
 //     per request in request order — deterministic for any thread count.
+//     Each shard's loop prefetches the cache slots and attachments of the
+//     requests a few places ahead, so their cache misses overlap.
 //     A bad id or a quarantined tree costs only its own request's answer,
 //   * hot swap: update() replaces one tree's labeling in place — an
 //     epoch-bumping swap of the shared_ptr to the immutable TreeEntry,
 //     made under the tree's shard lock, plus invalidation of that tree's
-//     attached-label cache keys — safe under concurrent query_batch(),
+//     cached attachments — safe under concurrent query_batch(),
 //     which reads each tree's entry under the same lock. This is how a
 //     serving node takes an IncrementalRelabeler's refreshed labels
 //     without downtime.
@@ -31,7 +36,7 @@
 //     copy-on-write next to the live one (the mmap'ed base is never
 //     written), swapped under the same shard lock as update(), and only the
 //     cached attachments whose labels actually changed are invalidated
-//     (LruCache::erase_if over the dirty/dropped id set); clean hot labels
+//     (SlotCache::erase_if over the dirty/dropped id set); clean hot labels
 //     stay attached across the swap.
 //   * stable external ids: node ids in requests are *external* ids — the
 //     ids clients learned when the tree was last fully loaded. A delta that
@@ -73,7 +78,7 @@
 #include "core/label_store.hpp"
 #include "obs/metrics.hpp"
 #include "serve/any_scheme.hpp"
-#include "serve/lru_cache.hpp"
+#include "serve/slot_cache.hpp"
 #include "tree/tree.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -118,7 +123,9 @@ struct ForestOptions {
   /// Attached-label cache budget per shard, in bytes as AnyScheme's
   /// attach estimate charges them. Real heap per charged byte is
   /// 0.9-1.65x depending on the scheme (fgnw most), so a full cache holds
-  /// up to ~1.65x this much memory.
+  /// up to ~1.65x this much memory. Not charged: the dense slot arrays
+  /// (8 bytes per external id of each tree with an attached label) and,
+  /// within one batch, the attachments it evicted.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;
   /// Threads for query_batch fan-out: at most one per shard is useful.
   /// 0 = TREELAB_THREADS / hardware default.
@@ -240,6 +247,10 @@ class ForestIndex {
   /// chain) on one tree before it is quarantined.
   static constexpr std::uint32_t kQuarantineAfter = 3;
 
+  /// How many requests ahead a shard's batch loop prefetches attachments
+  /// (and twice as far, their cache slots).
+  static constexpr std::size_t kPrefetchDistance = 4;
+
   /// query_batch() records every this-many-th answered request's latency
   /// into `serve.query.latency_ns`, the histogram's only feed (sampling
   /// keeps the clock off the per-query hot path).
@@ -256,7 +267,11 @@ class ForestIndex {
   /// checked in one serial pass and partitioned by shard (keeping request
   /// order); each shard attaches its recurring labels once via its cache
   /// (a full cache answers a label's first miss raw instead), and shards
-  /// are fanned out across `opt.threads`. The batch answers from the
+  /// are fanned out across `opt.threads`. A shard's loop looks each label
+  /// up in its tree's dense slot array (a hit reorders nothing; eviction
+  /// is FIFO), and while it answers request k it prefetches the slots of
+  /// request k + 2 * kPrefetchDistance and the attachments of request
+  /// k + kPrefetchDistance of the same shard. The batch answers from the
   /// entries it checked against (one labeling per tree for the whole
   /// batch), so an update() landing mid-batch can never fail requests the
   /// pass accepted — those answers come from the pre-update labeling,
@@ -325,8 +340,10 @@ class ForestIndex {
     /// The live entry of each tree in this shard, at index tree / shard
     /// count. Readers copy it and writers replace it, both under `mu`.
     std::vector<EntryPtr> entries TREELAB_GUARDED_BY(mu);
-    LruCache<std::uint64_t, AnyScheme::AttachedPtr> cache
-        TREELAB_GUARDED_BY(mu);
+    /// Attached labels keyed by (tree / shard count, external id). Values
+    /// it evicts stay allocated until the batch loop that evicted them
+    /// ends.
+    SlotCache<AnyScheme::Attached> cache TREELAB_GUARDED_BY(mu);
     std::size_t invalidated TREELAB_GUARDED_BY(mu) = 0;
   };
 
@@ -336,10 +353,14 @@ class ForestIndex {
   [[nodiscard]] std::size_t shard_of(TreeId tree) const noexcept {
     return tree % shards_.size();
   }
+  /// The tree's index within its shard (its entry and its slot array).
+  [[nodiscard]] std::uint32_t local_of(TreeId tree) const noexcept {
+    return static_cast<std::uint32_t>(tree / shards_.size());
+  }
   /// The tree's live-entry cell in its shard `sh`.
   [[nodiscard]] EntryPtr& live_entry(Shard& sh, TreeId tree) const
       TREELAB_REQUIRES(sh.mu) {
-    return sh.entries[tree / shards_.size()];
+    return sh.entries[local_of(tree)];
   }
   /// Builds a fresh (still mutable) entry around `handle`, the dispatcher
   /// made from (scheme, params); the chain starts at the arena's lens_hash
@@ -385,6 +406,7 @@ class ForestIndex {
     };
     struct Snap {
       TreeId tree = 0;
+      std::uint32_t local = 0;  ///< local_of(tree)
       EntryPtr entry;  ///< read under the tree's shard lock by plan_batch
       /// Whether `entry` is still the live one; set by execute_plan under
       /// the tree's shard lock.
@@ -403,12 +425,20 @@ class ForestIndex {
   void execute_plan(BatchPlan& plan, std::span<const Request> reqs,
                     std::span<QueryResult> out) const;
   /// A query through the shard cache, for ids already resolved against
-  /// `e`, which must be the tree's live entry. When the cache refuses
-  /// either label it answers through query_resolved_uncached().
-  [[nodiscard]] Dist query_resolved_locked(Shard& sh, const Request& r,
-                                           tree::NodeId iu, tree::NodeId iv,
+  /// `e`, which must be the live entry of the tree at index `local` of
+  /// shard `sh`. When the cache refuses either label it answers through
+  /// query_resolved_uncached().
+  [[nodiscard]] Dist query_resolved_locked(Shard& sh, std::uint32_t local,
+                                           const Request& r, tree::NodeId iu,
+                                           tree::NodeId iv,
                                            const TreeEntry& e) const
       TREELAB_REQUIRES(sh.mu);
+  /// A cache miss on external id `ext` (internal `in`) of live entry `e`:
+  /// attaches the label and inserts it when the cache admits it, else
+  /// returns nullptr. The pointer is valid until the batch loop ends.
+  [[nodiscard]] const AnyScheme::Attached* attach_locked(
+      Shard& sh, std::uint32_t local, std::uint32_t ext, tree::NodeId in,
+      const TreeEntry& e) const TREELAB_REQUIRES(sh.mu);
   /// The raw-label answer: serves a replaced snapshot and refused misses.
   /// Out of line: gcc 12 otherwise inlines it into execute_plan's
   /// per-request loop, which measured slower on perfbench hot.

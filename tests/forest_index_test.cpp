@@ -5,6 +5,7 @@
 // with a typed status; and fail loudly on unknown scheme tags and
 // cross-scheme attached labels.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -49,8 +50,11 @@ constexpr NodeId kN = 220;
 constexpr std::uint64_t kK = 8;
 constexpr double kEps = 0.125;
 
+// Per process: copies of this binary running at once must not rewrite
+// each other's mapped files.
 std::string temp_path(const char* name) {
-  return testing::TempDir() + "treelab_forest_" + name + ".lbl";
+  return testing::TempDir() + "treelab_forest_" + name + "_" +
+         std::to_string(::getpid()) + ".lbl";
 }
 
 /// Builds the five-scheme test forest: one tree per scheme, trees 0..2
@@ -269,6 +273,46 @@ TEST(ForestIndex, TinyCacheEvictsButStaysCorrect) {
   EXPECT_GT(st.evictions, 0u);
   EXPECT_LE(st.entries, 1u);
   cleanup(files);
+}
+
+TEST(ForestIndex, InsertThatEvictsTheOtherSideKeepsItsAttachmentAlive) {
+  // One query in which v's admitted insert evicts u's resident attachment:
+  // the cache holds one entry, u is that entry (so the oldest, the FIFO
+  // victim) and hits, and v was refused once, so its next miss is
+  // admitted. The query already holds u's attachment when v's insert
+  // evicts it; an evicted attachment must stay allocated until the batch
+  // loop ends (under ASan, freeing it at eviction fails this test).
+  ForestOptions opt;
+  opt.shards = 1;
+  opt.threads = 1;
+  opt.cache_bytes_per_shard = 1;
+  ForestIndex index(opt);
+  const Tree t = tree::random_tree(kN, 81);
+  const TreeId id = index.add({"fgnw", "", core::FgnwScheme(t).labels()});
+  const tree::NcaIndex oracle(t);
+  const NodeId u = 5;
+  const NodeId v = 150;
+
+  EXPECT_EQ(answer(index, {id, u, u}).value, 0u);  // attaches u, then hits
+  auto st = index.cache_stats();
+  ASSERT_EQ(st.entries, 1u);
+  ASSERT_EQ(st.hits, 1u);
+  // v's first miss on a full cache is refused: answered raw.
+  EXPECT_EQ(answer(index, {id, u, v}).value, oracle.distance(u, v));
+  st = index.cache_stats();
+  ASSERT_EQ(st.refused, 1u);
+  ASSERT_EQ(st.evictions, 0u);
+  // v's second miss is admitted, and its insert evicts u mid-query.
+  EXPECT_EQ(answer(index, {id, u, v}).value, oracle.distance(u, v));
+  st = index.cache_stats();
+  EXPECT_EQ(st.hits, 3u);  // u in every query
+  EXPECT_EQ(st.misses, 3u);
+  EXPECT_EQ(st.evictions, 1u);
+  EXPECT_EQ(st.entries, 1u);  // v alone
+  // v hits now; u misses again and is refused (its doorkeeper bit is
+  // unset), so the pair answers raw.
+  EXPECT_EQ(answer(index, {id, v, u}).value, oracle.distance(u, v));
+  EXPECT_EQ(index.cache_stats().refused, 2u);
 }
 
 TEST(ForestIndex, BatchValidatesNodeIdsInRequestOrder) {
@@ -689,6 +733,84 @@ TEST(ForestIndex, QueryByOldIdAfterCompactionIsNotFoundNotWrong) {
                 oracle0.distance(u, 0))
           << "via_delta=" << via_delta << " id " << u;
     }
+  }
+}
+
+TEST(ForestIndex, ApplyDeltaAppendsIdsPastTheSlotArray) {
+  // A delta that compacts deleted ids away and appends labels: the
+  // appended labels get external ids at the top of the id space, past the
+  // slot array the tree's first attachments sized. They must attach on
+  // their first miss, hit after, and answer exactly; surviving ids keep
+  // answering for their nodes.
+  ForestOptions opt;
+  opt.shards = 1;
+  opt.threads = 1;
+  ForestIndex index(opt);
+  constexpr NodeId kBase = 150;
+  constexpr NodeId kKilled = 10;
+  constexpr NodeId kGrown = 20;
+  const Tree t0 = tree::random_tree(kBase, 109);
+  core::IncrementalRelabeler relab(t0);
+  const TreeId id = index.add(relab.to_loaded());
+  for (NodeId u = 0; u < kBase; ++u) (void)answer(index, {id, u, u});
+  ASSERT_EQ(index.cache_stats().entries, static_cast<std::size_t>(kBase));
+
+  std::vector<NodeId> killed;
+  std::mt19937_64 rng(110);
+  while (killed.size() < static_cast<std::size_t>(kKilled)) {
+    const auto v = static_cast<NodeId>(1 + rng() % (kBase - 1));
+    try {
+      relab.delete_leaf(v);
+      killed.push_back(v);
+    } catch (const std::exception&) {
+    }
+  }
+  const std::vector<NodeId> compacted = relab.compact();  // old -> new id
+  for (NodeId i = 0; i < kGrown; ++i)
+    (void)relab.insert_leaf(static_cast<NodeId>(
+        rng() % static_cast<std::uint64_t>(relab.size())));
+  const core::LabelDelta d = relab.make_delta();
+  relab.advance_delta(d);
+  ASSERT_FALSE(d.dropped.empty());
+  EXPECT_EQ(index.apply_delta(id, d), 1u);
+  ASSERT_EQ(index.id_bound(id), static_cast<std::size_t>(kBase + kGrown));
+
+  // External id -> node of the relabeler's (compacted, tombstone-free)
+  // tree: survivors through the compaction map, appended ids in order.
+  const Tree now = relab.snapshot();
+  const tree::NcaIndex oracle(now);
+  const auto node_of = [&](NodeId ext) {
+    return ext < kBase ? compacted[static_cast<std::size_t>(ext)]
+                       : ext - kBase + (kBase - kKilled);
+  };
+  std::vector<Request> grown;
+  for (NodeId e = kBase; e < kBase + kGrown; ++e)
+    grown.push_back({id, e, e + 1 < kBase + kGrown ? e + 1 : kBase});
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto before = index.cache_stats();
+    const std::vector<Dist> got = answers(index, grown);
+    for (std::size_t i = 0; i < grown.size(); ++i)
+      EXPECT_EQ(got[i].value,
+                oracle.distance(node_of(grown[i].u), node_of(grown[i].v)))
+          << "pass " << pass << " req " << i;
+    const auto after = index.cache_stats();
+    // First pass: each appended id misses once and attaches. Second pass:
+    // every lookup hits.
+    EXPECT_EQ(after.misses - before.misses,
+              pass == 0 ? static_cast<std::size_t>(kGrown) : 0u);
+    EXPECT_EQ(after.hits - before.hits,
+              static_cast<std::size_t>(pass == 0 ? kGrown : 2 * kGrown));
+    EXPECT_EQ(after.entries - before.entries,
+              pass == 0 ? static_cast<std::size_t>(kGrown) : 0u);
+  }
+  for (const NodeId v : killed)
+    EXPECT_EQ(status_of(index, {id, v, NodeId{0}}), QueryStatus::kBadNode);
+  for (NodeId u = 0; u < kBase + kGrown; u += 3) {
+    if (u < kBase && compacted[static_cast<std::size_t>(u)] == tree::kNoNode)
+      continue;
+    EXPECT_EQ(answer(index, {id, u, kBase + kGrown - 1}).value,
+              oracle.distance(node_of(u), node_of(kBase + kGrown - 1)))
+        << "id " << u;
   }
 }
 

@@ -6,6 +6,7 @@
 // loop: labels computed centrally must come back from the wire
 // indistinguishable from the originals.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -36,6 +37,13 @@ using tree::NodeId;
 using tree::Tree;
 
 constexpr NodeId kN = 300;
+
+// Per process: copies of this binary running at once must not rewrite
+// each other's mapped files.
+std::string temp_path(const char* name) {
+  return testing::TempDir() + "treelab_store_" + name + "_" +
+         std::to_string(::getpid()) + ".lbl";
+}
 
 std::string v2_image(const bits::LabelArena& labels, std::string_view scheme,
                      std::string_view params) {
@@ -212,8 +220,7 @@ TEST(LabelStoreFailure, BitFlippedV2ContainerNeverReadsOutOfBounds) {
     return core::LabelStore::load_arena(in).labels;
   }, "v2 load_arena");
 
-  const std::string path =
-      testing::TempDir() + "treelab_store_v2_bitflip.lbl";
+  const std::string path = temp_path("v2_bitflip");
   bit_flip_sweep(wire, [&path](const std::string& w) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(w.data(), static_cast<std::streamsize>(w.size()));
@@ -381,7 +388,7 @@ TEST(LabelStoreDelta, LensHashIsRepresentationIndependent) {
   const std::uint64_t h1 = core::LabelStore::lens_hash(s.labels());
   // Through the v2 container and back via open_mapped (owned or mapped —
   // the hash must not care).
-  const std::string path = testing::TempDir() + "treelab_lens_hash.lbl";
+  const std::string path = temp_path("lens_hash");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     core::LabelStore::save_mappable(out, "alstrup", s.labels(), "");
@@ -394,8 +401,7 @@ TEST(LabelStoreDelta, LensHashIsRepresentationIndependent) {
 TEST(LabelStorePersistence, SaveFileIsAtomicUnderTornWrite) {
   const Tree t = tree::random_tree(40, 49);
   const core::AlstrupScheme s(t);
-  const std::string path =
-      testing::TempDir() + "treelab_store_atomic.lbl";
+  const std::string path = temp_path("atomic");
   core::LabelStore::save_file(path, "alstrup", s.labels());
   const auto before = core::LabelStore::open_mapped(path);
 
@@ -420,8 +426,7 @@ TEST(LabelStorePersistence, SaveFileIsAtomicUnderTornWrite) {
 }
 
 TEST(LabelStorePersistence, MissingFileIsIoErrorWithPathAndErrno) {
-  const std::string path =
-      testing::TempDir() + "treelab_store_no_such_file.lbl";
+  const std::string path = temp_path("no_such_file");
   try {
     (void)core::LabelStore::open_mapped(path);
     FAIL() << "expected IoError";
@@ -459,10 +464,6 @@ TEST(LabelStoreFailure, CorruptHeaderFields) {
 }
 
 // --- other container versions are refused ---------------------------------
-
-std::string temp_path(const char* name) {
-  return testing::TempDir() + "treelab_store_" + name + ".lbl";
-}
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -5,6 +5,7 @@
 // truncation/corruption of a mappable file must fail loudly through
 // open_mapped().
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -28,8 +29,11 @@ using tree::Tree;
 
 constexpr NodeId kN = 260;
 
+// Per process: copies of this binary running at once must not rewrite
+// each other's mapped files.
 std::string temp_path(const char* name) {
-  return testing::TempDir() + "treelab_mapped_" + name + ".lbl";
+  return testing::TempDir() + "treelab_mapped_" + name + "_" +
+         std::to_string(::getpid()) + ".lbl";
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
