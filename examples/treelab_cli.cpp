@@ -662,7 +662,7 @@ int cmd_serve(int argc, char** argv) {
   net::ServerOptions sopt;
   sopt.port = static_cast<std::uint16_t>(port);
   net::Server server(index, sopt);
-  server.attach_journal(&journal, tree0);
+  server.attach_journal(&journal);
   server.start();
   g_signal_server = &server;
   std::signal(SIGINT, serve_signal_handler);

@@ -1,20 +1,15 @@
 #include "bits/label_arena.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <bit>
 #include <new>
 #include <utility>
 
 #include "util/failpoint.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define TREELAB_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define TREELAB_HAVE_MMAP 0
-#endif
 
 namespace treelab::bits {
 
@@ -57,7 +52,6 @@ std::optional<LabelArena> LabelArena::map(const char* path,
   // streamed-fallback path they would on a platform without mmap, which
   // is exactly what the fallback-parity tests force and verify.
   if (util::failpoint::check("mapped_arena.map")) return std::nullopt;
-#if TREELAB_HAVE_MMAP
   // The file stores words as little-endian bytes; reinterpreting them as
   // uint64_t is only the identity on a little-endian host.
   if constexpr (std::endian::native != std::endian::little) return std::nullopt;
@@ -109,12 +103,6 @@ std::optional<LabelArena> LabelArena::map(const char* path,
                               static_cast<const char*>(base) + words_offset));
   out.mapped_ = true;
   return out;
-#else
-  (void)path;
-  (void)words_offset;
-  (void)lens;
-  return std::nullopt;
-#endif
 }
 
 }  // namespace treelab::bits

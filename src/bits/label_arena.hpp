@@ -76,11 +76,11 @@ class LabelArena {
   /// Maps `path` read-only and serves labels from the word buffer that
   /// starts `words_offset` bytes into the file (8-byte aligned; label i
   /// occupies ceil(lens[i]/64) little-endian words, zero-padded past its
-  /// last bit). Returns nullopt when zero-copy is impossible — no mmap on
-  /// this platform, a big-endian host, a misaligned offset, a file too
-  /// small for the directory, or directory allocation failure — so the
-  /// caller can fall back to streamed loading (and report *its* errors,
-  /// which see the same truncation). The mapping outlives the file's
+  /// last bit). Returns nullopt when zero-copy is impossible — the
+  /// mapped_arena.map failpoint, a big-endian host, a misaligned offset, a
+  /// file too small for the directory, a failing mmap, or directory
+  /// allocation failure — so the caller can fall back to streamed loading
+  /// (and report *its* errors, which see the same truncation). The mapping outlives the file's
   /// directory entry: it is released with the last arena sharing it.
   [[nodiscard]] static std::optional<LabelArena> map(
       const char* path, std::size_t words_offset,

@@ -27,11 +27,6 @@ namespace treelab::bits {
   return std::countr_zero(x);
 }
 
-/// floor(log2(x)). Precondition: x != 0.
-[[nodiscard]] constexpr int floor_log2(std::uint64_t x) noexcept {
-  return msb(x);
-}
-
 /// ceil(log2(x)). Precondition: x != 0. ceil_log2(1) == 0.
 [[nodiscard]] constexpr int ceil_log2(std::uint64_t x) noexcept {
   return x <= 1 ? 0 : msb(x - 1) + 1;

@@ -146,10 +146,12 @@ class IncrementalRelabeler {
   /// Drops every tombstoned id, renumbering the survivors densely in the
   /// same relative order (label bits are invariant under this: codes are
   /// size- and order-based, not id-based). Returns the old-id → new-id
-  /// remap, kNoNode for dropped ids — serve::ForestIndex threads this
-  /// through update() so stale external ids fail deterministically instead
-  /// of answering for the wrong node. Not an edit (no labels change).
-  /// Throws std::logic_error while a detach is pending.
+  /// remap, kNoNode for dropped ids, for the caller's own handles. The
+  /// compaction ships as the next delta's dropped runs, which
+  /// serve::ForestIndex::apply_delta composes into the tree's external-id
+  /// map, so stale external ids fail deterministically instead of
+  /// answering for the wrong node. Not an edit (no labels change). Throws
+  /// std::logic_error while a detach is pending.
   std::vector<tree::NodeId> compact();
 
   /// Id-space size (live nodes + tombstones + detached); the labels()

@@ -126,7 +126,7 @@ class LabelStore {
   /// reads only the header and the length directory, then mmaps the word
   /// buffer (labels.mapped() == true, no payload copy). A version-2 file
   /// that cannot be mapped — the mapped_arena.map failpoint, a big-endian
-  /// host, no mmap, or a word buffer shorter than the directory promises —
+  /// host, a failing mmap, or a word buffer shorter than the directory promises —
   /// is streamed through load_arena() into owned memory instead, which
   /// reports the truncation. Throws what load_arena() throws, including
   /// for any version other than 2.

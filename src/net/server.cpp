@@ -44,7 +44,6 @@ struct Server::Impl {
   serve::ForestIndex& index;
   ServerOptions opt;
   core::DeltaJournal* journal = nullptr;
-  serve::TreeId journal_tree = 0;
 
   int listen_fd = -1;
   int epoll_fd = -1;
@@ -578,9 +577,8 @@ Server::Server(serve::ForestIndex& index, ServerOptions opt)
 
 Server::~Server() { stop(); }
 
-void Server::attach_journal(core::DeltaJournal* journal, serve::TreeId tree) {
+void Server::attach_journal(core::DeltaJournal* journal) {
   impl_->journal = journal;
-  impl_->journal_tree = tree;
 }
 
 void Server::start() {

@@ -88,11 +88,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Leader mode: serve `journal`'s committed records to subscribers, as
-  /// tree `tree` of the follower's index. Call before start(); the journal
-  /// must outlive the server. All replicate() appends must go through this
-  /// server from then on (they are serialized against snapshot builds).
-  void attach_journal(core::DeltaJournal* journal, serve::TreeId tree = 0);
+  /// Leader mode: serve `journal`'s committed records to subscribers. Call
+  /// before start(); the journal must outlive the server. All replicate()
+  /// appends must go through this server from then on (they are serialized
+  /// against snapshot builds).
+  void attach_journal(core::DeltaJournal* journal);
 
   /// Binds, listens, and spawns the event loop. Throws util::IoError when
   /// the socket cannot be bound.

@@ -123,18 +123,21 @@ class Histogram {
       (void)v;
       return;
     }
-    buckets_[static_cast<std::size_t>(bucket_of(v))].fetch_add(
-        1, std::memory_order_relaxed);
+    // Sum first, then the bucket with release: a snapshot that acquires
+    // the bucket increment then also sees this value in sum_.
     sum_.fetch_add(v, std::memory_order_relaxed);
+    buckets_[static_cast<std::size_t>(bucket_of(v))].fetch_add(
+        1, std::memory_order_release);
     std::uint64_t prev = max_.load(std::memory_order_relaxed);
     while (v > prev &&
            !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
     }
   }
 
-  /// A point-in-time copy. Under concurrent writers the fields are each
-  /// individually consistent but not mutually (count may lag sum by a few
-  /// in-flight records) — fine for monitoring, documented for tests.
+  /// A point-in-time copy. Under concurrent writers the fields are not
+  /// mutually consistent, but the sum covers every record the buckets
+  /// count (and maybe a few more still in flight), so with values >= 1 the
+  /// count never exceeds the sum.
   struct Snapshot {
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
@@ -156,11 +159,12 @@ class Histogram {
     std::uint64_t percentile(double q) const;
   };
   Snapshot snapshot() const {
+    // Buckets (acquire) before the sum: see record().
     Snapshot s;
+    for (int i = 0; i < kBucketCount; ++i)
+      s.buckets[i] = buckets_[i].load(std::memory_order_acquire);
     s.sum = sum_.load(std::memory_order_relaxed);
     s.max = max_.load(std::memory_order_relaxed);
-    for (int i = 0; i < kBucketCount; ++i)
-      s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     return s;
   }
 

@@ -1,14 +1,10 @@
 #include "serve/forest_index.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/failpoint.hpp"
-#include "util/io_error.hpp"
 #include "util/parallel.hpp"
 
 namespace treelab::serve {
@@ -69,14 +65,10 @@ void ForestIndex::register_metrics() {
   stat("serve.cache.entries", &CacheStats::entries);
   stat("serve.cache.bytes", &CacheStats::bytes);
   stat("serve.cache.invalidated", &CacheStats::invalidated);
-  stat("serve.degradation.retries", &CacheStats::retries);
-  stat("serve.degradation.transient_failures",
-       &CacheStats::transient_failures);
   stat("serve.degradation.integrity_failures",
        &CacheStats::integrity_failures);
   stat("serve.degradation.quarantine_events",
        &CacheStats::quarantine_events);
-  stat("serve.trees.stale", &CacheStats::stale);
   stat("serve.trees.quarantined", &CacheStats::quarantined);
   obs_guards_.push_back(reg.set_callback("serve.trees.total", [this] {
     return static_cast<std::uint64_t>(trees_.size());
@@ -123,34 +115,6 @@ void ForestIndex::note_integrity_failure(Slot& s) noexcept {
   }
 }
 
-void ForestIndex::note_stale(Slot& s) noexcept {
-  std::uint8_t live = static_cast<std::uint8_t>(TreeHealth::kLive);
-  // Only live -> stale; a quarantined tree must not look merely stale.
-  s.health.compare_exchange_strong(
-      live, static_cast<std::uint8_t>(TreeHealth::kStale),
-      std::memory_order_acq_rel);
-}
-
-template <typename Read>
-auto ForestIndex::with_retries(Slot& s, Read&& read) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return read();
-    } catch (const util::IoError&) {
-      transient_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (attempt >= kRetries) {
-        // Persistent: the tree keeps serving its last good labeling,
-        // flagged stale so operators can see the refresh is failing.
-        note_stale(s);
-        throw;
-      }
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(kRetryBackoffMs << attempt));
-    }
-  }
-}
-
 tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
   if (ext < 0 || static_cast<std::size_t>(ext) >= e.ext_size())
     return tree::kNoNode;
@@ -167,17 +131,13 @@ tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
 }
 
 std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
-    AnyScheme handle, std::string_view scheme, std::string_view params,
-    bits::LabelArena labels, std::uint64_t epoch,
-    std::vector<tree::NodeId> ext_map) {
+    core::LabelStore::LoadedArena loaded, std::optional<std::uint64_t> chain) {
   auto e = std::make_shared<TreeEntry>();
-  e->scheme = std::move(handle);
-  e->scheme_name = scheme;
-  e->params = params;
-  e->labels = std::move(labels);
-  e->epoch = epoch;
-  e->chain = core::LabelStore::lens_hash(e->labels);
-  e->ext_to_int = std::move(ext_map);
+  e->scheme = AnyScheme::make(loaded.scheme, loaded.params);
+  e->scheme_name = std::move(loaded.scheme);
+  e->params = std::move(loaded.params);
+  e->labels = std::move(loaded.labels);
+  e->chain = chain ? *chain : core::LabelStore::lens_hash(e->labels);
   return e;
 }
 
@@ -187,9 +147,7 @@ TreeId ForestIndex::add_file(const std::string& path) {
 
 TreeId ForestIndex::add(core::LabelStore::LoadedArena loaded) {
   const auto tree = static_cast<TreeId>(trees_.size());
-  EntryPtr e = make_entry(AnyScheme::make(loaded.scheme, loaded.params),
-                          loaded.scheme, loaded.params,
-                          std::move(loaded.labels), 0, {});
+  EntryPtr e = make_entry(std::move(loaded), {});
   Shard& sh = *shards_[shard_of(tree)];
   {
     // Indexed, not appended: if the push below throws, the next add of
@@ -204,32 +162,32 @@ TreeId ForestIndex::add(core::LabelStore::LoadedArena loaded) {
 
 std::vector<tree::NodeId> ForestIndex::compose_ext_map(
     const TreeEntry& old, std::span<const tree::NodeId> remap,
-    std::size_t new_int_count, const std::vector<std::uint8_t>* dirty_int,
-    std::vector<tree::NodeId>* dead_or_dirty) {
+    const std::vector<std::uint8_t>& dirty_int,
+    std::vector<std::uint8_t>& dead) {
   const std::size_t ext_size = old.ext_size();
+  const std::size_t new_int_count = dirty_int.size();
   std::vector<tree::NodeId> out(ext_size, tree::kNoNode);
   std::vector<std::uint8_t> covered(new_int_count, 0);
+  dead.assign(ext_size, 0);
   bool identity = true;
   for (std::size_t e = 0; e < ext_size; ++e) {
     const tree::NodeId old_int =
         old.ext_to_int.empty() ? static_cast<tree::NodeId>(e)
                                : old.ext_to_int[e];
-    tree::NodeId ni = tree::kNoNode;
-    if (old_int != tree::kNoNode)
-      ni = remap[static_cast<std::size_t>(old_int)];
+    if (old_int == tree::kNoNode) {  // died in an earlier epoch
+      identity = false;
+      continue;
+    }
+    const tree::NodeId ni = remap[static_cast<std::size_t>(old_int)];
     out[e] = ni;
     if (ni == tree::kNoNode) {
       identity = false;
-      if (old_int != tree::kNoNode && dead_or_dirty != nullptr)
-        dead_or_dirty->push_back(static_cast<tree::NodeId>(e));
+      dead[e] = 1;
       continue;
     }
     covered[static_cast<std::size_t>(ni)] = 1;
     if (ni != static_cast<tree::NodeId>(e)) identity = false;
-    if (dirty_int != nullptr &&
-        (*dirty_int)[static_cast<std::size_t>(ni)] != 0 &&
-        dead_or_dirty != nullptr)
-      dead_or_dirty->push_back(static_cast<tree::NodeId>(e));
+    if (dirty_int[static_cast<std::size_t>(ni)] != 0) dead[e] = 1;
   }
   // Labels the remap does not reach were appended after the compaction:
   // give them fresh external ids at the top of the space, in internal
@@ -245,92 +203,42 @@ std::vector<tree::NodeId> ForestIndex::compose_ext_map(
   return out;
 }
 
-std::uint64_t ForestIndex::swap_entry(TreeId tree,
-                                      core::LabelStore::LoadedArena loaded,
-                                      const std::vector<tree::NodeId>* remap,
-                                      const std::uint64_t* chain) {
+template <typename Next>
+std::uint64_t ForestIndex::publish(TreeId tree, Next&& next) {
   Slot& sl = slot(tree);
-  if (auto fp = util::failpoint::check("forest.swap"))
-    util::failpoint::raise(*fp, "forest.swap", "tree " + std::to_string(tree));
   Shard& sh = *shards_[shard_of(tree)];
-  const AnyScheme handle = AnyScheme::make(loaded.scheme, loaded.params);
   for (;;) {
-    // Entry construction (chain seed, ext-map composition — O(n) work)
-    // runs OUTSIDE the shard lock against a snapshot; the lock covers only
-    // the validate-and-swap plus the invalidation. A batch uses the cache
-    // only after checking, under the same lock, that its snapshot is still
-    // the tree's entry — so any section ordered after ours sees the new
-    // entry, and no stale attachment can be re-inserted once the erase has
-    // run.
+    // A batch uses the cache only after checking, under the same lock,
+    // that its snapshot is still the tree's entry — so any section ordered
+    // after the swap sees the new entry, and no attachment the erase drops
+    // can be re-inserted.
     const EntryPtr old = entry(tree);
-    std::vector<tree::NodeId> ext_map;
-    if (remap != nullptr) {
-      if (remap->size() != old->labels.size())
-        throw std::invalid_argument(
-            "ForestIndex: remap does not match the current labeling");
-      ext_map = compose_ext_map(*old, *remap, loaded.labels.size(), nullptr,
-                                nullptr);
-    }
-    std::shared_ptr<TreeEntry> fresh =
-        make_entry(handle, loaded.scheme, loaded.params,
-                   std::move(loaded.labels), old->epoch + 1,
-                   std::move(ext_map));
-    if (chain != nullptr) fresh->chain = *chain;
-    {
-      const util::MutexLock lock(sh.mu);
-      EntryPtr& live = live_entry(sh, tree);
-      if (live == old) {
-        live = std::move(fresh);
-        sh.invalidated += sh.cache.erase_if(
-            local_of(tree), [](std::uint32_t) { return true; });
-        // A clean full swap is the repair path: live again, streaks reset.
-        note_success(sl);
-        return old->epoch + 1;
-      }
-    }
-    // Raced another writer: take the labels back and retry against the new
-    // entry (epochs stay monotonic).
-    loaded.labels = std::move(fresh->labels);
+    const Successor s = next(*old);
+    const util::MutexLock lock(sh.mu);
+    EntryPtr& live = live_entry(sh, tree);
+    if (live != old) continue;  // raced another writer: rebuild against it
+    live = s.entry;
+    sh.invalidated +=
+        sh.cache.erase_if(local_of(tree), [&s](std::uint32_t ext) {
+          return s.all_dead || (ext < s.dead.size() && s.dead[ext] != 0);
+        });
+    // A clean publish is the repair path: live again, streak reset.
+    note_success(sl);
+    return live->epoch;
   }
 }
 
 std::uint64_t ForestIndex::update(TreeId tree,
-                                  core::LabelStore::LoadedArena loaded) {
-  return swap_entry(tree, std::move(loaded), nullptr);
-}
-
-std::uint64_t ForestIndex::update(TreeId tree,
                                   core::LabelStore::LoadedArena loaded,
-                                  std::span<const tree::NodeId> remap) {
-  const std::vector<tree::NodeId> r(remap.begin(), remap.end());
-  return swap_entry(tree, std::move(loaded), &r);
-}
-
-std::uint64_t ForestIndex::update(TreeId tree,
-                                  core::LabelStore::LoadedArena loaded,
-                                  std::uint64_t chain) {
-  return swap_entry(tree, std::move(loaded), nullptr, &chain);
-}
-
-std::uint64_t ForestIndex::update_file(TreeId tree, const std::string& path) {
-  Slot& sl = slot(tree);
-  try {
-    auto loaded =
-        with_retries(sl, [&] { return core::LabelStore::open_mapped(path); });
-    return swap_entry(tree, std::move(loaded), nullptr);
-  } catch (const util::IoError&) {
-    throw;  // counted (and the tree marked stale) in with_retries
-  } catch (const util::FailpointAbort&) {
-    throw;  // a simulated crash is not a health event
-  } catch (const std::bad_alloc&) {
-    transient_failures_.fetch_add(1, std::memory_order_relaxed);
-    throw;
-  } catch (const std::exception&) {
-    // The file was readable but wrong (corrupt container, unknown scheme):
-    // an integrity failure of the shipped artifact, not of the transport.
-    note_integrity_failure(sl);
-    throw;
-  }
+                                  std::optional<std::uint64_t> chain) {
+  (void)slot(tree);  // the range check, before the O(n) build
+  // The successor depends on the live entry only through its epoch, so it
+  // is built once, however often publish() has to retry.
+  const std::shared_ptr<TreeEntry> fresh = make_entry(std::move(loaded), chain);
+  return publish(tree, [&fresh](const TreeEntry& old) {
+    fresh->epoch = old.epoch + 1;
+    return Successor{fresh, true, {}};
+  });
 }
 
 std::uint64_t ForestIndex::apply_delta(TreeId tree,
@@ -340,48 +248,22 @@ std::uint64_t ForestIndex::apply_delta(TreeId tree,
     if (auto fp = util::failpoint::check("forest.apply_delta"))
       util::failpoint::raise(*fp, "forest.apply_delta",
                              "tree " + std::to_string(tree));
-    const std::uint64_t e = apply_delta_impl(tree, d);
-    note_success(sl);
-    return e;
-  } catch (const util::FailpointAbort&) {
-    throw;  // a simulated crash is not a health event
-  } catch (const std::bad_alloc&) {
-    transient_failures_.fetch_add(1, std::memory_order_relaxed);
-    throw;
-  } catch (const std::exception&) {
-    // Scheme mismatch, broken epoch chain, corrupt payload: the delta is
-    // wrong for this tree, and retrying the same bytes cannot fix it.
-    note_integrity_failure(sl);
-    throw;
-  }
-}
+    return publish(tree, [&d](const TreeEntry& old) {
+      if (d.scheme != old.scheme_name || d.params != old.params)
+        throw std::invalid_argument("ForestIndex: delta scheme mismatch");
+      // The epoch chain is the strong ordering check: lens_hash alone could
+      // collide across epochs whose label lengths happen to match.
+      if (d.base_chain != old.chain)
+        throw std::runtime_error(
+            "ForestIndex: delta does not chain from the live epoch");
+      // Copy-on-write: the patched arena is materialized while the old
+      // entry — possibly a zero-copy mmap — keeps serving. apply_delta
+      // validates the delta against the base (count + length-directory
+      // hash) first.
+      bits::LabelArena patched = core::LabelStore::apply_delta(old.labels, d);
 
-std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
-                                            const core::LabelDelta& d) {
-  Shard& sh = *shards_[shard_of(tree)];
-  for (;;) {
-    // All the O(n) work — validation, the copy-on-write patch, the ext-map
-    // composition — happens OUTSIDE the shard lock, against a snapshot of
-    // the entry, so concurrent queries on this shard never stall behind a
-    // large patch. The lock is only taken for the swap+invalidate; if
-    // another writer replaced the entry meanwhile, start over (the delta
-    // is then re-validated against the new epoch and rejected cleanly).
-    const EntryPtr old = entry(tree);
-    if (d.scheme != old->scheme_name || d.params != old->params)
-      throw std::invalid_argument("ForestIndex: delta scheme mismatch");
-    // The epoch chain is the strong ordering check: lens_hash alone could
-    // collide across epochs whose label lengths happen to match.
-    if (d.base_chain != old->chain)
-      throw std::runtime_error(
-          "ForestIndex: delta does not chain from the live epoch");
-    // Copy-on-write: the patched arena is materialized while the old entry
-    // — possibly a zero-copy mmap — keeps serving. apply_delta validates
-    // the delta against the base (count + length-directory hash) first.
-    bits::LabelArena patched = core::LabelStore::apply_delta(old->labels, d);
-
-    // Internal remap implied by the delta's dropped runs (old → new int).
-    std::vector<tree::NodeId> remap(old->labels.size());
-    {
+      // Internal remap implied by the delta's dropped runs (old → new int).
+      std::vector<tree::NodeId> remap(old.labels.size());
       std::size_t next_drop = 0;
       std::uint64_t dropped_before = 0;
       for (std::size_t b = 0; b < remap.size(); ++b) {
@@ -395,33 +277,34 @@ std::uint64_t ForestIndex::apply_delta_impl(TreeId tree,
         remap[b] = dropped ? tree::kNoNode
                            : static_cast<tree::NodeId>(b - dropped_before);
       }
-    }
-    std::vector<std::uint8_t> dirty_int(patched.size(), 0);
-    for (const std::uint64_t id : d.dirty)
-      dirty_int[static_cast<std::size_t>(id)] = 1;
-    std::vector<tree::NodeId> stale_ext;
-    std::vector<tree::NodeId> ext_map = compose_ext_map(
-        *old, remap, patched.size(), &dirty_int, &stale_ext);
+      std::vector<std::uint8_t> dirty_int(patched.size(), 0);
+      for (const std::uint64_t id : d.dirty)
+        dirty_int[static_cast<std::size_t>(id)] = 1;
 
-    std::shared_ptr<TreeEntry> fresh =
-        make_entry(old->scheme, old->scheme_name, old->params,
-                   std::move(patched), old->epoch + 1, std::move(ext_map));
-    fresh->chain = d.new_chain;
-    const std::unordered_set<tree::NodeId> stale(stale_ext.begin(),
-                                                 stale_ext.end());
-
-    const util::MutexLock lock(sh.mu);
-    EntryPtr& live = live_entry(sh, tree);
-    if (live != old)
-      continue;  // raced another writer: re-validate against its epoch
-    live = std::move(fresh);
-    // Selective invalidation: only attachments whose labels changed (or
-    // whose ids died) go; clean hot labels stay attached across the swap.
-    sh.invalidated +=
-        sh.cache.erase_if(local_of(tree), [&stale](std::uint32_t ext) {
-          return stale.count(static_cast<tree::NodeId>(ext)) != 0;
-        });
-    return old->epoch + 1;
+      // Only attachments whose labels changed, or whose ids died, go;
+      // clean hot labels stay attached across the swap.
+      Successor succ;
+      std::vector<tree::NodeId> ext_map =
+          compose_ext_map(old, remap, dirty_int, succ.dead);
+      succ.entry = std::make_shared<const TreeEntry>(
+          TreeEntry{.scheme = old.scheme,  // a delta cannot change it
+                    .scheme_name = old.scheme_name,
+                    .params = old.params,
+                    .labels = std::move(patched),
+                    .epoch = old.epoch + 1,
+                    .chain = d.new_chain,
+                    .ext_to_int = std::move(ext_map)});
+      return succ;
+    });
+  } catch (const util::FailpointAbort&) {
+    throw;  // a simulated crash is not a health event
+  } catch (const std::bad_alloc&) {
+    throw;  // running out of memory says nothing about the delta
+  } catch (const std::exception&) {
+    // Scheme mismatch, broken epoch chain, corrupt payload: the delta is
+    // wrong for this tree, and retrying the same bytes cannot fix it.
+    note_integrity_failure(sl);
+    throw;
   }
 }
 
@@ -624,15 +507,10 @@ ForestIndex::CacheStats ForestIndex::cache_stats() const {
     st.bytes += sh->cache.bytes();
     st.invalidated += sh->invalidated;
   }
-  st.retries = retries_.load(std::memory_order_relaxed);
-  st.transient_failures = transient_failures_.load(std::memory_order_relaxed);
   st.integrity_failures = integrity_failures_.load(std::memory_order_relaxed);
   st.quarantine_events = quarantine_events_.load(std::memory_order_relaxed);
-  for (const auto& sl : trees_) {
-    const TreeHealth h = health_of(*sl);
-    if (h == TreeHealth::kStale) ++st.stale;
-    if (h == TreeHealth::kQuarantined) ++st.quarantined;
-  }
+  for (const auto& sl : trees_)
+    if (health_of(*sl) == TreeHealth::kQuarantined) ++st.quarantined;
   return st;
 }
 

@@ -24,40 +24,37 @@
 //     Each shard's loop prefetches the cache slots and attachments of the
 //     requests a few places ahead, so their cache misses overlap.
 //     A bad id or a quarantined tree costs only its own request's answer,
-//   * hot swap: update() replaces one tree's labeling in place — an
-//     epoch-bumping swap of the shared_ptr to the immutable TreeEntry,
-//     made under the tree's shard lock, plus invalidation of that tree's
-//     cached attachments — safe under concurrent query_batch(),
-//     which reads each tree's entry under the same lock. This is how a
-//     serving node takes an IncrementalRelabeler's refreshed labels
-//     without downtime.
-//   * delta shipping: apply_delta() patches one tree's labeling from a
-//     LabelStore v3 delta instead of a whole file — the new entry is built
-//     copy-on-write next to the live one (the mmap'ed base is never
-//     written), swapped under the same shard lock as update(), and only the
-//     cached attachments whose labels actually changed are invalidated
-//     (SlotCache::erase_if over the dirty/dropped id set); clean hot labels
-//     stay attached across the swap.
+//   * one way to publish: a labeling reaches a live tree either whole
+//     (update(): a snapshot, or an IncrementalRelabeler's refreshed
+//     labels) or as a LabelStore v3 delta (apply_delta()). Both only build
+//     the successor of the live entry; one private publish() swaps it in.
+//     The successor is built outside the shard lock against the live
+//     entry; under the lock, publish() swaps only if that entry is still
+//     live (else it rebuilds against the newer one), then erases the
+//     cached attachments the successor names as dead — every one for
+//     update(), only the dirty and dropped ids for a delta, so clean hot
+//     labels stay attached across a delta. A swap is safe under concurrent
+//     query_batch(), which reads each tree's entry under the same lock.
+//     A delta's entry is built copy-on-write next to the live one (the
+//     mmap'ed base is never written),
 //   * stable external ids: node ids in requests are *external* ids — the
 //     ids clients learned when the tree was last fully loaded. A delta that
-//     carries a compaction (or an update() given compact()'s remap) shifts
-//     the internal label indices; ForestIndex composes the remap into a
-//     per-tree external→internal map so surviving nodes keep answering
-//     under their original ids and deleted/compacted-away ids fail
-//     deterministically (QueryStatus::kBadNode) instead of silently
-//     answering for whatever node now occupies the slot.
+//     carries a compaction shifts the internal label indices; ForestIndex
+//     composes its dropped runs into a per-tree external→internal map so
+//     surviving nodes keep answering under their original ids and
+//     deleted/compacted-away ids fail deterministically
+//     (QueryStatus::kBadNode) instead of silently answering for whatever
+//     node now occupies the slot.
 //
-//   * graceful degradation: every tree carries a health state (live /
-//     stale / quarantined). Transient I/O failures (util::IoError) in
-//     update_file() are retried with exponential backoff; if they
-//     persist the tree is marked *stale* — it keeps serving its last good
-//     labeling. Integrity failures (corrupt files, deltas that do not
-//     chain) are never retried; after kQuarantineAfter consecutive ones
-//     the tree is *quarantined*: its requests get
-//     QueryStatus::kQuarantined while every other tree keeps serving.
-//     A subsequent clean update()/apply_delta() is the repair path — it
-//     restores the tree to live. cache_stats() exposes the retry /
-//     failure / health counters.
+//   * graceful degradation: every tree is live or quarantined. Integrity
+//     failures of apply_delta() (corrupt deltas, deltas that do not chain)
+//     are counted; after kQuarantineAfter consecutive ones the tree is
+//     *quarantined*: its requests get QueryStatus::kQuarantined while
+//     every other tree keeps serving. The next clean publish — update()
+//     or apply_delta() — restores the tree to live. A caller that reloads
+//     a file (update(tree, LabelStore::open_mapped(path))) owns its retry
+//     policy, as net::Replicator does. cache_stats() exposes the failure
+//     and health counters.
 //
 // Thread-safety: query_batch(), update(), apply_delta(),
 // cache_stats() and the per-tree accessors may all run concurrently.
@@ -69,9 +66,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bits/label_arena.hpp"
@@ -93,14 +90,11 @@ struct Request {
   tree::NodeId v = 0;
 };
 
-/// Per-tree serving health. Stale and quarantined trees differ in what
-/// they still answer: a stale tree serves its last good labeling (only
-/// its *refresh* is failing); a quarantined tree refuses queries with a
+/// Per-tree serving health: a quarantined tree refuses queries with a
 /// typed error until repaired by a clean update/delta.
 enum class TreeHealth : std::uint8_t {
   kLive = 0,
-  kStale = 1,
-  kQuarantined = 2,
+  kQuarantined = 1,
 };
 
 /// Typed per-request outcome of ForestIndex::query_batch().
@@ -147,50 +141,35 @@ class ForestIndex {
   TreeId add(core::LabelStore::LoadedArena loaded);
 
   /// Replaces tree `tree`'s labeling with `loaded` (same or different
-  /// scheme; typically a grown tree's refreshed labels). The swap is atomic
-  /// — concurrent queries see either the old or the new labeling, never a
-  /// mix — and the tree's attached-label cache entries are invalidated, so
-  /// no stale attachment outlives the update. Resets the tree's external
-  /// id space to the new labeling's (dense) ids. Bumps the tree's epoch and
-  /// returns it. Throws std::out_of_range on a bad id, and what
-  /// AnyScheme::make throws on a bad header.
-  std::uint64_t update(TreeId tree, core::LabelStore::LoadedArena loaded);
-
-  /// update() that *preserves* the tree's external id space across an id
-  /// compaction: `remap` is IncrementalRelabeler::compact()'s old-id →
-  /// new-id map (kNoNode = dropped), sized to the tree's current internal
-  /// label count. External ids keep answering for the nodes they always
-  /// named; remapped-away ids get QueryStatus::kBadNode from then on
-  /// (deterministic NotFound, never the wrong node's answer). Labels the
-  /// remap does not reach (appended after the compaction) get fresh
-  /// external ids at the top of the id space. Throws std::invalid_argument
-  /// if remap's size does not match the current labeling.
+  /// scheme: a grown tree's refreshed labels, a replication snapshot, or a
+  /// reloaded file via LabelStore::open_mapped). The swap is atomic —
+  /// concurrent queries see either the old or the new labeling, never a
+  /// mix — and every cached attachment of the tree is invalidated. Resets
+  /// the tree's external id space to the new labeling's (dense) ids and
+  /// restores a quarantined tree to live. The entry's epoch-chain value is
+  /// `chain` when given, else the arena's lens_hash. Pinning it is the
+  /// snapshot hand-off of the replication protocol: a leader's journal
+  /// *preserves* its chain across checkpoint folds, so a follower
+  /// installing a full snapshot must adopt the leader's chain verbatim —
+  /// re-deriving it from the bytes would diverge after the first fold and
+  /// reject every subsequent delta. Bumps the tree's epoch and returns it.
+  /// Throws std::out_of_range on a bad id, and what AnyScheme::make throws
+  /// on a bad header.
   std::uint64_t update(TreeId tree, core::LabelStore::LoadedArena loaded,
-                       std::span<const tree::NodeId> remap);
-
-  /// update() that pins the entry's epoch-chain value instead of seeding it
-  /// from the arena's lens_hash. This is the snapshot hand-off of the
-  /// replication protocol: a leader's journal *preserves* its chain across
-  /// checkpoint folds, so a follower installing a full snapshot must adopt
-  /// the leader's chain verbatim — re-deriving it from the bytes would
-  /// diverge after the first fold and reject every subsequent delta.
-  std::uint64_t update(TreeId tree, core::LabelStore::LoadedArena loaded,
-                       std::uint64_t chain);
-
-  /// update() from a label file (mappable containers are mmap'ed).
-  std::uint64_t update_file(TreeId tree, const std::string& path);
+                       std::optional<std::uint64_t> chain = {});
 
   /// Patches tree `tree`'s labeling with a v3 delta (typically shipped by
   /// IncrementalRelabeler::ship_delta): validates that the delta targets
-  /// the live labeling (count + length-directory hash), materializes the
-  /// patched arena copy-on-write, composes the delta's dropped runs into
-  /// the tree's external-id map, and hot-swaps the entry under the tree's
-  /// shard lock. Only the cached attachments whose labels changed —
-  /// dirty ids and dropped/shifted ids — are invalidated; clean cached
-  /// attachments survive. The delta's scheme/params must match the tree's.
-  /// Returns the new epoch. Throws std::out_of_range on a bad id,
-  /// std::invalid_argument on a scheme mismatch, std::runtime_error when
-  /// the delta does not match the live labeling or is corrupt.
+  /// the live labeling (scheme, epoch chain, count + length-directory
+  /// hash), materializes the patched arena copy-on-write, composes the
+  /// delta's dropped runs (a compaction) into the tree's external-id map,
+  /// and publishes the entry. Only the cached attachments whose labels
+  /// changed — dirty ids and dropped ids — are invalidated; clean cached
+  /// attachments survive. Returns the new epoch. Throws std::out_of_range
+  /// on a bad id, std::invalid_argument on a scheme mismatch,
+  /// std::runtime_error when the delta does not match the live labeling
+  /// or is corrupt; each of those but the bad id counts toward the tree's
+  /// quarantine. A std::bad_alloc propagates uncounted.
   std::uint64_t apply_delta(TreeId tree, const core::LabelDelta& delta);
 
   [[nodiscard]] std::size_t tree_count() const noexcept {
@@ -205,13 +184,14 @@ class ForestIndex {
   [[nodiscard]] AnyScheme scheme(TreeId tree) const;
   [[nodiscard]] std::size_t label_count(TreeId tree) const;
   /// Upper bound of the tree's external node-id space. Equal to
-  /// label_count() until a compaction flows through update(remap) /
-  /// apply_delta(); after that it only grows — dropped external ids stay
-  /// reserved (and fail deterministically) rather than being reused.
+  /// label_count() until a compaction flows through apply_delta(); after
+  /// that it only grows — dropped external ids stay reserved (and fail
+  /// deterministically) rather than being reused. update() resets it.
   [[nodiscard]] std::size_t id_bound(TreeId tree) const;
   /// True when the tree's labels are served zero-copy from an mmap'ed file.
   [[nodiscard]] bool mapped(TreeId tree) const;
-  /// How many times update() replaced this tree's labeling (0 = original).
+  /// How many times update() or apply_delta() replaced this tree's
+  /// labeling (0 = original).
   [[nodiscard]] std::uint64_t update_epoch(TreeId tree) const;
 
   /// Epoch-chain value the tree's live labeling sits at (what the next
@@ -238,13 +218,8 @@ class ForestIndex {
   /// Below this many requests per thread, fan-out overhead beats the win.
   static constexpr std::size_t kFanoutBatchPerThread = 256;
 
-  /// Transient (util::IoError) failures in update_file() are retried this
-  /// many times beyond the first attempt...
-  static constexpr int kRetries = 2;
-  /// ...sleeping this long before the first retry, doubling each time.
-  static constexpr int kRetryBackoffMs = 1;
-  /// Consecutive integrity failures (corrupt file/delta, broken epoch
-  /// chain) on one tree before it is quarantined.
+  /// Consecutive integrity failures (corrupt delta, broken epoch chain) on
+  /// one tree before it is quarantined.
   static constexpr std::uint32_t kQuarantineAfter = 3;
 
   /// How many requests ahead a shard's batch loop prefetches attachments
@@ -273,8 +248,8 @@ class ForestIndex {
   /// request k + 2 * kPrefetchDistance and the attachments of request
   /// k + kPrefetchDistance of the same shard. The batch answers from the
   /// entries it checked against (one labeling per tree for the whole
-  /// batch), so an update() landing mid-batch can never fail requests the
-  /// pass accepted — those answers come from the pre-update labeling,
+  /// batch), so a publish landing mid-batch can never fail requests the
+  /// pass accepted — those answers come from the replaced labeling,
   /// uncached. A label that fails to decode throws (bits::DecodeError),
   /// which fails the whole batch.
   [[nodiscard]] std::vector<QueryResult> query_batch(
@@ -287,13 +262,10 @@ class ForestIndex {
     std::size_t refused = 0;  ///< misses a full cache answered raw
     std::size_t entries = 0;
     std::size_t bytes = 0;
-    std::size_t invalidated = 0;  ///< attached labels dropped by update()
+    std::size_t invalidated = 0;  ///< attached labels dropped by publishes
     // Degradation counters (process-lifetime totals unless noted).
-    std::size_t retries = 0;             ///< transient-failure retries taken
-    std::size_t transient_failures = 0;  ///< IoError/alloc failures observed
-    std::size_t integrity_failures = 0;  ///< corrupt files/deltas, bad chains
-    std::size_t quarantine_events = 0;   ///< live/stale -> quarantined edges
-    std::size_t stale = 0;               ///< trees currently stale
+    std::size_t integrity_failures = 0;  ///< corrupt deltas, bad chains
+    std::size_t quarantine_events = 0;   ///< live -> quarantined edges
     std::size_t quarantined = 0;         ///< trees currently quarantined
   };
   /// Aggregated over all shards. This struct is now a *view* of the same
@@ -362,37 +334,44 @@ class ForestIndex {
       TREELAB_REQUIRES(sh.mu) {
     return sh.entries[local_of(tree)];
   }
-  /// Builds a fresh (still mutable) entry around `handle`, the dispatcher
-  /// made from (scheme, params); the chain starts at the arena's lens_hash
-  /// — apply_delta overrides it with the delta's new_chain, and reuses the
-  /// live entry's handle, since a delta cannot change the scheme.
+  /// The entry of a fully loaded labeling: epoch 0, identity external
+  /// ids, and `chain` when given, else the arena's lens_hash. Throws what
+  /// AnyScheme::make throws on a bad header.
   [[nodiscard]] static std::shared_ptr<TreeEntry> make_entry(
-      AnyScheme handle, std::string_view scheme, std::string_view params,
-      bits::LabelArena labels, std::uint64_t epoch,
-      std::vector<tree::NodeId> ext_map);
+      core::LabelStore::LoadedArena loaded,
+      std::optional<std::uint64_t> chain);
   /// External → internal id; tree::kNoNode for an id out of range, a
   /// tombstone (zero-length label) or an id compacted away.
   [[nodiscard]] static tree::NodeId resolve(const TreeEntry& e,
                                             tree::NodeId ext);
-  /// The next entry's ext_to_int after replacing `old`'s labeling with one
-  /// of `new_int_count` labels under `remap` (old-internal → new-internal,
-  /// kNoNode = dropped). New internal ids the remap does not reach get
-  /// fresh external ids appended in internal order. When `dead_or_dirty`
-  /// is given, collects the external ids whose cached attachments must go:
-  /// ids that died plus ids whose new internal index is flagged in
-  /// `dirty_int`.
+  /// The next entry's ext_to_int after `old`'s labeling is replaced by
+  /// one of dirty_int.size() labels under `remap` (old-internal →
+  /// new-internal, kNoNode = dropped). New internal ids the remap does not
+  /// reach get fresh external ids appended in internal order. Flags in
+  /// `dead` (one byte per external id of `old`) the ids whose cached
+  /// attachments must go: ids that died, and ids whose new internal index
+  /// is flagged in `dirty_int`.
   [[nodiscard]] static std::vector<tree::NodeId> compose_ext_map(
       const TreeEntry& old, std::span<const tree::NodeId> remap,
-      std::size_t new_int_count, const std::vector<std::uint8_t>* dirty_int,
-      std::vector<tree::NodeId>* dead_or_dirty);
-  /// Shared body of update()/update_file(): swap the entry and invalidate
-  /// the tree's cached attachments, both under the shard lock. `remap`
-  /// non-null composes the external-id map (see update(remap)); null
-  /// resets it. `chain` non-null pins the entry's chain (snapshot
-  /// hand-off); null seeds it from the arena's lens_hash.
-  std::uint64_t swap_entry(TreeId tree, core::LabelStore::LoadedArena loaded,
-                           const std::vector<tree::NodeId>* remap,
-                           const std::uint64_t* chain = nullptr);
+      const std::vector<std::uint8_t>& dirty_int,
+      std::vector<std::uint8_t>& dead);
+  /// What publish()'s `next` returns: the successor of the live entry
+  /// (its epoch one past the live one) and which of the tree's cached
+  /// attachments die with the swap.
+  struct Successor {
+    EntryPtr entry;
+    bool all_dead = false;           ///< every attachment dies (update())
+    std::vector<std::uint8_t> dead;  ///< else, flags by external id
+  };
+  /// The one way a tree's entry changes after add(). Reads the live entry
+  /// `old` and calls next(*old) outside the shard lock, so the O(n) build
+  /// never stalls the shard's queries. Under the lock it swaps in the
+  /// successor only if `old` is still live, else it rebuilds against the
+  /// newer entry (a delta is then re-validated against it). After the swap
+  /// it erases the dead attachments, counting them in `invalidated`, and
+  /// marks the tree live. Returns the new epoch.
+  template <typename Next>
+  std::uint64_t publish(TreeId tree, Next&& next);
   /// A batch's accepted requests, partitioned by shard in request order,
   /// each with its node ids resolved exactly once against its tree's entry
   /// snapshot. `snaps` holds one snapshot per distinct tree: the "one
@@ -453,16 +432,6 @@ class ForestIndex {
   void note_success(Slot& s) const noexcept;
   /// Corrupt input / broken chain: bump the streak, maybe quarantine.
   void note_integrity_failure(Slot& s) noexcept;
-  /// Persistent transient failure: live -> stale (a quarantined tree
-  /// stays quarantined — stale would understate it).
-  void note_stale(Slot& s) noexcept;
-  /// read() under the transient-retry policy: a util::IoError is retried
-  /// kRetries times with backoff, then marks the tree stale and propagates.
-  template <typename Read>
-  auto with_retries(Slot& s, Read&& read);
-  /// apply_delta() minus the health accounting (the optimistic
-  /// validate-patch-swap loop).
-  std::uint64_t apply_delta_impl(TreeId tree, const core::LabelDelta& d);
 
   /// Registers this instance's `serve.*` callback metrics (cache, tree
   /// health, degradation counters) with the global registry.
@@ -478,10 +447,8 @@ class ForestIndex {
   // callbacks behind.
   std::vector<obs::CallbackGuard> obs_guards_;
   // Degradation counters (see CacheStats).
-  mutable std::atomic<std::size_t> retries_{0};
-  mutable std::atomic<std::size_t> transient_failures_{0};
-  mutable std::atomic<std::size_t> integrity_failures_{0};
-  mutable std::atomic<std::size_t> quarantine_events_{0};
+  std::atomic<std::size_t> integrity_failures_{0};
+  std::atomic<std::size_t> quarantine_events_{0};
 };
 
 }  // namespace treelab::serve

@@ -62,12 +62,6 @@ class CollapsedTree {
     return exceptional_[c];
   }
 
-  /// The domination number of C(T) node c (children-before-parent order;
-  /// smaller dominates).
-  [[nodiscard]] std::int32_t dom_number(std::int32_t c) const noexcept {
-    return order_[c];
-  }
-
   /// Domination between *tree* nodes: true if u dominates v.
   [[nodiscard]] bool dominates(NodeId u, NodeId v) const noexcept {
     return order_[cnode_of(u)] < order_[cnode_of(v)];

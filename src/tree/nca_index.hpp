@@ -27,13 +27,6 @@ class NcaIndex {
            2 * t_->root_distance(w);
   }
 
-  /// Unweighted (hop) distance between u and v. O(1).
-  [[nodiscard]] std::int64_t hop_distance(NodeId u, NodeId v) const noexcept {
-    const NodeId w = nca(u, v);
-    return static_cast<std::int64_t>(t_->depth(u)) + t_->depth(v) -
-           2 * static_cast<std::int64_t>(t_->depth(w));
-  }
-
   /// True if a is an ancestor of (or equal to) d.
   [[nodiscard]] bool is_ancestor(NodeId a, NodeId d) const noexcept {
     return nca(a, d) == a;

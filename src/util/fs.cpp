@@ -1,28 +1,18 @@
 #include "util/fs.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_error.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TREELAB_HAVE_POSIX_FS 1
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#endif
-
-#include <algorithm>
-
 namespace treelab::util {
 namespace {
-
-#if TREELAB_HAVE_POSIX_FS
 
 struct FdGuard {
   int fd = -1;
@@ -83,11 +73,7 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);
 }
 
-#endif  // TREELAB_HAVE_POSIX_FS
-
 }  // namespace
-
-#if TREELAB_HAVE_POSIX_FS
 
 bool file_exists(const std::string& path) {
   struct ::stat st{};
@@ -176,110 +162,4 @@ void remove_file(const std::string& path) {
     throw IoError(path, "remove", errno);
 }
 
-#else  // !TREELAB_HAVE_POSIX_FS — portable fallback, no fsync guarantees.
-
-bool file_exists(const std::string& path) {
-  std::error_code ec;
-  return std::filesystem::exists(path, ec);
-}
-
-std::uint64_t file_size(const std::string& path) {
-  std::error_code ec;
-  const auto n = std::filesystem::file_size(path, ec);
-  if (ec) throw IoError(path, "stat", ec.value());
-  return static_cast<std::uint64_t>(n);
-}
-
-std::string read_file(const std::string& path) {
-  if (auto fp = failpoint::check("fs.open_read"))
-    failpoint::raise(*fp, "fs.open_read", path);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw IoError(path, "open for reading", errno);
-  std::uint64_t limit = ~std::uint64_t{0};
-  if (auto fp = failpoint::check("fs.read")) {
-    if (fp->mode == FailMode::kShortRead)
-      limit = fp->arg;
-    else
-      failpoint::raise(*fp, "fs.read", path);
-  }
-  std::string out;
-  char buf[1 << 16];
-  while (out.size() < limit && is) {
-    is.read(buf, static_cast<std::streamsize>(
-                     std::min<std::uint64_t>(sizeof buf, limit - out.size())));
-    out.append(buf, static_cast<std::size_t>(is.gcount()));
-  }
-  if (is.bad()) throw IoError(path, "read", errno);
-  return out;
-}
-
-namespace {
-void write_stream(const std::string& path, std::string_view bytes,
-                  std::ios::openmode mode) {
-  std::ofstream os(path, std::ios::binary | mode);
-  if (!os) throw IoError(path, "open for writing", errno);
-  std::uint64_t limit = bytes.size();
-  std::optional<FailMode> after;
-  if (auto fp = failpoint::check("fs.write")) {
-    switch (fp->mode) {
-      case FailMode::kShortWrite:
-      case FailMode::kTornWrite:
-        limit = std::min<std::uint64_t>(fp->arg, bytes.size());
-        after = fp->mode;
-        break;
-      default:
-        failpoint::raise(*fp, "fs.write", path);
-    }
-  }
-  os.write(bytes.data(), static_cast<std::streamsize>(limit));
-  os.flush();
-  if (!os) throw IoError(path, "write", errno);
-  os.close();
-  if (after == FailMode::kShortWrite) throw IoError(path, "write", ENOSPC);
-  if (after == FailMode::kTornWrite) throw FailpointAbort("fs.write");
-}
-}  // namespace
-
-void atomic_write_file(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  if (auto fp = failpoint::check("fs.open_write"))
-    failpoint::raise(*fp, "fs.open_write", tmp);
-  write_stream(tmp, bytes, std::ios::trunc);
-  if (auto fp = failpoint::check("fs.fsync"))
-    failpoint::raise(*fp, "fs.fsync", tmp);
-  if (auto fp = failpoint::check("fs.rename"))
-    failpoint::raise(*fp, "fs.rename", path);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) throw IoError(path, "rename into place", ec.value());
-}
-
-void append_file(const std::string& path, std::string_view bytes, bool sync,
-                 std::uint64_t* fsync_ns) {
-  if (fsync_ns != nullptr) *fsync_ns = 0;
-  if (auto fp = failpoint::check("fs.open_append"))
-    failpoint::raise(*fp, "fs.open_append", path);
-  if (!file_exists(path)) throw IoError(path, "open for append", ENOENT);
-  write_stream(path, bytes, std::ios::app);
-  if (sync) {
-    if (auto fp = failpoint::check("fs.fsync"))
-      failpoint::raise(*fp, "fs.fsync", path);
-  }
-}
-
-void truncate_file(const std::string& path, std::uint64_t size) {
-  if (auto fp = failpoint::check("fs.truncate"))
-    failpoint::raise(*fp, "fs.truncate", path);
-  std::error_code ec;
-  std::filesystem::resize_file(path, size, ec);
-  if (ec) throw IoError(path, "truncate", ec.value());
-}
-
-void remove_file(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-  if (ec) throw IoError(path, "remove", ec.value());
-}
-
-#endif  // TREELAB_HAVE_POSIX_FS
 }  // namespace treelab::util

@@ -3,9 +3,10 @@
 // Construction in treelab is "computed once centrally, then shipped": the
 // build side may use every core, but the labels it emits must be
 // bit-identical whatever the thread count, so results can be diffed,
-// content-addressed, and reproduced. parallel_for therefore only splits
-// index ranges; all ordering-sensitive assembly (arena layout, stats
-// merging) is done per-chunk and reduced in chunk order by the caller.
+// content-addressed, and reproduced. parallel_for_chunks therefore only
+// splits index ranges; all ordering-sensitive assembly (arena layout,
+// stats merging) is done per-chunk and reduced in chunk order by the
+// caller.
 //
 // The global default thread count comes from TREELAB_THREADS (clamped to
 // >= 1), falling back to usable_cpus().
@@ -15,7 +16,6 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace treelab::util {
@@ -87,14 +87,6 @@ void parallel_for_chunks(std::size_t n, std::size_t chunks, int threads,
   for (auto& th : pool) th.join();
   for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
-}
-
-/// One chunk per thread over [0, n): f(chunk, begin, end).
-template <typename F>
-void parallel_for(std::size_t n, int threads, F&& f) {
-  threads = resolve_threads(threads);
-  parallel_for_chunks(n, static_cast<std::size_t>(threads), threads,
-                      std::forward<F>(f));
 }
 
 }  // namespace treelab::util

@@ -29,8 +29,6 @@
 #include "tree/generators.hpp"
 #include "tree/nca_index.hpp"
 #include "util/failpoint.hpp"
-#include "util/fs.hpp"
-#include "util/io_error.hpp"
 
 namespace {
 
@@ -434,7 +432,7 @@ TEST(ForestIndex, UpdateSwapsLabelingAndInvalidatesCache) {
       std::out_of_range);
 }
 
-TEST(ForestIndex, UpdateFileSwapsToTheNewMappedLabeling) {
+TEST(ForestIndex, UpdateSwapsToAReloadedMappedFile) {
   ForestOptions opt;
   opt.shards = 2;
   ForestIndex index(opt);
@@ -451,7 +449,7 @@ TEST(ForestIndex, UpdateFileSwapsToTheNewMappedLabeling) {
         out, "alstrup", core::AlstrupScheme(t_new).labels(), "");
   }
   files.push_back(path);
-  EXPECT_EQ(index.update_file(0, path), 1u);
+  EXPECT_EQ(index.update(0, core::LabelStore::open_mapped(path)), 1u);
   EXPECT_EQ(index.scheme(0).name(), "alstrup");
   EXPECT_EQ(index.label_count(0), 90u);
 #if defined(__unix__) || defined(__APPLE__)
@@ -594,6 +592,119 @@ TEST(ForestIndex, ShrinkingUpdatesCannotFailAValidatedBatch) {
   EXPECT_GT(served.load(), 0u);
 }
 
+TEST(ForestIndex, UpdatePinsOrSeedsTheChain) {
+  ForestOptions opt;
+  opt.shards = 1;
+  ForestIndex index(opt);
+  core::IncrementalRelabeler relab(tree::random_tree(120, 111));
+  const TreeId id = index.add(relab.to_loaded());
+
+  // A plain update seeds the chain from the arena's length directory.
+  (void)relab.insert_leaf(NodeId{5});
+  EXPECT_EQ(index.update(id, relab.to_loaded()), 1u);
+  EXPECT_EQ(index.chain(id), core::LabelStore::lens_hash(relab.labels()));
+
+  // A pinned update adopts the chain it is given, as a follower adopts a
+  // leader's snapshot: here the chain a shipped delta advanced to.
+  relab.rebase_delta();
+  (void)relab.insert_leaf(NodeId{7});
+  const core::LabelDelta shipped = relab.make_delta();
+  relab.advance_delta(shipped);
+  const std::uint64_t seeded = core::LabelStore::lens_hash(relab.labels());
+  ASSERT_NE(shipped.new_chain, seeded);
+  EXPECT_EQ(index.update(id, relab.to_loaded(), shipped.new_chain), 2u);
+  EXPECT_EQ(index.chain(id), shipped.new_chain);
+
+  // The next delta chains from the pinned value. The same edit chained
+  // from lens_hash instead is refused as an integrity failure.
+  (void)relab.insert_leaf(NodeId{9});
+  const core::LabelDelta next = relab.make_delta();
+  ASSERT_EQ(next.base_chain, shipped.new_chain);
+  core::LabelDelta from_lens = next;
+  from_lens.base_chain = seeded;
+  from_lens.new_chain = core::LabelStore::chain_hash(seeded, from_lens);
+  EXPECT_THROW((void)index.apply_delta(id, from_lens), std::runtime_error);
+  EXPECT_EQ(index.cache_stats().integrity_failures, 1u);
+  EXPECT_EQ(index.update_epoch(id), 2u);
+  EXPECT_EQ(index.apply_delta(id, next), 3u);
+  EXPECT_EQ(index.chain(id), next.new_chain);
+
+  const Tree now = relab.snapshot();
+  const tree::NcaIndex oracle(now);
+  for (NodeId u = 0; u < now.size(); u += 9)
+    EXPECT_EQ(answer(index, {id, u, NodeId{1}}).value, oracle.distance(u, 1));
+}
+
+TEST(ForestIndex, ConcurrentUpdatesEachBumpTheEpochOnce) {
+  // Writer against writer: two threads publish whole labelings of one
+  // tree, alternating its FGNW and Alstrup labelings, while a reader
+  // batches. A publish swaps only over the entry its successor was built
+  // against, so every update lands exactly once (the epoch counts them),
+  // and every answer comes from one complete labeling of the same tree.
+  ForestOptions opt;
+  opt.shards = 2;
+  opt.threads = 2;
+  ForestIndex index(opt);
+  const Tree t = tree::random_tree(180, 112);
+  const tree::NcaIndex oracle(t);
+  const auto loaded = [](const char* scheme, bits::LabelArena labels) {
+    core::LabelStore::LoadedArena l;
+    l.scheme = scheme;
+    l.labels = std::move(labels);
+    return l;
+  };
+  const core::LabelStore::LoadedArena fgnw =
+      loaded("fgnw", core::FgnwScheme(t).labels());
+  const core::LabelStore::LoadedArena alstrup =
+      loaded("alstrup", core::AlstrupScheme(t).labels());
+  const TreeId id = index.add(core::LabelStore::LoadedArena(fgnw));
+
+  std::vector<Request> reqs;
+  std::vector<std::uint64_t> want;
+  std::mt19937_64 rng(113);
+  for (int i = 0; i < 256; ++i) {
+    const auto u = static_cast<NodeId>(rng() % 180);
+    const auto v = static_cast<NodeId>(rng() % 180);
+    reqs.push_back({id, u, v});
+    want.push_back(oracle.distance(u, v));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> batches{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::vector<QueryResult> got = index.query_batch(reqs);
+      for (std::size_t i = 0; i < got.size(); ++i)
+        if (got[i].status != QueryStatus::kOk || !got[i].dist.within ||
+            got[i].dist.value != want[i])
+          wrong.fetch_add(1, std::memory_order_relaxed);
+      batches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 60;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      ready.fetch_add(1);
+      while (ready.load() < kWriters) std::this_thread::yield();
+      for (int i = 0; i < kPerWriter; ++i)
+        (void)index.update(id, core::LabelStore::LoadedArena(
+                                   (i + w) % 2 == 0 ? alstrup : fgnw));
+    });
+  for (auto& th : writers) th.join();
+  while (batches.load(std::memory_order_relaxed) < 8) std::this_thread::yield();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(index.update_epoch(id),
+            static_cast<std::uint64_t>(kWriters * kPerWriter));
+}
+
 TEST(ForestIndex, ApplyDeltaInvalidatesOnlyDirtyAttachments) {
   // The selective-invalidation contract: after a delta swap, only cached
   // attachments whose labels actually changed (or whose ids died) are
@@ -685,54 +796,46 @@ TEST(ForestIndex, QueryByOldIdAfterCompactionIsNotFoundNotWrong) {
   // indices; a client still holding pre-compaction ids must get a
   // deterministic NotFound for dropped ids and the SAME node's answer for
   // surviving ids — never the answer of whatever node now occupies the
-  // slot. Both update(remap) and apply_delta (whose delta carries the
-  // compaction) must thread the remap.
-  for (const bool via_delta : {false, true}) {
-    ForestOptions opt;
-    opt.shards = 1;
-    ForestIndex index(opt);
-    const Tree t0 = tree::random_tree(180, 103);
-    const tree::NcaIndex oracle0(t0);
-    core::IncrementalRelabeler relab(t0);
-    const TreeId id = index.add(relab.to_loaded());
+  // slot. A compaction reaches a serving node as a delta's dropped runs,
+  // which apply_delta composes into the external-id map.
+  ForestOptions opt;
+  opt.shards = 1;
+  ForestIndex index(opt);
+  const Tree t0 = tree::random_tree(180, 103);
+  const tree::NcaIndex oracle0(t0);
+  core::IncrementalRelabeler relab(t0);
+  const TreeId id = index.add(relab.to_loaded());
 
-    std::vector<NodeId> killed;
-    std::mt19937_64 rng(104);
-    while (killed.size() < 30) {
-      const auto v = static_cast<NodeId>(1 + rng() % 179);
-      try {
-        relab.delete_leaf(v);
-        killed.push_back(v);
-      } catch (const std::exception&) {
-      }
+  std::vector<NodeId> killed;
+  std::mt19937_64 rng(104);
+  while (killed.size() < 30) {
+    const auto v = static_cast<NodeId>(1 + rng() % 179);
+    try {
+      relab.delete_leaf(v);
+      killed.push_back(v);
+    } catch (const std::exception&) {
     }
-    if (via_delta) {
-      (void)relab.compact();
-      std::stringstream ss;
-      relab.ship_delta(ss);
-      EXPECT_EQ(index.apply_delta(id, core::LabelStore::load_delta(ss)), 1u);
-    } else {
-      const std::vector<NodeId> remap = relab.compact();
-      EXPECT_EQ(index.update(id, relab.to_loaded(), remap), 1u);
-    }
-    EXPECT_EQ(index.label_count(id), 150u);  // compacted internally
-    EXPECT_EQ(index.id_bound(id), 180u);     // external ids stay reserved
+  }
+  (void)relab.compact();
+  std::stringstream ss;
+  relab.ship_delta(ss);
+  EXPECT_EQ(index.apply_delta(id, core::LabelStore::load_delta(ss)), 1u);
+  EXPECT_EQ(index.label_count(id), 150u);  // compacted internally
+  EXPECT_EQ(index.id_bound(id), 180u);     // external ids stay reserved
 
-    // Dropped old ids: deterministic NotFound.
-    for (const NodeId v : killed)
-      EXPECT_EQ(status_of(index, {id, v, NodeId{0}}), QueryStatus::kBadNode)
-          << "via_delta=" << via_delta << " id " << v;
-    // Surviving old ids: the answer the client always got. Deleting leaves
-    // never changes distances between survivors, so the original oracle is
-    // the ground truth under the original ids.
-    std::vector<std::uint8_t> dead(180, 0);
-    for (const NodeId v : killed) dead[static_cast<std::size_t>(v)] = 1;
-    for (NodeId u = 0; u < 180; u += 7) {
-      if (dead[static_cast<std::size_t>(u)]) continue;
-      EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value,
-                oracle0.distance(u, 0))
-          << "via_delta=" << via_delta << " id " << u;
-    }
+  // Dropped old ids: deterministic NotFound.
+  for (const NodeId v : killed)
+    EXPECT_EQ(status_of(index, {id, v, NodeId{0}}), QueryStatus::kBadNode)
+        << "id " << v;
+  // Surviving old ids: the answer the client always got. Deleting leaves
+  // never changes distances between survivors, so the original oracle is
+  // the ground truth under the original ids.
+  std::vector<std::uint8_t> dead(180, 0);
+  for (const NodeId v : killed) dead[static_cast<std::size_t>(v)] = 1;
+  for (NodeId u = 0; u < 180; u += 7) {
+    if (dead[static_cast<std::size_t>(u)]) continue;
+    EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value, oracle0.distance(u, 0))
+        << "id " << u;
   }
 }
 
@@ -935,93 +1038,6 @@ TEST(ForestIndex, BadIdsGetTypedStatuses) {
 namespace failpoint = util::failpoint;
 using serve::TreeHealth;
 
-/// A two-tree index (both alstrup) plus an on-disk refresh file for tree 0,
-/// for driving the update_file/health paths.
-struct DegradationRig {
-  DegradationRig() {
-    path = temp_path("degradation");
-    core::IncrementalRelabeler r0(tree::random_tree(60, 31));
-    core::IncrementalRelabeler r1(tree::random_tree(60, 32));
-    t0 = index.add(r0.to_loaded());
-    t1 = index.add(r1.to_loaded());
-    for (int i = 0; i < 5; ++i) r0.insert_leaf(0);
-    core::LabelStore::save_file(path, "alstrup", r0.labels());
-  }
-  ~DegradationRig() {
-    failpoint::disarm_all();
-    util::remove_file(path);
-    util::remove_file(path + ".tmp");
-  }
-  ForestIndex index;
-  TreeId t0 = 0;
-  TreeId t1 = 0;
-  std::string path;
-};
-
-TEST(ForestIndexDegradation, TransientOpenErrorsAreRetriedThenSucceed) {
-  DegradationRig rig;
-  // Two transient failures, then the file opens: with retries=2 (default)
-  // the update lands on the third attempt without surfacing an error.
-  failpoint::arm("label_store.open_mapped", util::FailMode::kError, 0, 2);
-  const std::uint64_t epoch = rig.index.update_file(rig.t0, rig.path);
-  EXPECT_EQ(epoch, 1u);
-  EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kLive);
-  const auto st = rig.index.cache_stats();
-  EXPECT_EQ(st.retries, 2u);
-  EXPECT_EQ(st.transient_failures, 2u);
-  EXPECT_EQ(st.stale, 0u);
-}
-
-TEST(ForestIndexDegradation, PersistentIoErrorMarksStaleButKeepsServing) {
-  DegradationRig rig;
-  const Dist before = answer(rig.index, {rig.t0, 0, 1});
-  failpoint::arm("label_store.open_mapped", util::FailMode::kError);
-  EXPECT_THROW((void)rig.index.update_file(rig.t0, rig.path), util::IoError);
-  EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kStale);
-  EXPECT_EQ(rig.index.cache_stats().stale, 1u);
-  // Stale = refresh failing, serving intact: the old labeling still answers.
-  EXPECT_EQ(answer(rig.index, {rig.t0, 0, 1}), before);
-  // The moment a refresh lands, the tree is live again.
-  failpoint::disarm_all();
-  (void)rig.index.update_file(rig.t0, rig.path);
-  EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kLive);
-  EXPECT_EQ(rig.index.cache_stats().stale, 0u);
-}
-
-TEST(ForestIndexDegradation, CorruptFileStreakQuarantinesTypedErrorsRepair) {
-  DegradationRig rig;
-  const std::string bad = temp_path("degradation_bad");
-  util::atomic_write_file(bad, "this is not a label container");
-  // Integrity failures are never retried; quarantine_after=3 consecutive
-  // ones quarantine the tree.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_THROW((void)rig.index.update_file(rig.t0, bad),
-                 std::runtime_error);
-    EXPECT_EQ(rig.index.health(rig.t0),
-              i < 2 ? TreeHealth::kLive : TreeHealth::kQuarantined);
-  }
-  EXPECT_EQ(rig.index.cache_stats().quarantined, 1u);
-  EXPECT_GE(rig.index.cache_stats().integrity_failures, 3u);
-  EXPECT_EQ(rig.index.cache_stats().quarantine_events, 1u);
-  // Typed refusal for the quarantined tree; the other tree keeps serving.
-  EXPECT_EQ(status_of(rig.index, {rig.t0, 0, 1}), QueryStatus::kQuarantined);
-  // In one batch each offender gets its own status in request order (the
-  // quarantined tree, then a bad node), and the good request answers.
-  const std::vector<Request> batch{
-      {rig.t1, 0, 1}, {rig.t0, 0, 1}, {rig.t1, 0, NodeId{100000}}};
-  const auto res = rig.index.query_batch(batch);
-  ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(res[0].status, QueryStatus::kOk);
-  EXPECT_EQ(res[0].dist, answer(rig.index, {rig.t1, 0, 1}));
-  EXPECT_EQ(res[1].status, QueryStatus::kQuarantined);
-  EXPECT_EQ(res[2].status, QueryStatus::kBadNode);
-  // A clean update is the repair path.
-  (void)rig.index.update_file(rig.t0, rig.path);
-  EXPECT_EQ(rig.index.health(rig.t0), TreeHealth::kLive);
-  EXPECT_EQ(status_of(rig.index, {rig.t0, 0, 1}), QueryStatus::kOk);
-  util::remove_file(bad);
-}
-
 TEST(ForestIndexDegradation, FailedApplyDeltaLeavesOldEpochServing) {
   core::IncrementalRelabeler r(tree::random_tree(60, 33));
   ForestIndex index;
@@ -1036,6 +1052,7 @@ TEST(ForestIndexDegradation, FailedApplyDeltaLeavesOldEpochServing) {
   EXPECT_EQ(index.update_epoch(id), 0u);
   EXPECT_EQ(answer(index, {id, 0, 1}), before);
   EXPECT_EQ(index.health(id), TreeHealth::kLive);  // transient, no streak
+  EXPECT_EQ(index.cache_stats().integrity_failures, 0u);
   // The retry applies cleanly.
   EXPECT_EQ(index.apply_delta(id, d), 1u);
   failpoint::disarm_all();

@@ -436,6 +436,27 @@ TEST(LabelStorePersistence, MissingFileIsIoErrorWithPathAndErrno) {
   }
 }
 
+TEST(LabelStorePersistence, OpenMappedFailpointIsIoErrorNamingThePath) {
+  // The open_mapped failpoint stands in for a failing disk: the caller
+  // that reloads a file gets an IoError naming it, and owns the retry.
+  const Tree t = tree::random_tree(40, 50);
+  const std::string path = temp_path("open_fault");
+  core::LabelStore::save_file(path, "alstrup",
+                              core::AlstrupScheme(t).labels());
+  util::failpoint::arm("label_store.open_mapped", util::FailMode::kError);
+  try {
+    (void)core::LabelStore::open_mapped(path);
+    ADD_FAILURE() << "expected IoError";
+  } catch (const util::IoError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    EXPECT_EQ(e.error_code(), EIO);
+  }
+  util::failpoint::disarm_all();
+  EXPECT_EQ(core::LabelStore::open_mapped(path).scheme, "alstrup");
+  std::remove(path.c_str());
+}
+
 TEST(LabelStoreFailure, CorruptHeaderFields) {
   const Tree t = tree::random_tree(30, 48);
   const core::AlstrupScheme s(t);

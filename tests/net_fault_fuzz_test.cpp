@@ -151,7 +151,7 @@ class NetFuzz {
     sopt.write_stall_timeout_ms = 2'000;
     sopt.drain_timeout_ms = 1'000;
     server_ = std::make_unique<net::Server>(*leader_index_, sopt);
-    server_->attach_journal(&*journal_, leader_tree_);
+    server_->attach_journal(&*journal_);
     server_->start();
   }
 

@@ -112,7 +112,7 @@ TEST(NetStats, ReplicationLagReachesZeroAndCaughtUpFlows) {
   serve::ForestIndex leader_index;
   const serve::TreeId ltree = leader_index.add(relab.to_loaded());
   net::Server server(leader_index);
-  server.attach_journal(&journal, ltree);
+  server.attach_journal(&journal);
   server.start();
 
   // Churn a few deltas through the journal before the follower shows up.
