@@ -1,9 +1,11 @@
 #include "core/incremental_relabeler.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "bits/bitio.hpp"
 #include "core/alstrup_scheme.hpp"
@@ -96,7 +98,7 @@ void IncrementalRelabeler::full_rebuild() {
     light_depth_[o] = hpd.light_depth(nv);
   }
   // The rebuild compacts the path table to exactly m fresh slots — ids a
-  // prior restructure() recycled would now name live paths, so the free
+  // prior restructure recycled would now name live paths, so the free
   // list must not survive it.
   free_paths_.clear();
   path_nodes_.assign(static_cast<std::size_t>(m), {});
@@ -106,8 +108,10 @@ void IncrementalRelabeler::full_rebuild() {
   prefix_.assign(static_cast<std::size_t>(m), {});
   bounds_.assign(static_cast<std::size_t>(m), {});
   branch_rd_.assign(static_cast<std::size_t>(m), {});
+  std::vector<std::int32_t> order(static_cast<std::size_t>(m));
   for (std::int32_t p = 0; p < m; ++p) {
     const auto i = static_cast<std::size_t>(p);
+    order[i] = p;
     const auto nodes = hpd.path_nodes(p);
     path_nodes_[i].reserve(nodes.size());
     for (const NodeId nv : nodes)
@@ -120,21 +124,10 @@ void IncrementalRelabeler::full_rebuild() {
     bounds_[i] = codes.prefix_bounds(p);
   }
   // Branch root distances, parents before children (same recurrence as
-  // AlstrupScheme::build), in the stable (old) id space.
-  std::vector<std::int32_t> order(static_cast<std::size_t>(m));
-  for (std::int32_t p = 0; p < m; ++p) order[static_cast<std::size_t>(p)] = p;
-  std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-    return light_depth_[static_cast<std::size_t>(head_[a])] <
-           light_depth_[static_cast<std::size_t>(head_[b])];
-  });
-  for (std::int32_t p : order) {
-    const NodeId b = parent_[static_cast<std::size_t>(head_[p])];
-    if (b == kNoNode) continue;
-    auto rs = branch_rd_[static_cast<std::size_t>(
-        path_of_[static_cast<std::size_t>(b)])];
-    rs.push_back(root_dist_[static_cast<std::size_t>(b)]);
-    branch_rd_[static_cast<std::size_t>(p)] = std::move(rs);
-  }
+  // AlstrupScheme::build).
+  order_paths(order);
+  for (const std::int32_t p : order)
+    step_branch_rd(static_cast<std::size_t>(p));
 
   labels_ = bits::LabelArena::build(
       ids, opt_.threads,
@@ -159,47 +152,73 @@ std::vector<std::uint64_t> IncrementalRelabeler::position_weights(
   return wts;
 }
 
-std::vector<Codeword> IncrementalRelabeler::light_codes_at(
-    NodeId v, std::size_t* index_of, NodeId child) const {
-  const auto i = static_cast<std::size_t>(v);
-  std::vector<std::uint64_t> lw;
-  std::size_t k = 0;
-  for (const NodeId c : children_[i]) {
-    if (c == heavy_[i]) continue;
-    if (c == child && index_of != nullptr) *index_of = k;
-    lw.push_back(nca::code_weight(
-        static_cast<std::uint64_t>(subtree_size_[static_cast<std::size_t>(c)]),
-        kPolicy));
-    ++k;
-  }
-  return bits::alphabetic_code(lw);
+void IncrementalRelabeler::order_paths(std::vector<std::int32_t>& paths) const {
+  const auto key = [&](std::int32_t p) {
+    const auto h = static_cast<std::size_t>(head_[static_cast<std::size_t>(p)]);
+    return std::pair{light_depth_[h], parent_[h]};
+  };
+  std::sort(paths.begin(), paths.end(),
+            [&](std::int32_t a, std::int32_t b) { return key(a) < key(b); });
 }
 
-void IncrementalRelabeler::rebuild_prefix(std::int32_t p) {
-  const auto pi = static_cast<std::size_t>(p);
-  const NodeId h = head_[pi];
-  const NodeId b = parent_[static_cast<std::size_t>(h)];
-  if (b == kNoNode) {  // root path: empty prefix
-    prefix_[pi] = {};
-    bounds_[pi].clear();
+void IncrementalRelabeler::step_branch_rd(std::size_t p) {
+  const NodeId b = parent_[static_cast<std::size_t>(head_[p])];
+  if (b == kNoNode) {  // root path: no branch above it
+    branch_rd_[p].clear();
     return;
   }
-  const auto bp = static_cast<std::size_t>(
-      path_of_[static_cast<std::size_t>(b)]);
-  std::size_t idx = 0;
-  const std::vector<Codeword> lcodes = light_codes_at(b, &idx, h);
-  const Codeword pos =
-      pos_code_[bp][static_cast<std::size_t>(
-          pos_in_path_[static_cast<std::size_t>(b)])];
-  BitWriter w;
-  w.append(prefix_[bp]);
-  pos.write_to(w);
-  std::vector<std::uint64_t> bs = bounds_[bp];
-  bs.push_back(w.bit_count());
-  lcodes[idx].write_to(w);
-  bs.push_back(w.bit_count());
-  prefix_[pi] = w.take();
-  bounds_[pi] = std::move(bs);
+  const auto bi = static_cast<std::size_t>(b);
+  branch_rd_[p] = branch_rd_[static_cast<std::size_t>(path_of_[bi])];
+  branch_rd_[p].push_back(root_dist_[bi]);
+}
+
+void IncrementalRelabeler::rebuild_prefixes(std::vector<std::int32_t> paths) {
+  // Parents first, so every parent path's prefix is current when read; the
+  // light paths of one branch node sit together, so its light-choice code
+  // is built once, not once per light child (a fan of k dirty light
+  // children would otherwise cost O(k²)).
+  order_paths(paths);
+  NodeId coded = kNoNode;  // the branch node `lcodes` belongs to
+  std::vector<Codeword> lcodes;
+  for (const std::int32_t p : paths) {
+    const auto pi = static_cast<std::size_t>(p);
+    step_branch_rd(pi);
+    const NodeId h = head_[pi];
+    const NodeId b = parent_[static_cast<std::size_t>(h)];
+    if (b == kNoNode) {  // root path: empty prefix
+      prefix_[pi] = {};
+      bounds_[pi].clear();
+      continue;
+    }
+    const auto bi = static_cast<std::size_t>(b);
+    const auto& cs = children_[bi];
+    if (b != coded) {
+      std::vector<std::uint64_t> lw;
+      for (const NodeId c : cs)
+        if (c != heavy_[bi])
+          lw.push_back(nca::code_weight(
+              static_cast<std::uint64_t>(
+                  subtree_size_[static_cast<std::size_t>(c)]),
+              kPolicy));
+      lcodes = bits::alphabetic_code(lw);
+      coded = b;
+    }
+    // h's rank among b's light children: its slot in the id-ordered child
+    // list, less one when the heavy child sorts before it.
+    auto k = static_cast<std::size_t>(
+        std::lower_bound(cs.begin(), cs.end(), h) - cs.begin());
+    if (heavy_[bi] != kNoNode && heavy_[bi] < h) --k;
+    const auto bp = static_cast<std::size_t>(path_of_[bi]);
+    BitWriter w;
+    w.append(prefix_[bp]);
+    pos_code_[bp][static_cast<std::size_t>(pos_in_path_[bi])].write_to(w);
+    std::vector<std::uint64_t> bs = bounds_[bp];
+    bs.push_back(w.bit_count());
+    lcodes[k].write_to(w);
+    bs.push_back(w.bit_count());
+    prefix_[pi] = w.take();
+    bounds_[pi] = std::move(bs);
+  }
 }
 
 void IncrementalRelabeler::emit_label(std::size_t i, BitWriter& w,
@@ -214,29 +233,24 @@ void IncrementalRelabeler::emit_label(std::size_t i, BitWriter& w,
   (void)emit_alstrup_label(w, root_dist_[i], nca_bits.bits(), branch_rd_[p]);
 }
 
-void IncrementalRelabeler::append_node(NodeId parent, std::uint32_t weight) {
-  const auto pi = static_cast<std::size_t>(parent);
-  const auto x = static_cast<NodeId>(parent_.size());
-  parent_.push_back(parent);
-  weight_.push_back(weight);
-  children_[pi].push_back(x);  // x is the max id: ascending order holds
-  children_.emplace_back();
-  subtree_size_.push_back(1);
-  root_dist_.push_back(root_dist_[pi] + weight);
-  state_.push_back(kLive);
-  ++live_;
-  base_of_cur_.push_back(kNoNode);  // no base label: always ships in a delta
-  delta_dirty_.push_back(0);
-  for (NodeId v = parent; v != kNoNode; v = parent_[static_cast<std::size_t>(v)])
-    ++subtree_size_[static_cast<std::size_t>(v)];
-}
-
 std::vector<NodeId> IncrementalRelabeler::chain_to(NodeId v) const {
   std::vector<NodeId> chain;
   for (NodeId a = v; a != kNoNode; a = parent_[static_cast<std::size_t>(a)])
     chain.push_back(a);
   std::reverse(chain.begin(), chain.end());
   return chain;
+}
+
+template <class Visit>
+void IncrementalRelabeler::walk(NodeId r, Visit visit) const {
+  if (!visit(r)) return;
+  std::vector<NodeId> stack{r};
+  while (!stack.empty()) {
+    const NodeId x = stack.back();
+    stack.pop_back();
+    for (const NodeId c : children_[static_cast<std::size_t>(x)])
+      if (visit(c)) stack.push_back(c);
+  }
 }
 
 void IncrementalRelabeler::add_sizes(const std::vector<NodeId>& chain,
@@ -247,69 +261,39 @@ void IncrementalRelabeler::add_sizes(const std::vector<NodeId>& chain,
         delta);
 }
 
-NodeId IncrementalRelabeler::recheck_heavy(
-    const std::vector<NodeId>& chain, NodeId leaf, bool* extends) const {
-  *extends = false;
-  const NodeId parent = chain.back();
+NodeId IncrementalRelabeler::heavy_pick(NodeId v, NodeId n_path) const {
+  for (const NodeId c : children_[static_cast<std::size_t>(v)])
+    if (2 * static_cast<std::int64_t>(
+                subtree_size_[static_cast<std::size_t>(c)]) >=
+        n_path)
+      return c;
+  return kNoNode;
+}
+
+NodeId IncrementalRelabeler::recheck_heavy(const std::vector<NodeId>& chain,
+                                           NodeId leaf, bool* extends) const {
   std::int32_t prev = -1;
   for (const NodeId a : chain) {
     const std::int32_t p = path_of_[static_cast<std::size_t>(a)];
     if (p == prev) continue;
     prev = p;
-    const auto pi = static_cast<std::size_t>(p);
-    const NodeId n_path = subtree_size_[static_cast<std::size_t>(head_[pi])];
-    NodeId cur = head_[pi];
-    for (;;) {
-      const auto ci = static_cast<std::size_t>(cur);
-      NodeId next = kNoNode;
-      for (const NodeId c : children_[ci])
-        if (2 * static_cast<std::int64_t>(
-                    subtree_size_[static_cast<std::size_t>(c)]) >=
-            n_path) {
-          next = c;
-          break;
-        }
-      if (next != heavy_[ci]) {
+    const NodeId h = head_[static_cast<std::size_t>(p)];
+    const NodeId n_path = subtree_size_[static_cast<std::size_t>(h)];
+    for (NodeId cur = h; cur != kNoNode;) {
+      const NodeId next = heavy_pick(cur, n_path);
+      const NodeId was = heavy_[static_cast<std::size_t>(cur)];
+      if (next != was) {
         // The one allowed divergence: the fresh leaf continuing its
         // parent's path as the new bottom (a growth, not a flip).
-        if (cur == parent && heavy_[ci] == kNoNode && next == leaf) {
+        if (was == kNoNode && next == leaf) {
           *extends = true;
           break;
         }
         // A real flip. Everything it disturbs lives under this path's
         // head (deeper crossed paths included), so report the head and
-        // stop — the caller re-decomposes that subtree.
-        return head_[pi];
+        // stop — the tail re-decomposes that subtree.
+        return h;
       }
-      if (next == kNoNode) break;
-      cur = next;
-    }
-  }
-  return kNoNode;
-}
-
-NodeId IncrementalRelabeler::recheck_heavy_resized(
-    const std::vector<NodeId>& chain) const {
-  std::int32_t prev = -1;
-  for (const NodeId a : chain) {
-    const std::int32_t p = path_of_[static_cast<std::size_t>(a)];
-    if (p == prev) continue;
-    prev = p;
-    const auto pi = static_cast<std::size_t>(p);
-    const NodeId n_path = subtree_size_[static_cast<std::size_t>(head_[pi])];
-    NodeId cur = head_[pi];
-    for (;;) {
-      const auto ci = static_cast<std::size_t>(cur);
-      NodeId next = kNoNode;
-      for (const NodeId c : children_[ci])
-        if (2 * static_cast<std::int64_t>(
-                    subtree_size_[static_cast<std::size_t>(c)]) >=
-            n_path) {
-          next = c;
-          break;
-        }
-      if (next != heavy_[ci]) return head_[pi];
-      if (next == kNoNode) break;
       cur = next;
     }
   }
@@ -339,10 +323,7 @@ void IncrementalRelabeler::free_subtree_paths(NodeId h) {
   // each node exactly when we stand on its head frees each id once.
   // path_of_ is cleared to -1 over the whole subtree so a later sweep (a
   // restructure after a detach, say) cannot double-free a recycled id.
-  std::vector<NodeId> stack{h};
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
+  walk(h, [&](NodeId v) {
     const auto vi = static_cast<std::size_t>(v);
     const std::int32_t p = path_of_[vi];
     if (p >= 0 && head_[static_cast<std::size_t>(p)] == v) {
@@ -351,20 +332,14 @@ void IncrementalRelabeler::free_subtree_paths(NodeId h) {
       free_paths_.push_back(p);
     }
     path_of_[vi] = -1;
-    for (const NodeId c : children_[vi]) stack.push_back(c);
-  }
+    return true;
+  });
 }
 
 void IncrementalRelabeler::decompose_subtree(NodeId h, std::int32_t ld0) {
   // The paper-half decomposition over subtree(h) — the same loop as
   // HeavyPathDecomposition's, seeded at h with the given light depth.
-  // Parents-before-children order lets branch_rd_ fill by recurrence; the
-  // prefixes are rebuilt later by the caller's dirty-head pass.
-  struct PathStart {
-    NodeId start;
-    std::int32_t ld;
-  };
-  std::vector<PathStart> stack{{h, ld0}};
+  std::vector<std::pair<NodeId, std::int32_t>> stack{{h, ld0}};
   while (!stack.empty()) {
     const auto [start, ld] = stack.back();
     stack.pop_back();
@@ -373,48 +348,21 @@ void IncrementalRelabeler::decompose_subtree(NodeId h, std::int32_t ld0) {
     head_[pi] = start;
     path_nodes_[pi].clear();
     const NodeId n_path = subtree_size_[static_cast<std::size_t>(start)];
-
-    NodeId cur = start;
     std::int32_t pos = 0;
-    for (;;) {
+    for (NodeId cur = start; cur != kNoNode;) {
       const auto ci = static_cast<std::size_t>(cur);
       path_of_[ci] = pid;
       light_depth_[ci] = ld;
       pos_in_path_[ci] = pos++;
       path_nodes_[pi].push_back(cur);
-
-      NodeId next = kNoNode;
+      heavy_[ci] = heavy_pick(cur, n_path);
       for (const NodeId c : children_[ci])
-        if (2 * static_cast<std::int64_t>(
-                    subtree_size_[static_cast<std::size_t>(c)]) >=
-            n_path) {
-          next = c;
-          break;
-        }
-      heavy_[ci] = next;
-      for (const NodeId c : children_[ci])
-        if (c != next) stack.push_back({c, ld + 1});
-      if (next == kNoNode) break;
-      cur = next;
+        if (c != heavy_[ci]) stack.emplace_back(c, ld + 1);
+      cur = heavy_[ci];
     }
-
     pos_wts_[pi] = position_weights(pid);
     pos_code_[pi] = bits::alphabetic_code(pos_wts_[pi]);
-    const NodeId b = parent_[static_cast<std::size_t>(start)];
-    if (b == kNoNode) {
-      branch_rd_[pi].clear();
-    } else {
-      branch_rd_[pi] = branch_rd_[static_cast<std::size_t>(
-          path_of_[static_cast<std::size_t>(b)])];
-      branch_rd_[pi].push_back(root_dist_[static_cast<std::size_t>(b)]);
-    }
   }
-}
-
-void IncrementalRelabeler::restructure(NodeId h) {
-  const std::int32_t ld = light_depth_[static_cast<std::size_t>(h)];
-  free_subtree_paths(h);
-  decompose_subtree(h, ld);
 }
 
 std::size_t IncrementalRelabeler::dirty_limit() const {
@@ -425,28 +373,38 @@ std::size_t IncrementalRelabeler::dirty_limit() const {
                                                  static_cast<double>(size())));
 }
 
+void IncrementalRelabeler::record(RelabelOutcome o, std::size_t dirty) {
+  std::uint64_t* const counters[] = {&stats_.incremental, &stats_.restructured,
+                                     &stats_.full_heavy_flip,
+                                     &stats_.full_dirty_cone};
+  ++*counters[static_cast<std::size_t>(o)];
+  last_outcome_ = o;
+  last_dirty_ = dirty;
+}
+
+void IncrementalRelabeler::note_changed(const bits::LabelArena& old,
+                                        const std::vector<NodeId>& ids) {
+  for (const NodeId v : ids) {
+    const auto i = static_cast<std::size_t>(v);
+    if (delta_dirty_[i] == 0 &&
+        (i >= old.size() || old.label_bits(i) != labels_.label_bits(i) ||
+         !(old.view(i) == labels_.view(i))))
+      delta_dirty_[i] = 1;
+  }
+}
+
 void IncrementalRelabeler::fall_back(bool flip) {
   const bits::LabelArena old = std::move(labels_);
   full_rebuild();
-  if (flip) {
-    ++stats_.full_heavy_flip;
-    last_outcome_ = RelabelOutcome::kFullHeavyFlip;
-  } else {
-    ++stats_.full_dirty_cone;
-    last_outcome_ = RelabelOutcome::kFullDirtyCone;
-  }
-  last_dirty_ = size();
+  record(flip ? RelabelOutcome::kFullHeavyFlip : RelabelOutcome::kFullDirtyCone,
+         size());
   // Delta tracking: the rebuild replaced the arena wholesale, but most
   // labels usually come out bit-identical — diff against the old arena
   // (word compares) so shipped deltas stay proportional to the real
   // change, not to the fallback's bluntness.
-  if (delta_dirty_.size() < size()) delta_dirty_.resize(size(), 0);
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (delta_dirty_[i] != 0) continue;
-    if (i >= old.size() || old.label_bits(i) != labels_.label_bits(i) ||
-        !(old.view(i) == labels_.view(i)))
-      delta_dirty_[i] = 1;
-  }
+  std::vector<NodeId> all(size());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  note_changed(old, all);
 }
 
 void IncrementalRelabeler::mark_light_site(NodeId b,
@@ -479,7 +437,7 @@ void IncrementalRelabeler::detect_table_changes(
   // the chain crossed a quantized-weight boundary (every chain node's size
   // moved by size_delta). A changed table re-codes every light sibling, so
   // their subtrees dirty. Membership changes (a light child appearing or
-  // disappearing at the edit site) are the caller's to mark.
+  // disappearing at the edit site) are the light site's.
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
     const NodeId a = chain[i], c = chain[i + 1];
     if (a == flip_head) break;
@@ -496,39 +454,48 @@ void IncrementalRelabeler::detect_table_changes(
   }
 }
 
-void IncrementalRelabeler::mark_cone(NodeId r, std::vector<std::uint8_t>& dirty,
-                                     std::size_t& count) const {
-  if (dirty[static_cast<std::size_t>(r)]) return;
-  std::vector<NodeId> stack{r};
-  dirty[static_cast<std::size_t>(r)] = 1;
-  ++count;
-  while (!stack.empty()) {
-    const NodeId v = stack.back();
-    stack.pop_back();
-    for (const NodeId c : children_[static_cast<std::size_t>(v)])
-      if (!dirty[static_cast<std::size_t>(c)]) {
-        dirty[static_cast<std::size_t>(c)] = 1;
-        ++count;
-        stack.push_back(c);
-      }
+void IncrementalRelabeler::relabel(const std::vector<NodeId>& chain,
+                                   std::int64_t size_delta, NodeId flip_head,
+                                   NodeId seed, NodeId light_site) {
+  const bool flipped = flip_head != kNoNode;
+  if (flipped) {
+    const auto fi = static_cast<std::size_t>(flip_head);
+    if (static_cast<std::size_t>(subtree_size_[fi]) > dirty_limit())
+      return fall_back(true);  // restructure region too big: don't start
+    const std::int32_t ld = light_depth_[fi];
+    free_subtree_paths(flip_head);
+    decompose_subtree(flip_head, ld);
   }
-}
+  // Dirty roots: the seed; a flip's whole restructure region (which holds
+  // the light site) or else the light site's light subtrees; then every
+  // table change along the chain.
+  std::vector<NodeId> roots{seed};
+  if (flipped)
+    roots.push_back(flip_head);
+  else if (light_site != kNoNode)
+    mark_light_site(light_site, roots);
+  detect_table_changes(chain, flip_head, size_delta, roots);
 
-void IncrementalRelabeler::splice_dirty(const std::vector<std::uint8_t>& dirty,
-                                        std::size_t count, bool flipped) {
-  // Rebuild the prefixes of every dirty path head, parents before children
-  // (a head's parent path either kept its prefix or sits earlier in
-  // light-depth order).
-  std::vector<std::int32_t> dirty_paths;
-  for (std::size_t p = 0; p < path_nodes_.size(); ++p)
-    if (head_[p] != kNoNode && dirty[static_cast<std::size_t>(head_[p])])
-      dirty_paths.push_back(static_cast<std::int32_t>(p));
-  std::sort(dirty_paths.begin(), dirty_paths.end(),
-            [&](std::int32_t a, std::int32_t b) {
-              return light_depth_[static_cast<std::size_t>(head_[a])] <
-                     light_depth_[static_cast<std::size_t>(head_[b])];
-            });
-  for (const std::int32_t p : dirty_paths) rebuild_prefix(p);
+  std::vector<std::uint8_t> dirty(size(), 0);
+  std::vector<NodeId> marked;  // the dirty ids
+  for (const NodeId r : roots)
+    walk(r, [&](NodeId x) {  // dirty sets are whole cones: prune at one
+      auto& d = dirty[static_cast<std::size_t>(x)];
+      if (d != 0) return false;
+      d = 1;
+      marked.push_back(x);
+      return true;
+    });
+  const std::size_t count = marked.size();
+  if (count > dirty_limit()) return fall_back(flipped);
+
+  // The paths a dirty node heads (non-live ids are on path -1).
+  std::vector<std::int32_t> paths;
+  for (const NodeId x : marked) {
+    const std::int32_t p = path_of_[static_cast<std::size_t>(x)];
+    if (p >= 0 && head_[static_cast<std::size_t>(p)] == x) paths.push_back(p);
+  }
+  rebuild_prefixes(std::move(paths));
 
   // Splice: clean labels ride over as word runs, dirty labels re-emit
   // (tombstoned/detached dirty ids re-emit as zero-length).
@@ -537,31 +504,36 @@ void IncrementalRelabeler::splice_dirty(const std::vector<std::uint8_t>& dirty,
   labels_ = bits::LabelArena::patched(
       old, size(), dirty,
       [&](std::size_t i, BitWriter& w) { emit_label(i, w, scratch); });
-
-  if (flipped) {
-    ++stats_.restructured;
-    last_outcome_ = RelabelOutcome::kRestructured;
-  } else {
-    ++stats_.incremental;
-    last_outcome_ = RelabelOutcome::kIncremental;
-  }
+  record(flipped ? RelabelOutcome::kRestructured : RelabelOutcome::kIncremental,
+         count);
   stats_.labels_reemitted += count;
   stats_.labels_spliced += size() - count;
-  last_dirty_ = count;
-
   // Delta tracking: a dirty-cone member whose re-emitted bits came out
   // identical (a sibling at the quantization boundary, say) need not ship.
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (!dirty[i] || delta_dirty_[i] != 0) continue;
-    if (i >= old.size() || old.label_bits(i) != labels_.label_bits(i) ||
-        !(old.view(i) == labels_.view(i)))
-      delta_dirty_[i] = 1;
-  }
+  note_changed(old, marked);
 }
 
 void IncrementalRelabeler::log_edit(LabelEdit::Kind kind, std::uint64_t a,
                                     std::uint64_t b) {
   delta_edits_.push_back({kind, a, b});
+}
+
+bool IncrementalRelabeler::cut(NodeId v, const std::vector<NodeId>& chain) {
+  const auto vi = static_cast<std::size_t>(v);
+  const auto bi = static_cast<std::size_t>(parent_[vi]);
+  auto& pc = children_[bi];
+  pc.erase(std::find(pc.begin(), pc.end(), v));
+  add_sizes(chain, -static_cast<std::int64_t>(subtree_size_[vi]));
+  const bool was_heavy = heavy_[bi] == v;
+  if (was_heavy) {
+    // The path through v continues below the parent only inside
+    // subtree(v): truncate it at the parent.
+    path_nodes_[static_cast<std::size_t>(path_of_[bi])].resize(
+        static_cast<std::size_t>(pos_in_path_[bi] + 1));
+    heavy_[bi] = kNoNode;
+  }
+  free_subtree_paths(v);
+  return was_heavy;
 }
 
 NodeId IncrementalRelabeler::insert_leaf(NodeId parent, std::uint32_t weight) {
@@ -570,75 +542,39 @@ NodeId IncrementalRelabeler::insert_leaf(NodeId parent, std::uint32_t weight) {
   ++stats_.edits;
   log_edit(LabelEdit::Kind::kInsertLeaf, static_cast<std::uint64_t>(parent),
            weight);
+  const auto pi = static_cast<std::size_t>(parent);
   const auto x = static_cast<NodeId>(size());
+  const std::vector<NodeId> chain = chain_to(parent);  // every size grows
 
-  // Root-to-parent chain (every node whose subtree grows).
-  const std::vector<NodeId> chain = chain_to(parent);
-
-  append_node(parent, weight);
+  children_[pi].push_back(x);  // x is the max id: ascending order holds
+  children_.emplace_back();
+  parent_.push_back(parent);
+  weight_.push_back(weight);
+  subtree_size_.push_back(1);
+  root_dist_.push_back(root_dist_[pi] + weight);
+  state_.push_back(kLive);
+  ++live_;
+  heavy_.push_back(kNoNode);  // placed below, or by the tail's restructure
+  path_of_.push_back(-1);
+  pos_in_path_.push_back(0);
+  light_depth_.push_back(0);
+  base_of_cur_.push_back(kNoNode);  // no base label: always ships in a delta
+  delta_dirty_.push_back(0);
+  add_sizes(chain, +1);
 
   bool extends = false;
   const NodeId flip_head = recheck_heavy(chain, x, &extends);
-
-  if (flip_head != kNoNode &&
-      static_cast<std::size_t>(
-          subtree_size_[static_cast<std::size_t>(flip_head)]) > dirty_limit()) {
-    fall_back(true);  // restructure region too big: don't even start
-    return x;
+  if (flip_head == kNoNode && extends) {  // x is the parent path's new bottom
+    const std::int32_t pp = path_of_[pi];
+    path_nodes_[static_cast<std::size_t>(pp)].push_back(x);
+    path_of_.back() = pp;
+    pos_in_path_.back() = pos_in_path_[pi] + 1;
+    light_depth_.back() = light_depth_[pi];
+    heavy_[pi] = x;
+  } else if (flip_head == kNoNode) {  // x heads a light path of its own
+    decompose_subtree(x, light_depth_[pi] + 1);
   }
-
-  // Grow the decomposition state by the one new node, or re-decompose the
-  // flip region (which assigns the new leaf's path as part of the sweep).
-  // This must precede change detection: the tables of the parent's (or
-  // flipped) path are compared against the *post-edit* structure.
-  if (flip_head != kNoNode) {
-    path_of_.push_back(-1);  // placeholders; restructure() fills them
-    pos_in_path_.push_back(0);
-    light_depth_.push_back(0);
-    heavy_.push_back(kNoNode);
-    restructure(flip_head);
-  } else {
-    const auto pp = static_cast<std::size_t>(
-        path_of_[static_cast<std::size_t>(parent)]);
-    if (extends) {
-      path_nodes_[pp].push_back(x);
-      path_of_.push_back(static_cast<std::int32_t>(pp));
-      pos_in_path_.push_back(
-          pos_in_path_[static_cast<std::size_t>(parent)] + 1);
-      light_depth_.push_back(light_depth_[static_cast<std::size_t>(parent)]);
-      heavy_[static_cast<std::size_t>(parent)] = x;
-    } else {
-      const std::int32_t px = alloc_path();
-      const auto pxi = static_cast<std::size_t>(px);
-      head_[pxi] = x;
-      path_nodes_[pxi] = {x};
-      path_of_.push_back(px);
-      pos_in_path_.push_back(0);
-      light_depth_.push_back(
-          light_depth_[static_cast<std::size_t>(parent)] + 1);
-      branch_rd_[pxi] = branch_rd_[pp];
-      branch_rd_[pxi].push_back(root_dist_[static_cast<std::size_t>(parent)]);
-      pos_wts_[pxi] = position_weights(px);
-      pos_code_[pxi] = bits::alphabetic_code(pos_wts_[pxi]);
-    }
-    heavy_.push_back(kNoNode);
-  }
-
-  // Dirty roots: the new leaf always; a flip's whole restructure region;
-  // then the table changes detected below.
-  std::vector<NodeId> roots{x};
-  if (flip_head != kNoNode) roots.push_back(flip_head);
-  detect_table_changes(chain, flip_head, +1, roots);
-  if (flip_head == kNoNode && !extends) mark_light_site(parent, roots);
-
-  std::vector<std::uint8_t> dirty(size(), 0);
-  std::size_t count = 0;
-  for (const NodeId r : roots) mark_cone(r, dirty, count);
-  if (count > dirty_limit()) {
-    fall_back(flip_head != kNoNode);
-    return x;
-  }
-  splice_dirty(dirty, count, flip_head != kNoNode);
+  relabel(chain, +1, flip_head, x, extends ? kNoNode : parent);
   return x;
 }
 
@@ -655,48 +591,12 @@ void IncrementalRelabeler::delete_leaf(NodeId v) {
   const NodeId parent = parent_[vi];
   const std::vector<NodeId> chain = chain_to(parent);
 
-  // Structural removal: the id stays (a tombstone with a zero-length label
-  // until compact()), the node leaves every live structure.
-  auto& pc = children_[static_cast<std::size_t>(parent)];
-  pc.erase(std::find(pc.begin(), pc.end(), v));
-  add_sizes(chain, -1);
+  // The id stays (a tombstone with a zero-length label until compact()),
+  // the node leaves every live structure.
+  const bool was_heavy = cut(v, chain);
   state_[vi] = kDead;
   --live_;
-
-  // Path bookkeeping: pop v off its path. A leaf is either its path's
-  // bottom (its parent's heavy child) or a singleton path of its own.
-  const std::int32_t pv = path_of_[vi];
-  const auto pvi = static_cast<std::size_t>(pv);
-  const bool was_heavy = head_[pvi] != v;
-  if (was_heavy) {
-    path_nodes_[pvi].pop_back();
-    heavy_[static_cast<std::size_t>(parent)] = kNoNode;
-  } else {
-    head_[pvi] = kNoNode;
-    path_nodes_[pvi].clear();
-    free_paths_.push_back(pv);
-  }
-  path_of_[vi] = -1;
-
-  const NodeId flip_head = recheck_heavy_resized(chain);
-  if (flip_head != kNoNode &&
-      static_cast<std::size_t>(
-          subtree_size_[static_cast<std::size_t>(flip_head)]) > dirty_limit())
-    return fall_back(true);
-  if (flip_head != kNoNode) restructure(flip_head);
-
-  std::vector<NodeId> roots;
-  if (flip_head != kNoNode) roots.push_back(flip_head);
-  detect_table_changes(chain, flip_head, -1, roots);
-  if (flip_head == kNoNode && !was_heavy) mark_light_site(parent, roots);
-
-  std::vector<std::uint8_t> dirty(size(), 0);
-  std::size_t count = 0;
-  dirty[vi] = 1;  // the tombstone's label is re-emitted as zero-length
-  ++count;
-  for (const NodeId r : roots) mark_cone(r, dirty, count);
-  if (count > dirty_limit()) return fall_back(flip_head != kNoNode);
-  splice_dirty(dirty, count, flip_head != kNoNode);
+  relabel(chain, -1, recheck_heavy(chain), v, was_heavy ? kNoNode : parent);
 }
 
 void IncrementalRelabeler::detach_subtree(NodeId v) {
@@ -713,53 +613,15 @@ void IncrementalRelabeler::detach_subtree(NodeId v) {
   const std::vector<NodeId> chain = chain_to(parent);
   const auto k = static_cast<std::int64_t>(subtree_size_[vi]);
 
-  // Structural cut.
-  auto& pc = children_[static_cast<std::size_t>(parent)];
-  pc.erase(std::find(pc.begin(), pc.end(), v));
-  add_sizes(chain, -k);
-  const bool was_heavy = heavy_[static_cast<std::size_t>(parent)] == v;
-  if (was_heavy) {
-    // The path through v continues below parent only inside subtree(v):
-    // truncate it at parent.
-    const auto pp = static_cast<std::size_t>(
-        path_of_[static_cast<std::size_t>(parent)]);
-    path_nodes_[pp].resize(static_cast<std::size_t>(
-        pos_in_path_[static_cast<std::size_t>(parent)] + 1));
-    heavy_[static_cast<std::size_t>(parent)] = kNoNode;
-  }
-  free_subtree_paths(v);
-  {
-    std::vector<NodeId> stack{v};
-    while (!stack.empty()) {
-      const NodeId x = stack.back();
-      stack.pop_back();
-      state_[static_cast<std::size_t>(x)] = kDetached;
-      --live_;
-      for (const NodeId c : children_[static_cast<std::size_t>(x)])
-        stack.push_back(c);
-    }
-  }
+  const bool was_heavy = cut(v, chain);
+  walk(v, [&](NodeId x) {
+    state_[static_cast<std::size_t>(x)] = kDetached;
+    --live_;
+    return true;
+  });
   detached_root_ = v;
   parent_[vi] = kNoNode;
-
-  const NodeId flip_head = recheck_heavy_resized(chain);
-  if (flip_head != kNoNode &&
-      static_cast<std::size_t>(
-          subtree_size_[static_cast<std::size_t>(flip_head)]) > dirty_limit())
-    return fall_back(true);
-  if (flip_head != kNoNode) restructure(flip_head);
-
-  std::vector<NodeId> roots;
-  if (flip_head != kNoNode) roots.push_back(flip_head);
-  detect_table_changes(chain, flip_head, -k, roots);
-  if (flip_head == kNoNode && !was_heavy) mark_light_site(parent, roots);
-
-  std::vector<std::uint8_t> dirty(size(), 0);
-  std::size_t count = 0;
-  mark_cone(v, dirty, count);  // detached labels are re-emitted zero-length
-  for (const NodeId r : roots) mark_cone(r, dirty, count);
-  if (count > dirty_limit()) return fall_back(flip_head != kNoNode);
-  splice_dirty(dirty, count, flip_head != kNoNode);
+  relabel(chain, -k, recheck_heavy(chain), v, was_heavy ? kNoNode : parent);
 }
 
 void IncrementalRelabeler::attach_subtree(NodeId parent, std::uint32_t weight) {
@@ -775,53 +637,27 @@ void IncrementalRelabeler::attach_subtree(NodeId parent, std::uint32_t weight) {
   const std::vector<NodeId> chain = chain_to(parent);
   const auto k = static_cast<std::int64_t>(subtree_size_[vi]);
 
-  // Structural graft (children stay in ascending-id order).
+  // Structural graft (children stay in ascending-id order), then revive
+  // the subtree and rebase its root distances under the new parent.
   auto& pc = children_[static_cast<std::size_t>(parent)];
   pc.insert(std::lower_bound(pc.begin(), pc.end(), v), v);
   parent_[vi] = parent;
   weight_[vi] = weight;
   add_sizes(chain, +k);
-  {
-    // Revive the subtree and rebase its root distances under the new
-    // parent (parent-before-child order: a node's distance is read after
-    // its parent's was written).
-    std::vector<NodeId> stack{v};
-    while (!stack.empty()) {
-      const NodeId x = stack.back();
-      stack.pop_back();
-      const auto xi = static_cast<std::size_t>(x);
-      state_[xi] = kLive;
-      ++live_;
-      root_dist_[xi] =
-          root_dist_[static_cast<std::size_t>(parent_[xi])] + weight_[xi];
-      for (const NodeId c : children_[xi]) stack.push_back(c);
-    }
-  }
+  walk(v, [&](NodeId x) {
+    const auto xi = static_cast<std::size_t>(x);
+    state_[xi] = kLive;
+    ++live_;
+    root_dist_[xi] =
+        root_dist_[static_cast<std::size_t>(parent_[xi])] + weight_[xi];
+    return true;
+  });
   detached_root_ = kNoNode;
 
-  const NodeId flip_head = recheck_heavy_resized(chain);
-  if (flip_head != kNoNode &&
-      static_cast<std::size_t>(
-          subtree_size_[static_cast<std::size_t>(flip_head)]) > dirty_limit())
-    return fall_back(true);
-  if (flip_head != kNoNode) {
-    restructure(flip_head);  // re-decomposes the grafted subtree too
-  } else {
-    // v hangs by a light edge: decompose its subtree at the new depth.
+  const NodeId flip_head = recheck_heavy(chain);
+  if (flip_head == kNoNode)  // v hangs by a light edge: decompose it there
     decompose_subtree(v, light_depth_[static_cast<std::size_t>(parent)] + 1);
-  }
-
-  std::vector<NodeId> roots;
-  if (flip_head != kNoNode) roots.push_back(flip_head);
-  detect_table_changes(chain, flip_head, +k, roots);
-  if (flip_head == kNoNode) mark_light_site(parent, roots);
-
-  std::vector<std::uint8_t> dirty(size(), 0);
-  std::size_t count = 0;
-  mark_cone(v, dirty, count);  // every grafted label is fresh
-  for (const NodeId r : roots) mark_cone(r, dirty, count);
-  if (count > dirty_limit()) return fall_back(flip_head != kNoNode);
-  splice_dirty(dirty, count, flip_head != kNoNode);
+  relabel(chain, +k, flip_head, v, parent);
 }
 
 void IncrementalRelabeler::set_edge_weight(NodeId v, std::uint32_t weight) {
@@ -833,53 +669,20 @@ void IncrementalRelabeler::set_edge_weight(NodeId v, std::uint32_t weight) {
         "IncrementalRelabeler: the root has no parent edge");
   ++stats_.edits;
   log_edit(LabelEdit::Kind::kSetWeight, static_cast<std::uint64_t>(v), weight);
-  if (weight_[vi] == weight) {  // no-op edit: nothing dirties
-    ++stats_.incremental;
-    last_outcome_ = RelabelOutcome::kIncremental;
-    last_dirty_ = 0;
-    return;
-  }
+  if (weight_[vi] == weight)  // no-op edit: nothing dirties
+    return record(RelabelOutcome::kIncremental, 0);
   weight_[vi] = weight;
 
   // Sizes are untouched, so the decomposition and every code table stay
-  // put; only distances move. Rebase root distances over subtree(v), then
-  // the branch-distance lists of every path headed inside it
-  // (parents-before-children so the recurrence reads refreshed parents).
-  std::vector<NodeId> order;
-  {
-    std::vector<NodeId> stack{v};
-    while (!stack.empty()) {
-      const NodeId x = stack.back();
-      stack.pop_back();
-      const auto xi = static_cast<std::size_t>(x);
-      root_dist_[xi] =
-          root_dist_[static_cast<std::size_t>(parent_[xi])] + weight_[xi];
-      order.push_back(x);
-      for (const NodeId c : children_[xi]) stack.push_back(c);
-    }
-  }
-  std::vector<std::int32_t> paths;
-  for (const NodeId x : order) {
-    const std::int32_t p = path_of_[static_cast<std::size_t>(x)];
-    if (head_[static_cast<std::size_t>(p)] == x) paths.push_back(p);
-  }
-  std::sort(paths.begin(), paths.end(), [&](std::int32_t a, std::int32_t b) {
-    return light_depth_[static_cast<std::size_t>(head_[a])] <
-           light_depth_[static_cast<std::size_t>(head_[b])];
+  // put; only the root distances over subtree(v) move (the tail's
+  // prefix pass re-derives the branch distances of the paths inside).
+  walk(v, [&](NodeId x) {
+    const auto xi = static_cast<std::size_t>(x);
+    root_dist_[xi] =
+        root_dist_[static_cast<std::size_t>(parent_[xi])] + weight_[xi];
+    return true;
   });
-  for (const std::int32_t p : paths) {
-    const auto pi = static_cast<std::size_t>(p);
-    const NodeId b = parent_[static_cast<std::size_t>(head_[pi])];
-    branch_rd_[pi] = branch_rd_[static_cast<std::size_t>(
-        path_of_[static_cast<std::size_t>(b)])];
-    branch_rd_[pi].push_back(root_dist_[static_cast<std::size_t>(b)]);
-  }
-
-  std::vector<std::uint8_t> dirty(size(), 0);
-  std::size_t count = 0;
-  mark_cone(v, dirty, count);  // every label in subtree(v) stores a distance
-  if (count > dirty_limit()) return fall_back(false);
-  splice_dirty(dirty, count, false);
+  relabel({}, 0, kNoNode, v, kNoNode);
 }
 
 std::vector<NodeId> IncrementalRelabeler::dense_map() const {

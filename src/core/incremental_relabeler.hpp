@@ -43,13 +43,18 @@
 //   * for weight edits: all of subtree(x) (every label in it stores a
 //     root distance).
 //
-// Fallbacks: an edit that flips a heavy-child choice anywhere restructures
-// the decomposition; small flips are handled by in-place re-decomposition of
-// the flipped path head's subtree, big ones fall back to a full rebuild, as
-// does any edit whose dirty cone covers most of the tree. Both fallbacks are
-// separately counted and exposed via stats() so operators can see how
-// incremental their workload actually is. Fallbacks produce the same bits
-// (the whole point), only slower.
+// One pipeline: every edit applies its shape change, re-runs the heavy-child
+// rule along the root path, places a new leaf or grafted subtree locally
+// when nothing flipped, and ends in one shared tail. The tail re-decomposes
+// a flipped path head's subtree in place, marks the dirty cones, rebuilds
+// the dirty paths' prefixes parents first — each branch node's light-choice
+// code once, however many of its light children are dirty, as
+// nca::HeavyPathCodes does — and splices the re-emitted labels. A flip whose
+// subtree is past the dirty limit, or any edit whose dirty cone covers most
+// of the tree, falls back to a full rebuild on HeavyPathDecomposition +
+// nca::HeavyPathCodes. Both fallbacks are separately counted and exposed via
+// stats() so operators can see how incremental their workload actually is.
+// Fallbacks produce the same bits (the whole point), only slower.
 //
 // Delta shipping: the relabeler knows exactly which labels every edit
 // changed, so it can hand the serving layer a *delta* instead of a whole
@@ -243,45 +248,56 @@ class IncrementalRelabeler {
   /// dense_map() over live ids). One definition of the live/dense mapping,
   /// shared by full_rebuild, check_state and snapshot.
   [[nodiscard]] tree::Tree live_tree(std::vector<NodeId>* old_of_out) const;
-  void append_node(NodeId parent, std::uint32_t weight);
   /// Root-to-v chain (inclusive).
   [[nodiscard]] std::vector<NodeId> chain_to(NodeId v) const;
-  /// Re-runs the paper-half heavy descent over every path crossed by the
-  /// root-to-parent chain with the post-edit sizes. Returns the head of the
-  /// topmost path with a heavy-child flip (kNoNode if none — flips are
-  /// confined to that head's subtree, every deeper crossed path lies inside
-  /// it); sets `extends` when the new leaf (already appended) continues its
-  /// parent's path as the heavy child.
+  /// Parent-first walk of subtree(r) over children_ (a detached subtree
+  /// walks too); `visit(x)` returns false to skip x's descendants.
+  template <class Visit>
+  void walk(NodeId r, Visit visit) const;
+  /// The paper-half heavy-child rule: v's first child (id order) holding
+  /// at least half of `n_path`, the size of its path head's subtree.
+  [[nodiscard]] NodeId heavy_pick(NodeId v, NodeId n_path) const;
+  /// Re-runs the heavy descent over every path crossed by the root-to-
+  /// parent chain with the post-edit sizes. Returns the head of the topmost
+  /// path with a heavy-child flip (kNoNode if none — flips are confined to
+  /// that head's subtree, every deeper crossed path lies inside it). The
+  /// one divergence that is not a flip: a fresh `leaf` (already appended)
+  /// continuing its parent's path as the heavy child sets `extends`.
   [[nodiscard]] NodeId recheck_heavy(const std::vector<NodeId>& chain,
-                                     NodeId leaf, bool* extends) const;
-  /// recheck_heavy without the new-leaf special case: the stored
-  /// decomposition must already be structurally consistent (deleted nodes
-  /// popped from their paths, an attached subtree not yet chosen heavy) —
-  /// any divergence from the fresh descent is a real flip.
-  [[nodiscard]] NodeId recheck_heavy_resized(
-      const std::vector<NodeId>& chain) const;
+                                     NodeId leaf = tree::kNoNode,
+                                     bool* extends = nullptr) const;
   /// Frees every path headed inside subtree(h) and clears path_of_ over it.
   void free_subtree_paths(NodeId h);
-  /// Decomposes subtree(h) from scratch (heavy paths, position tables,
-  /// branch distances) at light depth `ld`, allocating fresh/recycled path
-  /// ids. The decomposition above h must be current. Prefixes of the new
-  /// paths are NOT built here — the caller's dirty-head pass does that
-  /// (every node of subtree(h) is dirty by then).
+  /// Decomposes subtree(h) from scratch (heavy paths, position tables) at
+  /// light depth `ld`, allocating fresh/recycled path ids. The
+  /// decomposition above h must be current; the tail's prefix pass builds
+  /// the new paths' prefixes and branch distances (all of subtree(h) is
+  /// dirty by then).
   void decompose_subtree(NodeId h, std::int32_t ld);
-  /// free_subtree_paths + decompose_subtree at h's current light depth —
-  /// the heavy-child-flip repair. h must be a path head.
-  void restructure(NodeId h);
   [[nodiscard]] std::int32_t alloc_path();
   [[nodiscard]] std::vector<std::uint64_t> position_weights(
       std::int32_t p) const;
-  [[nodiscard]] std::vector<bits::Codeword> light_codes_at(
-      NodeId v, std::size_t* index_of, NodeId child) const;
-  void rebuild_prefix(std::int32_t p);
+  /// Sorts path ids parents first (by head light depth), the light paths
+  /// of one branch node adjacent.
+  void order_paths(std::vector<std::int32_t>& paths) const;
+  /// branch_rd_[p] from its parent path's list plus the branch node's root
+  /// distance (empty on the root path).
+  void step_branch_rd(std::size_t p);
+  /// Rebuilds prefix, bounds and branch distances of `paths` (whose parent
+  /// paths are current or listed too), each branch node's light-choice
+  /// code once.
+  void rebuild_prefixes(std::vector<std::int32_t> paths);
   void emit_label(std::size_t i, bits::BitWriter& w,
                   std::vector<std::uint64_t>& scratch) const;
 
   /// Dirty-label count past which the edit falls back to a full rebuild.
   [[nodiscard]] std::size_t dirty_limit() const;
+  /// Counts the edit under `o` and sets last_outcome()/last_dirty_count().
+  void record(RelabelOutcome o, std::size_t dirty);
+  /// Flags for the next delta each label among `ids` that differs from
+  /// `old`.
+  void note_changed(const bits::LabelArena& old,
+                    const std::vector<NodeId>& ids);
   /// Full rebuild + fallback bookkeeping (outcome, stats, delta tracking).
   void fall_back(bool flip);
   /// Adds `delta` to subtree_size_ along the chain.
@@ -295,13 +311,19 @@ class IncrementalRelabeler {
   void detect_table_changes(const std::vector<NodeId>& chain,
                             NodeId flip_head, std::int64_t size_delta,
                             std::vector<NodeId>& roots);
-  /// DFS-marks subtree(r) dirty.
-  void mark_cone(NodeId r, std::vector<std::uint8_t>& dirty,
-                 std::size_t& count) const;
-  /// Shared edit tail: rebuild dirty-head prefixes, splice the arena,
-  /// update stats/outcome/delta tracking. `count` = popcount of `dirty`.
-  void splice_dirty(const std::vector<std::uint8_t>& dirty, std::size_t count,
-                    bool flipped);
+  /// The tail every edit ends in, after its shape change, recheck_heavy
+  /// and local placement: re-decomposes subtree(flip_head) (or falls back
+  /// when it alone passes dirty_limit()), marks the cones of `seed`, of
+  /// `light_site`'s light subtrees (skipped on a flip, whose region holds
+  /// them) and of every table change along `chain` (sizes moved by
+  /// `size_delta`), then splices those labels — or falls back when the
+  /// cones pass dirty_limit().
+  void relabel(const std::vector<NodeId>& chain, std::int64_t size_delta,
+               NodeId flip_head, NodeId seed, NodeId light_site);
+  /// Unhooks subtree(v) from its parent, from the sizes along `chain` and
+  /// from the decomposition (its paths freed; the parent's path truncated
+  /// when v was its heavy child). Returns whether v was.
+  [[nodiscard]] bool cut(NodeId v, const std::vector<NodeId>& chain);
   void log_edit(LabelEdit::Kind kind, std::uint64_t a, std::uint64_t b);
 
   RelabelOptions opt_;

@@ -413,6 +413,9 @@ Tree make_base(const std::string& shape, NodeId n, std::uint64_t gen_seed) {
   if (shape == "star") return tree::star(n);
   if (shape == "caterpillar") return tree::caterpillar(n / 6, 5);
   if (shape == "random") return tree::random_tree(n, gen_seed);
+  // Past the 256-label floor, so a fan of n/3 bristles splices instead of
+  // falling back when a bristle's quantized weight crosses.
+  if (shape == "broom") return tree::broom(2 * n / 3, n / 3);
   ADD_FAILURE() << "unknown shape " << shape;
   return tree::path(2);
 }
@@ -444,6 +447,7 @@ TEST(EditFuzz, Path) { run_shape("path", 120, 0, 1001); }
 TEST(EditFuzz, Star) { run_shape("star", 120, 0, 1002); }
 TEST(EditFuzz, Caterpillar) { run_shape("caterpillar", 180, 0, 1003); }
 TEST(EditFuzz, Random) { run_shape("random", 200, 21, 1004); }
+TEST(EditFuzz, Broom) { run_shape("broom", 900, 0, 1005); }
 
 TEST(EditFuzz, Replay) {
   if (g_cfg.replay.empty())

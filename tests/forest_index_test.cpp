@@ -154,9 +154,7 @@ TEST(ForestIndex, ServesHeterogeneousForestExactly) {
   EXPECT_EQ(index.tree_count(), 5u);
   EXPECT_EQ(index.shard_count(), 2u);
   EXPECT_EQ(index.scheme(2).name(), "kdist");
-#if defined(__unix__) || defined(__APPLE__)
   EXPECT_TRUE(index.mapped(0));  // file-backed, mappable container
-#endif
   EXPECT_FALSE(index.mapped(3));  // in-memory add()
 
   std::mt19937_64 rng(9);
@@ -452,9 +450,7 @@ TEST(ForestIndex, UpdateSwapsToAReloadedMappedFile) {
   EXPECT_EQ(index.update(0, core::LabelStore::open_mapped(path)), 1u);
   EXPECT_EQ(index.scheme(0).name(), "alstrup");
   EXPECT_EQ(index.label_count(0), 90u);
-#if defined(__unix__) || defined(__APPLE__)
   EXPECT_TRUE(index.mapped(0));
-#endif
   const tree::NcaIndex oracle(t_new);
   for (NodeId u = 0; u < 90; u += 5)
     EXPECT_EQ(answer(index, {0, u, NodeId{3}}).value, oracle.distance(u, 3));

@@ -8,6 +8,7 @@
 // produce the same bits, and the serving hand-off (to_loaded) round-trips.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 #include <vector>
 
@@ -116,25 +117,96 @@ TEST(IncrementalRelabel, TinyTreesGrowCorrectlyFromOneNode) {
 }
 
 TEST(IncrementalRelabel, ForcedFallbacksProduceTheSameBits) {
-  // max_dirty_fraction = 0 forces the full-rebuild path on every edit (the
-  // floor of 256 dirty labels keeps small trees incremental, so use a tree
-  // comfortably past it).
+  // max_dirty_fraction = 0 forces the full-rebuild path on every edit of
+  // every kind (the floor of 256 dirty labels keeps small trees
+  // incremental, so use a tree comfortably past it).
   RelabelOptions always_full;
   always_full.max_dirty_fraction = 0.0;
   const Tree base = tree::random_tree(900, 23);
   IncrementalRelabeler full(base, always_full);
   IncrementalRelabeler inc(base, {});
   std::mt19937_64 rng(300);
+  const auto check = [&](const char* what) {
+    ASSERT_NO_FATAL_FAILURE(
+        expect_arena_equal(inc.labels(), full.labels(), what));
+    ASSERT_TRUE(full.last_outcome() == RelabelOutcome::kFullHeavyFlip ||
+                full.last_outcome() == RelabelOutcome::kFullDirtyCone)
+        << what;
+    ASSERT_EQ(full.stats().full_dirty_cone + full.stats().full_heavy_flip,
+              full.stats().edits)
+        << what;
+  };
   for (int e = 0; e < 25; ++e) {
     const auto parent =
         static_cast<NodeId>(rng() % static_cast<std::uint64_t>(full.size()));
     (void)full.insert_leaf(parent);
     (void)inc.insert_leaf(parent);
-    ASSERT_NO_FATAL_FAILURE(
-        expect_arena_equal(inc.labels(), full.labels(), "forced-full"));
+    ASSERT_NO_FATAL_FAILURE(check("forced-full insert"));
   }
   EXPECT_EQ(full.stats().full_dirty_cone + full.stats().full_heavy_flip, 25u);
   EXPECT_EQ(full.stats().incremental + full.stats().restructured, 0u);
+
+  // Every other edit kind falls back the same way. Edits stay on live base
+  // ids, so the leaf inserted each round is still a leaf when deleted.
+  std::vector<std::uint32_t> weight(static_cast<std::size_t>(base.size()));
+  for (NodeId v = 1; v < base.size(); ++v)
+    weight[static_cast<std::size_t>(v)] = base.weight(v);
+  const auto live_base = [&] {
+    for (;;) {
+      const auto v = static_cast<NodeId>(
+          1 + rng() % static_cast<std::uint64_t>(base.size() - 1));
+      if (full.alive(v)) return v;
+    }
+  };
+  for (int e = 0; e < 8; ++e) {
+    const NodeId parent = live_base();
+    const NodeId x = full.insert_leaf(parent);
+    ASSERT_EQ(inc.insert_leaf(parent), x);
+    ASSERT_NO_FATAL_FAILURE(check("forced-full insert"));
+    const NodeId v = live_base();
+    const std::uint32_t w = ++weight[static_cast<std::size_t>(v)];  // no no-op
+    full.set_edge_weight(v, w);
+    inc.set_edge_weight(v, w);
+    ASSERT_NO_FATAL_FAILURE(check("forced-full weight"));
+    full.delete_leaf(x);
+    inc.delete_leaf(x);
+    ASSERT_NO_FATAL_FAILURE(check("forced-full delete"));
+  }
+  const NodeId moved = live_base();
+  full.detach_subtree(moved);
+  inc.detach_subtree(moved);
+  ASSERT_NO_FATAL_FAILURE(check("forced-full detach"));
+  const NodeId graft = live_base();
+  full.attach_subtree(graft, 2);
+  inc.attach_subtree(graft, 2);
+  ASSERT_NO_FATAL_FAILURE(check("forced-full attach"));
+  EXPECT_EQ(full.stats().edits, 25u + 8u * 3u + 2u);
+  EXPECT_EQ(full.stats().incremental + full.stats().restructured, 0u);
+}
+
+TEST(IncrementalRelabel, WideFanInsertCostsLessThanARebuild) {
+  // One insert under the first of 5000 bristles moves that bristle's
+  // quantized weight, so the fan node's light-choice table changes and all
+  // 5000 light siblings re-emit. The pass that rebuilds their prefixes must
+  // build that table once, not once per sibling (O(k) instead of O(k²) for
+  // a fan of k): the insert stays cheaper than a few from-scratch builds.
+  // A ratio keeps Debug and sanitizer slowdowns out of the bound.
+  using Clock = std::chrono::steady_clock;
+  const Tree base = tree::broom(10000, 5000);
+  const auto t0 = Clock::now();
+  IncrementalRelabeler r(base, RelabelOptions{1});
+  const auto build = Clock::now() - t0;
+  const auto t1 = Clock::now();
+  (void)r.insert_leaf(10000);  // the first bristle
+  const auto insert = Clock::now() - t1;
+  EXPECT_EQ(r.last_outcome(), RelabelOutcome::kIncremental);
+  ASSERT_NO_FATAL_FAILURE(expect_arena_equal(
+      r.labels(), AlstrupScheme(r.snapshot(), kStable).labels(), "wide-fan"));
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  EXPECT_LE(insert, 3 * build) << "insert " << ms(insert) << " ms vs build "
+                               << ms(build) << " ms";
 }
 
 TEST(IncrementalRelabel, MostEditsAreIncrementalOnRandomTrees) {

@@ -58,9 +58,7 @@ TEST(MappedLabels, MappableFileServesZeroCopyAndBitIdentical) {
   const auto opened = core::LabelStore::open_mapped(path);
   EXPECT_EQ(opened.scheme, "fgnw");
   EXPECT_EQ(opened.params, "opt=none");
-#if defined(__unix__) || defined(__APPLE__)
   EXPECT_TRUE(opened.labels.mapped());
-#endif
   ASSERT_EQ(opened.labels.size(), s.labels().size());
   for (std::size_t i = 0; i < s.labels().size(); ++i) {
     EXPECT_EQ(opened.labels.label_bits(i), s.labels().label_bits(i));
@@ -135,9 +133,7 @@ TEST(MappedLabels, CopyOutlivesTheOriginalAndTheFile) {
   EXPECT_EQ(copy.label_words(0), original->label_words(0));
   original.reset();
   ASSERT_EQ(std::remove(path.c_str()), 0);
-#if defined(__unix__) || defined(__APPLE__)
   EXPECT_TRUE(copy.mapped());
-#endif
   ASSERT_EQ(copy.size(), s.labels().size());
   for (std::size_t i = 0; i < copy.size(); ++i)
     EXPECT_TRUE(copy.view(i) == s.labels().view(i)) << "label " << i;
@@ -211,11 +207,9 @@ TEST(MappedLabels, AdversarialLengthDirectoryCannotWrapTheWordCount) {
     std::vector<std::size_t> lens{64, 130, 1};
     const auto arena =
         bits::LabelArena::map(path.c_str(), 0, std::move(lens));
-#if defined(__unix__) || defined(__APPLE__)
     ASSERT_TRUE(arena.has_value());
     EXPECT_EQ(arena->size(), 3u);
     EXPECT_EQ(arena->label_bits(1), 130u);
-#endif
   }
   std::remove(path.c_str());
 }
