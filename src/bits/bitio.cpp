@@ -22,22 +22,17 @@ void BitWriter::put_delta(std::uint64_t x) {
   if (len > 1) put_bits(x & low_mask(len - 1), len - 1);
 }
 
-std::uint64_t BitReader::get_unary() {
-  const std::size_t one = find_one();
-  if (one == kNoPos) throw DecodeError("BitReader: truncated input");
+std::uint64_t BitReader::get_unary_slow() {
+  // The kernel ignores bits past end_, so a one stored just after a
+  // sub-view cannot pass for a terminator.
+  const std::size_t one = kernels::find_first_one(words_, end_, pos_);
+  if (one == kernels::kNpos) throw DecodeError("BitReader: truncated input");
   const std::uint64_t x = one - pos_;
   pos_ = one + 1;
   return x;
 }
 
-std::size_t BitReader::find_one() const noexcept {
-  // The kernel ignores bits past end_, so a one stored just after a
-  // sub-view cannot pass for a terminator.
-  static_assert(kNoPos == kernels::kNpos);
-  return kernels::find_first_one(words_, end_, pos_);
-}
-
-std::uint64_t BitReader::get_gamma() {
+std::uint64_t BitReader::get_gamma_slow() {
   const std::uint64_t lm1 = get_unary();
   if (lm1 >= 64) throw DecodeError("gamma code too long");
   const int len = static_cast<int>(lm1) + 1;
@@ -46,7 +41,7 @@ std::uint64_t BitReader::get_gamma() {
   return x;
 }
 
-std::uint64_t BitReader::get_delta() {
+std::uint64_t BitReader::get_delta_slow() {
   const std::uint64_t len64 = get_gamma();
   if (len64 == 0 || len64 > 64) throw DecodeError("delta code length invalid");
   const int len = static_cast<int>(len64);

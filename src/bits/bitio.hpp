@@ -4,8 +4,19 @@
 // fields (Elias codes, unary runs, fixed-width words); these two classes are
 // the only way label bits are produced and consumed, which keeps encode and
 // decode symmetric by construction.
+//
+// BitReader decodes in word operations, as the paper's word-RAM bound
+// assumes: get_unary, get_gamma and get_delta are inline, and each takes
+// one 64-bit peek at the cursor and one std::countr_zero. The peek reads
+// the view's bits only: bits past its end read as zero, and it never loads
+// a word past the one holding the view's last bit. A field too long for
+// one peek (a unary run of 64 zeros or more, a gamma code of x >= 2^32, a
+// delta code over 64 bits) or cut off by the view's end takes the
+// out-of-line path, which scans with kernels::find_first_one and throws
+// every DecodeError.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -101,12 +112,45 @@ class BitReader {
     return x;
   }
 
-  /// Word-wise unary decode: kernels::find_first_one scans for the
-  /// terminating one 64 bits at a time with a ctz.
-  [[nodiscard]] std::uint64_t get_unary();
-  [[nodiscard]] std::uint64_t get_gamma();
+  /// Unary code: the zeros before the next one. A run that ends inside
+  /// the peek costs one std::countr_zero.
+  [[nodiscard]] std::uint64_t get_unary() {
+    const std::uint64_t w = peek();
+    if (w == 0) return get_unary_slow();
+    const int z = std::countr_zero(w);
+    pos_ += static_cast<std::size_t>(z) + 1;
+    return static_cast<std::uint64_t>(z);
+  }
+
+  /// Elias gamma: unary(len - 1), then the low len - 1 bits. One peek
+  /// holds the 2 len - 1 bits of any x < 2^32.
+  [[nodiscard]] std::uint64_t get_gamma() {
+    const std::uint64_t w = peek();
+    const int z = std::countr_zero(w);  // len - 1; 64 when w == 0
+    const std::size_t n = 2 * static_cast<std::size_t>(z) + 1;
+    if (z >= 32 || n > remaining()) return get_gamma_slow();
+    pos_ += n;
+    return (std::uint64_t{1} << z) | ((w >> (z + 1)) & low_mask(z));
+  }
   [[nodiscard]] std::uint64_t get_gamma0() { return get_gamma() - 1; }
-  [[nodiscard]] std::uint64_t get_delta();
+
+  /// Elias delta: gamma(len), then the low len - 1 bits, from one peek
+  /// when the whole code fits in it.
+  [[nodiscard]] std::uint64_t get_delta() {
+    const std::uint64_t w = peek();
+    const int z = std::countr_zero(w);
+    if (z < 6) {  // len < 64
+      const int g = 2 * z + 1;  // bits of gamma(len)
+      const int len = static_cast<int>((std::uint64_t{1} << z) |
+                                       ((w >> (z + 1)) & low_mask(z)));
+      const auto n = static_cast<std::size_t>(g + len - 1);
+      if (n <= 64 && n <= remaining()) {
+        pos_ += n;
+        return (std::uint64_t{1} << (len - 1)) | ((w >> g) & low_mask(len - 1));
+      }
+    }
+    return get_delta_slow();
+  }
   [[nodiscard]] std::uint64_t get_delta0() { return get_delta() - 1; }
 
   /// The next `len` bits as a view of the same storage, and advance: a
@@ -132,11 +176,24 @@ class BitReader {
     if (n > end_ - pos_) throw DecodeError("BitReader: truncated input");
   }
 
-  static constexpr std::size_t kNoPos = ~std::size_t{0};
+  /// The 64 bits at the cursor, LSB first; bits past the view's end read
+  /// as zero. Loads the cursor's word, and the next one only when the view
+  /// reaches into it.
+  [[nodiscard]] std::uint64_t peek() const noexcept {
+    const std::size_t rest = end_ - pos_;
+    if (rest == 0) return 0;
+    const unsigned off = pos_ & 63;
+    const std::uint64_t* w = words_ + (pos_ >> 6);
+    std::uint64_t x = w[0] >> off;
+    if (off != 0 && rest > 64 - off) x |= w[1] << (64 - off);
+    return rest < 64 ? x & low_mask(static_cast<int>(rest)) : x;
+  }
 
-  /// Position (in words_) of the next set bit at or after the cursor, or
-  /// kNoPos if the rest of the view is all zeros.
-  [[nodiscard]] std::size_t find_one() const noexcept;
+  // The out-of-line paths: a field the peek cannot hold, or one the view
+  // cuts off (which throws).
+  [[nodiscard]] std::uint64_t get_unary_slow();
+  [[nodiscard]] std::uint64_t get_gamma_slow();
+  [[nodiscard]] std::uint64_t get_delta_slow();
 
   // Positions count bits from bit 0 of words_[0], so a view's bit offset
   // costs nothing per read.

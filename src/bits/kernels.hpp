@@ -1,5 +1,7 @@
 // bits::kernels — the word kernel under label decoding: the unary-run scan
-// behind BitReader::get_unary, one portable ctz word loop.
+// behind BitReader's slow path, one portable ctz word loop. The inline
+// decoders answer a run that ends within one 64-bit peek themselves; this
+// scan takes runs of 64 zeros or more, and runs the view's end cuts off.
 //
 // level() and level_name() name that one implementation. Every
 // BENCH_*.json provenance header stamps level_name() as `kernels`, and

@@ -59,6 +59,22 @@ class LabelArena {
     return len_[i];
   }
 
+  // The two prefetch helpers are always_inline: gcc 12 infers a
+  // prefetch-only function pure and deletes calls to it as dead.
+
+  /// Starts loading label i's directory entry (its start word and length).
+  [[gnu::always_inline]] void prefetch_directory(
+      std::size_t i) const noexcept {
+    __builtin_prefetch(&start_word_[i]);
+    __builtin_prefetch(&len_[i]);
+  }
+
+  /// Starts loading label i's first word. Reads the directory, so
+  /// prefetch_directory() it earlier.
+  [[gnu::always_inline]] void prefetch_label(std::size_t i) const noexcept {
+    __builtin_prefetch(words_.get() + start_word_[i]);
+  }
+
   /// Sum of exact label lengths (padding not included).
   [[nodiscard]] std::size_t total_label_bits() const noexcept;
 

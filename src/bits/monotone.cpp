@@ -52,12 +52,29 @@ MonotoneSeq MonotoneSeq::read_from(BitReader& r) {
   out.lows_off_ = r.pos() - start;
   r.skip(out.s_ * static_cast<std::size_t>(out.low_width_));
   out.highs_off_ = r.pos() - start;
-  // Walk the s unary codes of the high vector: walk() relies on it holding
-  // exactly s ones and ending with the last.
-  std::uint64_t hi_total = 0;
-  for (std::size_t i = 0; i < out.s_; ++i) hi_total += r.get_unary();
-  if (hi_total > out.m_ / out.b_ + 1)
+  // The high vector ends at its s-th one, which is what walk() and back()
+  // rely on: count ones a word at a time (a popcount each), then select
+  // the last one within its word.
+  const BitSpan rest = r.span().subspan(r.pos(), r.remaining());
+  std::size_t len = 0;  // bits of the high vector
+  for (std::size_t need = out.s_; need > 0; len += 64) {
+    if (len >= rest.size())
+      throw DecodeError("MonotoneSeq: truncated high vector");
+    std::uint64_t w = rest.read_bits(
+        len, static_cast<int>(std::min<std::size_t>(64, rest.size() - len)));
+    const auto ones = static_cast<std::size_t>(std::popcount(w));
+    if (ones < need) {
+      need -= ones;
+      continue;
+    }
+    for (; need > 1; --need) w &= w - 1;
+    len += static_cast<std::size_t>(std::countr_zero(w)) + 1;
+    break;
+  }
+  // len - s zeros: the sum of the high parts' gaps, y_{s-1}.
+  if (len - out.s_ > out.m_ / out.b_ + 1)
     throw DecodeError("MonotoneSeq: high parts overflow");
+  r.skip(len);
   out.enc_ = r.span().subspan(start, r.pos() - start);
   return out;
 }

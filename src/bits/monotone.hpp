@@ -21,13 +21,16 @@
 // so the walk covers one or two words.
 //
 // A MonotoneSeq is a view: read_from() checks an encoding where it lies
-// inside a label and records where its parts start, copying nothing.
+// inside a label and records where its parts start, copying nothing. It
+// finds the high vector's end, its s-th one, in the same word steps: one
+// popcount per word, then a select in the word that holds it.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 
 #include "bits/bitio.hpp"
 #include "bits/bitvec.hpp"
@@ -58,6 +61,14 @@ class MonotoneSeq {
 
   /// Operation (1): the i-th element, i in [0, size()).
   [[nodiscard]] std::uint64_t get(std::size_t i) const;
+
+  /// The last element, get(size() - 1), in O(1): the encoding ends at the
+  /// high vector's s-th one, so y_{s-1} = bit_size() - highs_off_ - s.
+  /// Throws std::out_of_range on an empty sequence.
+  [[nodiscard]] std::uint64_t back() const {
+    if (s_ == 0) throw std::out_of_range("MonotoneSeq::back");
+    return (enc_.size() - highs_off_ - s_) * b_ + low(s_ - 1);
+  }
 
   /// Operation (2): the smallest i with get(i) >= x, or size() if none.
   [[nodiscard]] std::size_t successor(std::uint64_t x) const noexcept;

@@ -27,22 +27,92 @@ struct Entry {
 
 }  // namespace
 
-PelegAttachedLabel PelegScheme::attach(BitSpan l) {
-  BitReader r(l);
-  PelegAttachedLabel p;
-  p.rd_ = r.get_delta0();
-  p.depth_ = r.get_delta0();
-  const std::uint64_t k = r.get_delta0();
-  // Each entry needs at least three code bits; a corrupt length field must
-  // not drive a huge allocation.
-  if (k > l.size())
-    throw bits::DecodeError("Peleg label: implausible entry count");
-  p.entries_.resize(static_cast<std::size_t>(k));
-  for (auto& e : p.entries_) {
-    e.head_pre = r.get_delta0();
-    e.b_depth = r.get_delta0();
-    e.b_rd = r.get_delta0();
+/// Query machinery, written once over the two forms of a label: an attached
+/// label's decoded entries and a raw label read in place. Each form is a
+/// cursor with the label's rd and depth and a next(e) that yields its
+/// entries in order.
+struct PelegQueryImpl {
+  using Entry = PelegAttachedLabel::Entry;
+
+  /// A raw label: the header is read on construction, each entry on its
+  /// next() call.
+  class RawEntries {
+   public:
+    explicit RawEntries(BitSpan l) : r_(l) {
+      rd = r_.get_delta0();
+      depth = r_.get_delta0();
+      left_ = r_.get_delta0();
+      // Each entry needs at least three code bits; a corrupt length field
+      // must not drive a huge allocation or a long walk.
+      if (left_ > l.size())
+        throw bits::DecodeError("Peleg label: implausible entry count");
+    }
+    [[nodiscard]] std::size_t size() const noexcept {
+      return static_cast<std::size_t>(left_);
+    }
+    bool next(Entry& e) {
+      if (left_ == 0) return false;
+      --left_;
+      e.head_pre = r_.get_delta0();
+      e.b_depth = r_.get_delta0();
+      e.b_rd = r_.get_delta0();
+      return true;
+    }
+    std::uint64_t rd = 0;
+    std::uint64_t depth = 0;
+
+   private:
+    BitReader r_;
+    std::uint64_t left_ = 0;
+  };
+
+  /// An attached label's decoded entries.
+  class AttachedEntries {
+   public:
+    explicit AttachedEntries(const PelegAttachedLabel& l) noexcept
+        : rd(l.rd_), depth(l.depth_), at_(l.entries_.data()),
+          end_(at_ + l.entries_.size()) {}
+    bool next(Entry& e) noexcept {
+      if (at_ == end_) return false;
+      e = *at_++;
+      return true;
+    }
+    std::uint64_t rd = 0;
+    std::uint64_t depth = 0;
+
+   private:
+    const Entry* at_;
+    const Entry* end_;
+  };
+
+  /// Walks both entry lists in lockstep to the first differing head (or
+  /// the end of either list): the deepest shared heavy path. Its branch
+  /// candidates are the stopping entries' branch nodes, or a label's own
+  /// node where its list ended; the NCA is the shallower candidate.
+  template <typename L>
+  static std::uint64_t distance(L u, L v) {
+    Entry eu{}, ev{};
+    bool hu = false, hv = false;
+    do {
+      hu = u.next(eu);
+      hv = v.next(ev);
+    } while (hu && hv && eu.head_pre == ev.head_pre);
+    const std::uint64_t du = hu ? eu.b_depth : u.depth;
+    const std::uint64_t ru = hu ? eu.b_rd : u.rd;
+    const std::uint64_t dv = hv ? ev.b_depth : v.depth;
+    const std::uint64_t rv = hv ? ev.b_rd : v.rd;
+    const std::uint64_t rd_nca = du <= dv ? ru : rv;
+    return u.rd + v.rd - 2 * rd_nca;
   }
+};
+
+PelegAttachedLabel PelegScheme::attach(BitSpan l) {
+  PelegQueryImpl::RawEntries raw(l);
+  PelegAttachedLabel p;
+  p.rd_ = raw.rd;
+  p.depth_ = raw.depth;
+  p.entries_.resize(raw.size());
+  for (auto& e : p.entries_) (void)raw.next(e);
   return p;
 }
 
@@ -95,24 +165,13 @@ PelegScheme::PelegScheme(const TreeScaffold& scaffold) {
 
 std::uint64_t PelegScheme::query(const PelegAttachedLabel& u,
                                  const PelegAttachedLabel& v) {
-  // Longest shared prefix of heavy-path identifier sequences.
-  std::size_t j = 0;
-  while (j < u.entries_.size() && j < v.entries_.size() &&
-         u.entries_[j].head_pre == v.entries_[j].head_pre)
-    ++j;
-  // Branch candidates on the deepest shared path.
-  const std::uint64_t du =
-      j < u.entries_.size() ? u.entries_[j].b_depth : u.depth_;
-  const std::uint64_t ru = j < u.entries_.size() ? u.entries_[j].b_rd : u.rd_;
-  const std::uint64_t dv =
-      j < v.entries_.size() ? v.entries_[j].b_depth : v.depth_;
-  const std::uint64_t rv = j < v.entries_.size() ? v.entries_[j].b_rd : v.rd_;
-  const std::uint64_t rd_nca = du <= dv ? ru : rv;
-  return u.rd_ + v.rd_ - 2 * rd_nca;
+  return PelegQueryImpl::distance(PelegQueryImpl::AttachedEntries(u),
+                                  PelegQueryImpl::AttachedEntries(v));
 }
 
 std::uint64_t PelegScheme::query(BitSpan lu, BitSpan lv) {
-  return query(attach(lu), attach(lv));
+  return PelegQueryImpl::distance(PelegQueryImpl::RawEntries(lu),
+                                  PelegQueryImpl::RawEntries(lv));
 }
 
 }  // namespace treelab::core

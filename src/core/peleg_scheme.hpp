@@ -31,6 +31,7 @@ class PelegAttachedLabel {
 
  private:
   friend class PelegScheme;
+  friend struct PelegQueryImpl;
   struct Entry {
     std::uint64_t head_pre = 0;  // identifier of the heavy path
     std::uint64_t b_depth = 0;   // depth of the branch node
@@ -60,7 +61,9 @@ class PelegScheme {
   }
   [[nodiscard]] LabelStats stats() const { return stats_of(labels_); }
 
-  /// Exact weighted distance from labels alone.
+  /// Exact weighted distance from labels alone. Reads both labels in
+  /// place, entry by entry, only up to their first differing head, and
+  /// allocates nothing.
   [[nodiscard]] static std::uint64_t query(bits::BitSpan lu, bits::BitSpan lv);
 
   /// One-time parse for repeated queries against the same label.

@@ -85,7 +85,7 @@ AttachedNcaLabel NcaLabeling::attach(BitSpan l) {
   if (out.bounds_.size() == 0)
     throw bits::DecodeError("NCA label: no components");
   const std::size_t code_off = r.pos();
-  const std::uint64_t code_len = out.bounds_.get(out.bounds_.size() - 1);
+  const std::uint64_t code_len = out.bounds_.back();
   // Compared against what is left, not as code_off + code_len: the length
   // is decoded arithmetic, any 64-bit value, and the sum could wrap.
   if (code_len > l.size() - code_off)

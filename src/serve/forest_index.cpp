@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
@@ -118,16 +117,10 @@ void ForestIndex::note_integrity_failure(Slot& s) noexcept {
 tree::NodeId ForestIndex::resolve(const TreeEntry& e, tree::NodeId ext) {
   if (ext < 0 || static_cast<std::size_t>(ext) >= e.ext_size())
     return tree::kNoNode;
-  const tree::NodeId i =
-      e.ext_to_int.empty() ? ext
-                           : e.ext_to_int[static_cast<std::size_t>(ext)];
-  // kNoNode: the id was compacted away. Zero-length label: the id is a
-  // tombstone a delta shipped (deleted/detached node). Both must fail the
-  // same deterministic way — never answer for whatever occupies the slot.
-  if (i == tree::kNoNode ||
-      e.labels.label_bits(static_cast<std::size_t>(i)) == 0)
-    return tree::kNoNode;
-  return i;
+  // kNoNode in the map: the id was compacted away, and must fail
+  // deterministically — never answer for whatever occupies the slot.
+  return e.ext_to_int.empty() ? ext
+                              : e.ext_to_int[static_cast<std::size_t>(ext)];
 }
 
 std::shared_ptr<ForestIndex::TreeEntry> ForestIndex::make_entry(
@@ -393,7 +386,12 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
   BatchPlan plan;
   plan.t0 = obs::now_ns();
   plan.by_shard.resize(shards_.size());
-  std::unordered_map<TreeId, std::uint32_t> snap_of;  // tree -> plan.snaps
+  // Tree id -> index into plan.snaps, as a sparse set (Briggs and Torczon,
+  // "An efficient representation for sparse sets", LOPLAS 1993): a cell
+  // counts only when the snapshot it names is that tree's, so the array is
+  // never cleared and each thread reuses its own across batches.
+  thread_local std::vector<std::uint32_t> snap_of;
+  if (snap_of.size() < trees_.size()) snap_of.resize(trees_.size());
   // One serial pass in request order. A tree's first request loads its
   // entry snapshot; the rest of the batch resolves against the same one.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -406,10 +404,12 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
       results[i].status = QueryStatus::kQuarantined;
       continue;
     }
-    const auto [it, fresh] = snap_of.try_emplace(
-        r.tree, static_cast<std::uint32_t>(plan.snaps.size()));
-    if (fresh) plan.snaps.push_back({r.tree, local_of(r.tree), entry(r.tree)});
-    const TreeEntry& e = *plan.snaps[it->second].entry;
+    std::uint32_t& snap = snap_of[r.tree];
+    if (snap >= plan.snaps.size() || plan.snaps[snap].tree != r.tree) {
+      snap = static_cast<std::uint32_t>(plan.snaps.size());
+      plan.snaps.push_back({r.tree, local_of(r.tree), entry(r.tree)});
+    }
+    const TreeEntry& e = *plan.snaps[snap].entry;
     const tree::NodeId iu = resolve(e, r.u);
     const tree::NodeId iv = resolve(e, r.v);
     if (iu == tree::kNoNode || iv == tree::kNoNode) {
@@ -417,7 +417,7 @@ ForestIndex::BatchPlan ForestIndex::plan_batch(
       continue;
     }
     plan.by_shard[shard_of(r.tree)].push_back(
-        {static_cast<std::uint32_t>(i), it->second, iu, iv});
+        {static_cast<std::uint32_t>(i), snap, iu, iv});
   }
   return plan;
 }
@@ -443,30 +443,50 @@ void ForestIndex::execute_plan(BatchPlan& plan, std::span<const Request> reqs,
           if (shard_of(sn.tree) == s)
             sn.live = live_entry(sh, sn.tree) == sn.entry;
         // Software pipelining: a request's lookups are two dependent cache
-        // misses (slot, then attachment), so while the loop answers request
-        // k it fetches the slots of request k + 2D and the attachments of
-        // request k + D, and the misses of consecutive requests overlap. A
-        // prefetch is only a hint: a slot that changes before its use costs
-        // a wasted fetch, never a wrong answer.
+        // misses per side (slot, then attachment; or directory entry, then
+        // raw label), so while the loop answers request k it fetches the
+        // slots and directory entries of request k + 2D, and the
+        // attachments of request k + D, or the first label word of a side
+        // with no attachment. The misses of consecutive requests then
+        // overlap. A prefetch is only a hint: a slot that changes before
+        // its use costs a wasted fetch, never a wrong answer.
         constexpr std::size_t kD = kPrefetchDistance;
         std::size_t answered = 0;
         for (std::size_t k = 0; k < items.size(); ++k) {
           if (k + 2 * kD < items.size()) {
             const BatchPlan::Item& ahead = items[k + 2 * kD];
             const Request& r = reqs[ahead.req];
-            const std::uint32_t local = plan.snaps[ahead.snap].local;
-            sh.cache.prefetch_slot(local, static_cast<std::uint32_t>(r.u));
-            sh.cache.prefetch_slot(local, static_cast<std::uint32_t>(r.v));
+            const BatchPlan::Snap& sa = plan.snaps[ahead.snap];
+            sh.cache.prefetch_slot(sa.local, static_cast<std::uint32_t>(r.u));
+            sh.cache.prefetch_slot(sa.local, static_cast<std::uint32_t>(r.v));
+            sa.entry->labels.prefetch_directory(
+                static_cast<std::size_t>(ahead.iu));
+            sa.entry->labels.prefetch_directory(
+                static_cast<std::size_t>(ahead.iv));
           }
           if (k + kD < items.size()) {
             const BatchPlan::Item& ahead = items[k + kD];
             const Request& r = reqs[ahead.req];
-            const std::uint32_t local = plan.snaps[ahead.snap].local;
-            sh.cache.prefetch_value(local, static_cast<std::uint32_t>(r.u));
-            sh.cache.prefetch_value(local, static_cast<std::uint32_t>(r.v));
+            const BatchPlan::Snap& sa = plan.snaps[ahead.snap];
+            if (!sh.cache.prefetch_value(sa.local,
+                                         static_cast<std::uint32_t>(r.u)))
+              sa.entry->labels.prefetch_label(
+                  static_cast<std::size_t>(ahead.iu));
+            if (!sh.cache.prefetch_value(sa.local,
+                                         static_cast<std::uint32_t>(r.v)))
+              sa.entry->labels.prefetch_label(
+                  static_cast<std::size_t>(ahead.iv));
           }
           const BatchPlan::Item& it = items[k];
           const BatchPlan::Snap& sn = plan.snaps[it.snap];
+          // A zero-length label is a tombstone a delta shipped (a deleted
+          // or detached node): its request fails as an unknown id does.
+          const bits::LabelArena& labels = sn.entry->labels;
+          if (labels.label_bits(static_cast<std::size_t>(it.iu)) == 0 ||
+              labels.label_bits(static_cast<std::size_t>(it.iv)) == 0) {
+            out[it.req].status = QueryStatus::kBadNode;
+            continue;
+          }
           const bool sampled =
               obs::kEnabled && (answered++ % kLatencySampleEvery) == 0;
           const std::uint64_t q0 = sampled ? obs::now_ns() : 0;

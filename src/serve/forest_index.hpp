@@ -21,8 +21,11 @@
 //     serial pass, partitions the accepted requests by shard and fans the
 //     shards out across threads (util/parallel), filling one typed result
 //     per request in request order — deterministic for any thread count.
-//     Each shard's loop prefetches the cache slots and attachments of the
-//     requests a few places ahead, so their cache misses overlap.
+//     The serial pass reads no label directory; each shard's loop reads a
+//     label's directory entry (a zero length is a tombstone) and prefetches
+//     the cache slots, directory entries and attachments — or, for a side
+//     with none, the raw label — of the requests a few places ahead, so
+//     their cache misses overlap.
 //     A bad id or a quarantined tree costs only its own request's answer,
 //   * one way to publish: a labeling reaches a live tree either whole
 //     (update(): a snapshot, or an IncrementalRelabeler's refreshed
@@ -223,7 +226,8 @@ class ForestIndex {
   static constexpr std::uint32_t kQuarantineAfter = 3;
 
   /// How many requests ahead a shard's batch loop prefetches attachments
-  /// (and twice as far, their cache slots).
+  /// or raw labels (and twice as far, their cache slots and directory
+  /// entries).
   static constexpr std::size_t kPrefetchDistance = 4;
 
   /// query_batch() records every this-many-th answered request's latency
@@ -238,15 +242,18 @@ class ForestIndex {
   /// order. A bad tree id (kBadTree), a bad, deleted or compacted-away node
   /// id (kBadNode) and a quarantined tree (kQuarantined) cost only their
   /// own request's answer, so one poisoned tree or one bad client id never
-  /// takes down a batch that also touches healthy trees. Requests are
-  /// checked in one serial pass and partitioned by shard (keeping request
-  /// order); each shard attaches its recurring labels once via its cache
-  /// (a full cache answers a label's first miss raw instead), and shards
-  /// are fanned out across `opt.threads`. A shard's loop looks each label
-  /// up in its tree's dense slot array (a hit reorders nothing; eviction
-  /// is FIFO), and while it answers request k it prefetches the slots of
-  /// request k + 2 * kPrefetchDistance and the attachments of request
-  /// k + kPrefetchDistance of the same shard. The batch answers from the
+  /// takes down a batch that also touches healthy trees. Tree and node ids
+  /// are checked in one serial pass and the requests partitioned by shard
+  /// (keeping request order); each shard attaches its recurring labels
+  /// once via its cache (a full cache answers a label's first miss raw
+  /// instead), and shards are fanned out across `opt.threads`. A shard's
+  /// loop first reads both labels' lengths from the arena directory (a
+  /// tombstone fails its request with kBadNode), then looks each label up
+  /// in its tree's dense slot array (a hit reorders nothing; eviction is
+  /// FIFO). While it answers request k it prefetches the slots and
+  /// directory entries of request k + 2 * kPrefetchDistance, and the
+  /// attachments of request k + kPrefetchDistance of the same shard, or
+  /// the first word of a label that has none. The batch answers from the
   /// entries it checked against (one labeling per tree for the whole
   /// batch), so a publish landing mid-batch can never fail requests the
   /// pass accepted — those answers come from the replaced labeling,
@@ -340,8 +347,9 @@ class ForestIndex {
   [[nodiscard]] static std::shared_ptr<TreeEntry> make_entry(
       core::LabelStore::LoadedArena loaded,
       std::optional<std::uint64_t> chain);
-  /// External → internal id; tree::kNoNode for an id out of range, a
-  /// tombstone (zero-length label) or an id compacted away.
+  /// External → internal id; tree::kNoNode for an id out of range or
+  /// compacted away. Reads no label directory: a tombstone (zero-length
+  /// label) resolves, and execute_plan() fails its request.
   [[nodiscard]] static tree::NodeId resolve(const TreeEntry& e,
                                             tree::NodeId ext);
   /// The next entry's ext_to_int after `old`'s labeling is replaced by
@@ -374,8 +382,9 @@ class ForestIndex {
   std::uint64_t publish(TreeId tree, Next&& next);
   /// A batch's accepted requests, partitioned by shard in request order,
   /// each with its node ids resolved exactly once against its tree's entry
-  /// snapshot. `snaps` holds one snapshot per distinct tree: the "one
-  /// labeling per tree per batch" guarantee.
+  /// snapshot (tombstones are caught later, in the shard loop). `snaps`
+  /// holds one snapshot per distinct tree, found through a dense per-tree
+  /// index: the "one labeling per tree per batch" guarantee.
   struct BatchPlan {
     struct Item {
       std::uint32_t req = 0;   ///< request index
@@ -395,12 +404,14 @@ class ForestIndex {
     std::vector<Snap> snaps;
     std::uint64_t t0 = 0;  ///< planning start, for serve.batch.latency_ns
   };
-  /// Validates every request in request order: a rejected one gets its
-  /// typed status in `results` and stays out of the plan.
+  /// Validates every request's tree and node ids in request order: a
+  /// rejected one gets its typed status in `results` and stays out of the
+  /// plan.
   [[nodiscard]] BatchPlan plan_batch(std::span<const Request> reqs,
                                      std::span<QueryResult> results) const;
   /// Answers a plan across shards (one lock hold per shard) into
-  /// out[request index].dist, then records the batch metrics.
+  /// out[request index].dist, or kBadNode there for a tombstone, then
+  /// records the batch metrics.
   void execute_plan(BatchPlan& plan, std::span<const Request> reqs,
                     std::span<QueryResult> out) const;
   /// A query through the shard cache, for ids already resolved against

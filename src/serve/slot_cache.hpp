@@ -78,14 +78,16 @@ class SlotCache {
   }
 
   /// Starts loading the first kValuePrefetchBytes of the value stored under
-  /// (tree, id), if any. Reads the slot, so prefetch_slot() it earlier.
-  [[gnu::always_inline]] void prefetch_value(std::uint32_t tree,
+  /// (tree, id), if any, and returns whether there is one. Reads the slot,
+  /// so prefetch_slot() it earlier.
+  [[gnu::always_inline]] bool prefetch_value(std::uint32_t tree,
                                              std::uint32_t id) const noexcept {
-    if (tree >= slots_.size() || id >= slots_[tree].size()) return;
+    if (tree >= slots_.size() || id >= slots_[tree].size()) return false;
     const auto at = reinterpret_cast<std::uintptr_t>(slots_[tree][id]);
-    if (at == 0) return;
+    if (at == 0) return false;
     for (std::size_t off = 0; off < kValuePrefetchBytes; off += 64)
       __builtin_prefetch(reinterpret_cast<const void*>(at + off));
+    return true;
   }
 
   /// Inserts `value` under (tree, id), which must be absent (put() follows

@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "util/bytes.hpp"
+
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
@@ -14,17 +16,25 @@ namespace {
 /// The Castagnoli polynomial 0x1EDC6F41, bit-reflected.
 constexpr std::uint32_t kCastagnoli = 0x82F63B78u;
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> t{};
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0][b] is the CRC step of byte b, and t[k][b]
+/// that of byte b followed by k zero bytes, so eight lookups fold eight
+/// bytes at once.
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (kCastagnoli & (0u - (c & 1u)));
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
 
 #if defined(__x86_64__)
 /// One crc32 instruction per 8 bytes (a little-endian load feeds the low
@@ -52,10 +62,18 @@ bool cpu_has_sse42() noexcept {
 }  // namespace
 
 std::uint32_t crc32c_portable(const char* p, std::size_t n) noexcept {
+  const Crc32cTables& t = kCrc32cTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    c = kCrc32cTable[(c ^ static_cast<unsigned char>(p[i])) & 0xFFu] ^
-        (c >> 8);
+  // Eight bytes per step: the CRC so far folds into the low four, and
+  // byte j of the word is looked up in the table for 7 - j zero bytes.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = load_le<std::uint64_t>(p) ^ c;
+    c = t[7][w & 0xFFu] ^ t[6][(w >> 8) & 0xFFu] ^ t[5][(w >> 16) & 0xFFu] ^
+        t[4][(w >> 24) & 0xFFu] ^ t[3][(w >> 32) & 0xFFu] ^
+        t[2][(w >> 40) & 0xFFu] ^ t[1][(w >> 48) & 0xFFu] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n)
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   return ~c;
 }
 

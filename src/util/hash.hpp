@@ -31,8 +31,8 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 /// (checked once), crc32c_portable otherwise.
 [[nodiscard]] std::uint32_t crc32c(const char* p, std::size_t n) noexcept;
 
-/// The table-driven CRC32C: the only path on a CPU without SSE4.2, and the
-/// reference the tests hold the instruction path to.
+/// The table-driven CRC32C (slicing-by-8: eight table lookups per 8 bytes):
+/// the only path on a CPU without SSE4.2.
 [[nodiscard]] std::uint32_t crc32c_portable(const char* p,
                                             std::size_t n) noexcept;
 

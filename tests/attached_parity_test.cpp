@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "bits/bitio.hpp"
@@ -15,9 +16,11 @@
 #include "core/peleg_scheme.hpp"
 #include "core/spanning_oracle.hpp"
 #include "nca/nca_labeling.hpp"
+#include "serve/any_scheme.hpp"
 #include "tree/generators.hpp"
 #include "tree/graph.hpp"
 #include "tree/hpd.hpp"
+#include "tree/nca_index.hpp"
 
 namespace {
 
@@ -132,6 +135,65 @@ TEST(AttachedParity, Nca) {
       ASSERT_EQ(fast.u_first, raw.u_first);
       ASSERT_EQ(fast.same_branch_node, raw.same_branch_node);
     });
+  }
+}
+
+TEST(AttachedParity, LastLabelOfItsBuffer) {
+  // A decoder peeks at the word after its cursor's, but never past the
+  // word holding a label's last bit. Both sources here end exactly at the
+  // last label's last word — the owned buffer LabelArena::build made, and
+  // a BitVec of only that label's words — so a read past the label is a
+  // heap overflow the sanitize build reports. The last label is queried,
+  // raw and attached, against another label and against itself.
+  const Tree t = tree::random_tree(300, 7);
+  const tree::NcaIndex truth(t);
+  const core::FgnwScheme fgnw(t);
+  const core::AlstrupScheme alstrup(t);
+  const core::PelegScheme peleg(t);
+  const core::ApproxScheme approx(t, 1.0 / 8);
+  const core::KDistanceScheme kdist(t, 4);
+  const struct {
+    const char* tag;
+    const char* params;
+    const bits::LabelArena& labels;
+  } cases[] = {{"fgnw", "", fgnw.labels()},
+               {"alstrup", "", alstrup.labels()},
+               {"peleg", "", peleg.labels()},
+               {"approx", "inv_eps=8", approx.labels()},
+               {"kdist", "k=4", kdist.labels()}};
+  const NodeId last = t.size() - 1;
+  const NodeId other = 17;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.tag);
+    const auto s = serve::AnyScheme::make(c.tag, c.params);
+    const BitVec alone = c.labels[static_cast<std::size_t>(last)];
+    const bits::BitSpan o = c.labels[static_cast<std::size_t>(other)];
+    const auto ao = s.attach(o);
+    for (const bits::BitSpan l :
+         {c.labels[static_cast<std::size_t>(last)], bits::BitSpan(alone)}) {
+      const auto al = s.attach(l);
+      const serve::Dist lo = s.query(l, o);
+      const serve::Dist ol = s.query(o, l);
+      const serve::Dist ll = s.query(l, l);
+      EXPECT_EQ(s.query(*al, *ao), lo);
+      EXPECT_EQ(s.query(*ao, *al), ol);
+      EXPECT_EQ(s.query(*al, *al), ll);
+      EXPECT_TRUE(ll.within);
+      EXPECT_EQ(ll.value, 0u);
+      const std::uint64_t d = truth.distance(last, other);
+      if (std::string_view(c.tag) == "approx") {
+        EXPECT_GE(lo.value, d);
+        EXPECT_LE(static_cast<double>(lo.value), 1.125 * static_cast<double>(d));
+      } else if (std::string_view(c.tag) == "kdist") {
+        EXPECT_EQ(lo.within, d <= 4);
+        if (lo.within) {
+          EXPECT_EQ(lo.value, d);
+        }
+      } else {
+        EXPECT_EQ(lo.value, d);
+      }
+      EXPECT_EQ(ol, lo);
+    }
   }
 }
 

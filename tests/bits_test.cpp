@@ -7,6 +7,7 @@
 #include <cmath>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bits/alphabetic.hpp"
@@ -43,6 +44,32 @@ BitVec embed(BitSpan base, std::size_t off, std::size_t tail,
   out.append(base);
   for (std::size_t i = 0; i < tail; ++i) out.push_back(true);
   return out;
+}
+
+/// Codes at the edge of BitReader's one 64-bit peek: unary runs of 63, 64
+/// and 65 zeros; gamma codes of exactly 63 and 65 bits (x = 2^31, 2^32);
+/// delta codes of 64 and 65 bits (x = 2^53, 2^54) and one whose length
+/// field alone is 13 bits (x = 2^63).
+struct PeekEdge {
+  enum Kind { kUnary, kGamma, kDelta } kind;
+  std::uint64_t x;
+};
+constexpr PeekEdge kPeekEdges[] = {
+    {PeekEdge::kUnary, 63},         {PeekEdge::kUnary, 64},
+    {PeekEdge::kUnary, 65},         {PeekEdge::kGamma, 1ull << 31},
+    {PeekEdge::kGamma, 1ull << 32}, {PeekEdge::kDelta, 1ull << 53},
+    {PeekEdge::kDelta, 1ull << 54}, {PeekEdge::kDelta, 1ull << 63},
+};
+
+void put_edge(BitWriter& w, PeekEdge c) {
+  if (c.kind == PeekEdge::kUnary) w.put_unary(c.x);
+  if (c.kind == PeekEdge::kGamma) w.put_gamma(c.x);
+  if (c.kind == PeekEdge::kDelta) w.put_delta(c.x);
+}
+
+std::uint64_t get_edge(BitReader& r, PeekEdge c) {
+  if (c.kind == PeekEdge::kUnary) return r.get_unary();
+  return c.kind == PeekEdge::kGamma ? r.get_gamma() : r.get_delta();
 }
 
 /// Lengths whose view, starting at bit `off` of a word, crosses exactly
@@ -208,6 +235,17 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
     ASSERT_EQ(seq.size(), s);
     EXPECT_EQ(seq.bit_size(), e.bits.size());
     for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(seq.get(i), xs[i]) << i;
+    if (s > 0) {
+      EXPECT_EQ(seq.back(), seq.get(s - 1));
+    } else {
+      EXPECT_THROW((void)seq.back(), std::out_of_range);
+    }
+    // The encoding ends at the high vector's s-th one (or, at s = 0, at
+    // the last header bit): a view one bit short of it does not parse.
+    {
+      BitReader cut(BitSpan(e.bits).subspan(0, e.bits.size() - 1));
+      EXPECT_THROW((void)MonotoneSeq::read_from(cut), DecodeError);
+    }
 
     // get and successor against naive, probing values around every
     // element, on the aligned encoding and on copies of it at every bit
@@ -233,9 +271,16 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
       const MonotoneSeq at = MonotoneSeq::read_from(r);
       for (std::size_t i = 0; i < s; ++i)
         ASSERT_EQ(at.get(i), xs[i]) << "off=" << off << " i=" << i;
+      if (s > 0) {
+        ASSERT_EQ(at.back(), xs[s - 1]) << "off=" << off;
+      }
       for (std::size_t p = 0; p < probes.size(); ++p)
         ASSERT_EQ(at.successor(probes[p]), want[p])
             << "off=" << off << " x=" << probes[p];
+      // The stored bit after the short view is the s-th one itself.
+      BitReader cut(BitSpan(buf).subspan(off, e.bits.size() - 1));
+      ASSERT_THROW((void)MonotoneSeq::read_from(cut), DecodeError)
+          << "off=" << off;
     }
 
     // Serialization roundtrip via a surrounding stream.
@@ -251,6 +296,9 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
     ASSERT_EQ(back.size(), s);
     EXPECT_EQ(back.bit_size(), written);
     for (std::size_t i = 0; i < s; ++i) EXPECT_EQ(back.get(i), xs[i]);
+    if (s > 0) {
+      EXPECT_EQ(back.back(), xs[s - 1]);
+    }
   };
 
   std::vector<std::uint64_t> random(s);
@@ -272,12 +320,13 @@ TEST_P(MonotoneSeqParamTest, RoundtripAccessSuccessor) {
 }
 
 // The high vector holds s to 2s bits: one word for s <= 31, exactly 64
-// bits at s = 64, M = 0 (65 at M = 1), two words at s = 100, M = 0 and
-// three at s = 150, M = 0, so the word walk meets 1, 2 and 3 words.
+// bits at s = 64, M = 0 (65 at M = 1), two words at s = 100, M = 0, three
+// at s = 150, M = 0 and four at s = 200, M = 0, so the word walk and
+// read_from's popcount pass meet 1, 2, 3 and 4 words.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MonotoneSeqParamTest,
     ::testing::Combine(::testing::Values<std::size_t>(0, 1, 2, 7, 31, 64, 100,
-                                                      150, 500),
+                                                      150, 200, 500),
                        ::testing::Values<std::uint64_t>(0, 1, 5, 63, 1000,
                                                         1u << 20)));
 
@@ -325,20 +374,30 @@ TEST(MonotoneSeq, RejectsBadInput) {
 
 TEST(MonotoneSeq, ParsesInPlaceAtAnyOffset) {
   // A sequence embedded at every bit offset reads the same as the aligned
-  // one, and its reader stops exactly at the encoding's end.
+  // one, and its reader stops exactly at the encoding's end. Over M = 5000
+  // the high vector of s elements holds up to 2s bits: 20, 80, 180 and 240
+  // at s = 10, 40, 90 and 120, one to four words' worth.
   std::mt19937_64 rng(21);
-  std::vector<std::uint64_t> xs(40);
-  for (auto& x : xs) x = rng() % 5000;
-  std::sort(xs.begin(), xs.end());
-  const Encoded e = encode(xs, 5000);
-  for (std::size_t off = 0; off < 64; ++off) {
-    const BitVec buf = embed(e.bits, off, 130, rng);
-    BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
-    const MonotoneSeq seq = MonotoneSeq::read_from(r);
-    EXPECT_EQ(r.remaining(), 0u) << off;
-    ASSERT_EQ(seq.size(), xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-      ASSERT_EQ(seq.get(i), xs[i]) << "off=" << off << " i=" << i;
+  for (const std::size_t s : {10u, 40u, 90u, 120u}) {
+    std::vector<std::uint64_t> xs(s);
+    for (auto& x : xs) x = rng() % 5000;
+    std::sort(xs.begin(), xs.end());
+    const Encoded e = encode(xs, 5000);
+    for (std::size_t off = 0; off < 64; ++off) {
+      const BitVec buf = embed(e.bits, off, 130, rng);
+      BitReader r(BitSpan(buf).subspan(off, e.bits.size()));
+      const MonotoneSeq seq = MonotoneSeq::read_from(r);
+      EXPECT_EQ(r.remaining(), 0u) << off;
+      ASSERT_EQ(seq.size(), xs.size());
+      for (std::size_t i = 0; i < xs.size(); ++i)
+        ASSERT_EQ(seq.get(i), xs[i]) << "off=" << off << " i=" << i;
+      ASSERT_EQ(seq.back(), seq.get(s - 1)) << "off=" << off;
+      // A view ending one bit before the s-th one, which the buffer still
+      // holds right after it, does not parse.
+      BitReader cut(BitSpan(buf).subspan(off, e.bits.size() - 1));
+      EXPECT_THROW((void)MonotoneSeq::read_from(cut), DecodeError)
+          << "s=" << s << " off=" << off;
+    }
   }
 }
 
@@ -380,6 +439,7 @@ TEST(BitSpan, ReaderWalksEliasCodesAtAnyOffset) {
       w.put_gamma0(x % 5000);
       w.put_delta0(x);
     }
+    for (const PeekEdge c : kPeekEdges) put_edge(w, c);
     const BitVec codes = w.take();
     for (std::size_t off = 0; off < 64; ++off) {
       const BitVec buf = embed(codes, off, 70, rng);
@@ -389,8 +449,27 @@ TEST(BitSpan, ReaderWalksEliasCodesAtAnyOffset) {
         ASSERT_EQ(r.get_gamma0(), x % 5000) << off;
         ASSERT_EQ(r.get_delta0(), x) << off;
       }
+      for (const PeekEdge c : kPeekEdges)
+        ASSERT_EQ(get_edge(r, c), c.x) << "off=" << off << " x=" << c.x;
       EXPECT_EQ(r.remaining(), 0u);
       EXPECT_THROW((void)r.get_bit(), DecodeError);
+    }
+  }
+  // Each edge code alone decodes at every offset, and cut one bit short
+  // it throws, although the bits after the view (its own last bit, then
+  // ones) would complete it.
+  for (const PeekEdge c : kPeekEdges) {
+    BitWriter w;
+    put_edge(w, c);
+    const BitVec code = w.take();
+    for (std::size_t off = 0; off < 64; ++off) {
+      const BitVec buf = embed(code, off, 70, rng);
+      BitReader whole(BitSpan(buf).subspan(off, code.size()));
+      ASSERT_EQ(get_edge(whole, c), c.x) << "off=" << off;
+      EXPECT_EQ(whole.remaining(), 0u);
+      BitReader cut(BitSpan(buf).subspan(off, code.size() - 1));
+      EXPECT_THROW((void)get_edge(cut, c), DecodeError)
+          << "off=" << off << " x=" << c.x;
     }
   }
 }
@@ -398,9 +477,13 @@ TEST(BitSpan, ReaderWalksEliasCodesAtAnyOffset) {
 TEST(BitSpan, UnaryStopsAtViewEnd) {
   // The bit right after the view is a one; a unary run of zeros up to the
   // view's end is truncated input, not a code ending at that stored one.
+  // Lengths 64-66 close runs of 63-65 zeros, at the edge of one peek;
+  // 63-65 are those runs cut one bit short.
   std::mt19937_64 rng(33);
   for (std::size_t off = 0; off < 64; ++off) {
-    for (const std::size_t len : crossing_lengths(off, rng)) {
+    std::vector<std::size_t> lens = crossing_lengths(off, rng);
+    lens.insert(lens.end(), {63, 64, 65, 66});
+    for (const std::size_t len : lens) {
       const BitVec zeros(len);
       const BitVec buf = embed(zeros, off, 64, rng);
       BitReader r(BitSpan(buf).subspan(off, len));

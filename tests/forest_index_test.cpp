@@ -744,46 +744,88 @@ TEST(ForestIndex, ApplyDeltaInvalidatesOnlyDirtyAttachments) {
 }
 
 TEST(ForestIndex, ApplyDeltaShipsTombstonesAndRefusesDeadIds) {
-  ForestOptions opt;
-  opt.shards = 1;
-  ForestIndex index(opt);
-  const Tree t0 = tree::random_tree(150, 102);
-  core::IncrementalRelabeler relab(t0);
-  const TreeId id = index.add(relab.to_loaded());
+  // Tombstones are caught in the shard loop, before the cache lookup, so
+  // the batch runs twice: with the tree's labels attached (warm batches
+  // before and after the delta), and with a zero-byte cache, where nearly
+  // every answer comes from the raw labels.
+  for (const bool attached : {true, false}) {
+    SCOPED_TRACE(attached ? "attached" : "raw");
+    ForestOptions opt;
+    opt.shards = 1;
+    if (!attached) opt.cache_bytes_per_shard = 0;
+    ForestIndex index(opt);
+    const Tree t0 = tree::random_tree(150, 102);
+    core::IncrementalRelabeler relab(t0);
+    const TreeId id = index.add(relab.to_loaded());
+    if (attached)
+      for (NodeId u = 0; u < 150; ++u) (void)answer(index, {id, u, NodeId{0}});
 
-  // Find and delete a leaf through the relabeler, ship the delta.
-  NodeId victim = tree::kNoNode;
-  for (NodeId v = 149; v > 0; --v) {
-    try {
-      relab.delete_leaf(v);
-      victim = v;
-      break;
-    } catch (const std::exception&) {
+    // Find and delete three leaves through the relabeler, ship the delta.
+    std::vector<NodeId> victims;
+    for (NodeId v = 149; v > 0 && victims.size() < 3; --v) {
+      try {
+        relab.delete_leaf(v);
+        victims.push_back(v);
+      } catch (const std::exception&) {
+      }
     }
-  }
-  ASSERT_NE(victim, tree::kNoNode);
-  std::stringstream ss;
-  relab.ship_delta(ss);
-  EXPECT_EQ(index.apply_delta(id, core::LabelStore::load_delta(ss)), 1u);
+    ASSERT_EQ(victims.size(), 3u);
+    const NodeId victim = victims[0];
+    std::stringstream ss;
+    relab.ship_delta(ss);
+    EXPECT_EQ(index.apply_delta(id, core::LabelStore::load_delta(ss)), 1u);
 
-  // The dead id fails deterministically; live pairs still answer.
-  EXPECT_EQ(status_of(index, {id, victim, NodeId{0}}), QueryStatus::kBadNode);
-  const Tree now = relab.snapshot();
-  const tree::NcaIndex oracle(now);
-  const std::vector<NodeId> map = relab.dense_map();
-  const auto want = [&](NodeId u, NodeId v) {
-    return oracle.distance(map[static_cast<std::size_t>(u)],
-                           map[static_cast<std::size_t>(v)]);
-  };
-  const std::vector<Request> batch{{id, 0, 1}, {id, victim, 2}};
-  const std::vector<QueryResult> res = index.query_batch(batch);
-  ASSERT_EQ(res.size(), 2u);
-  EXPECT_EQ(res[0].status, QueryStatus::kOk);
-  EXPECT_EQ(res[0].dist.value, want(0, 1));
-  EXPECT_EQ(res[1].status, QueryStatus::kBadNode);
-  for (NodeId u = 0; u < 140; u += 11) {
-    if (map[static_cast<std::size_t>(u)] == tree::kNoNode) continue;
-    EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value, want(u, 0));
+    // The dead id fails deterministically; live pairs still answer.
+    EXPECT_EQ(status_of(index, {id, victim, NodeId{0}}),
+              QueryStatus::kBadNode);
+    const Tree now = relab.snapshot();
+    const tree::NcaIndex oracle(now);
+    const std::vector<NodeId> map = relab.dense_map();
+    const auto dead = [&](NodeId u) {
+      return map[static_cast<std::size_t>(u)] == tree::kNoNode;
+    };
+    const auto want = [&](NodeId u, NodeId v) {
+      return oracle.distance(map[static_cast<std::size_t>(u)],
+                             map[static_cast<std::size_t>(v)]);
+    };
+    const std::vector<Request> batch{{id, 0, 1}, {id, victim, 2}};
+    const std::vector<QueryResult> res = index.query_batch(batch);
+    ASSERT_EQ(res.size(), 2u);
+    EXPECT_EQ(res[0].status, QueryStatus::kOk);
+    EXPECT_EQ(res[0].dist.value, want(0, 1));
+    EXPECT_EQ(res[1].status, QueryStatus::kBadNode);
+    for (NodeId u = 0; u < 140; u += 11) {
+      if (dead(u)) continue;
+      EXPECT_EQ(answer(index, {id, u, NodeId{0}}).value, want(u, 0));
+    }
+
+    // One batch mixing tombstoned and live ids of the tree, each side
+    // and both, longer than the loop's prefetch distance.
+    if (attached)
+      for (NodeId u = 0; u < 150; ++u)
+        if (!dead(u)) (void)answer(index, {id, u, NodeId{0}});
+    std::vector<Request> mixed;
+    for (NodeId u = 0; u < 150; u += 5) {
+      const NodeId x = victims[static_cast<std::size_t>(u) % 3];
+      mixed.push_back({id, u, NodeId{149 - u}});
+      mixed.push_back({id, x, u});
+      mixed.push_back({id, u, x});
+      mixed.push_back({id, x, x});
+    }
+    const std::vector<QueryResult> got = index.query_batch(mixed);
+    ASSERT_EQ(got.size(), mixed.size());
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+      const Request& r = mixed[i];
+      if (dead(r.u) || dead(r.v)) {
+        EXPECT_EQ(got[i].status, QueryStatus::kBadNode) << "req " << i;
+        continue;
+      }
+      ++live;
+      ASSERT_EQ(got[i].status, QueryStatus::kOk) << "req " << i;
+      EXPECT_EQ(got[i].dist.value, want(r.u, r.v)) << "req " << i;
+    }
+    EXPECT_GE(live, 25u);
   }
 }
 

@@ -118,8 +118,10 @@ TEST(SlotCache, IdPastTheSlotArrayIsAMiss) {
   EXPECT_EQ(c.get(7, 0), nullptr);     // a tree with no array at all
   EXPECT_EQ(c.misses(), 3u);
   c.prefetch_slot(2, 1u << 30);  // out of range: a no-op, not a fault
-  c.prefetch_value(7, 0);
-  c.prefetch_value(2, 3);
+  EXPECT_FALSE(c.prefetch_value(2, 1u << 30));
+  EXPECT_FALSE(c.prefetch_value(7, 0));
+  EXPECT_FALSE(c.prefetch_value(2, 4));  // in range, empty slot
+  EXPECT_TRUE(c.prefetch_value(2, 3));
   // A larger bound (appended ids) grows the array on the insert that
   // needs it; earlier entries keep their slots.
   c.put(2, 20, std::make_shared<const std::string>("y"), 10, 32);

@@ -1,6 +1,7 @@
 // net/frame unit tests: round-trips for every payload codec, incremental
 // decoding under arbitrary byte-level fragmentation, the CRC32C that
-// checks every frame (known answers, instruction path against the table),
+// checks every frame (known answers, both library paths against a
+// byte-wise reference),
 // and the rejection matrix — bad magic, bad checksum, oversized lengths,
 // truncated and trailing payload bytes. The end-to-end behavior of the
 // protocol under live faults is net_fault_fuzz_test's job; this suite pins
@@ -11,6 +12,7 @@
 #include <malloc.h>
 #endif
 
+#include <array>
 #include <random>
 #include <string>
 #include <utility>
@@ -27,6 +29,25 @@ using namespace treelab;
 using net::Frame;
 using net::FrameReader;
 using net::MsgType;
+
+/// The byte-wise CRC32C, one table lookup per byte: the plain definition
+/// both library paths (the SSE4.2 instruction, the slicing-by-8 table) are
+/// held to.
+std::uint32_t crc32c_bytewise(const char* p, std::size_t n) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i)
+    c = table[(c ^ static_cast<unsigned char>(p[i])) & 0xFFu] ^ (c >> 8);
+  return ~c;
+}
 
 Frame decode_one(const std::string& bytes) {
   FrameReader r;
@@ -168,7 +189,8 @@ TEST(NetFrame, ChecksumCatchesEveryFlippedPayloadByte) {
 
 TEST(NetFrame, Crc32cKnownAnswers) {
   // "123456789" is the customary check value; the rest are RFC 3720's
-  // Appendix B.4 vectors. Both paths must give every one.
+  // Appendix B.4 vectors. Both paths and the reference must give every
+  // one.
   const std::string zeros(32, '\0');
   const std::string ones(32, '\xff');
   std::string up(32, '\0');
@@ -185,6 +207,7 @@ TEST(NetFrame, Crc32cKnownAnswers) {
   for (const auto& [bytes, want] : cases) {
     EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), want);
     EXPECT_EQ(util::crc32c_portable(bytes.data(), bytes.size()), want);
+    EXPECT_EQ(crc32c_bytewise(bytes.data(), bytes.size()), want);
   }
   EXPECT_EQ(util::crc32c(nullptr, 0), 0u);
   EXPECT_EQ(util::crc32c_portable(nullptr, 0), 0u);
@@ -194,28 +217,32 @@ TEST(NetFrame, Crc32cKnownAnswers) {
   EXPECT_EQ(util::load_le<std::uint64_t>(frame.data() + 16), 0xE3069283u);
 }
 
-TEST(NetFrame, Crc32cInstructionMatchesTable) {
+TEST(NetFrame, Crc32cPathsMatchByteWiseReference) {
 #if defined(__x86_64__)
   RecordProperty("crc32c_path",
                  __builtin_cpu_supports("sse4.2") ? "sse4.2" : "table");
 #endif
-  // Every start offset within a word and every length up to 300 give the
-  // instruction path each split into 8-byte loads and tail bytes, aligned
-  // or not; the two big buffers are the hot workload's request and reply
+  // Every start offset within a word and every length up to 300 give both
+  // 8-byte paths each split into 8-byte loads and tail bytes, aligned or
+  // not; the two big buffers are the hot workload's request and reply
   // frame sizes.
   std::mt19937_64 rng(2203);
   std::string buf(8 + 300, '\0');
   for (char& c : buf) c = static_cast<char>(rng());
   for (std::size_t off = 0; off < 8; ++off)
-    for (std::size_t len = 0; len <= 300; ++len)
-      ASSERT_EQ(util::crc32c(buf.data() + off, len),
-                util::crc32c_portable(buf.data() + off, len))
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint32_t want = crc32c_bytewise(buf.data() + off, len);
+      ASSERT_EQ(util::crc32c(buf.data() + off, len), want)
           << "offset " << off << " length " << len;
+      ASSERT_EQ(util::crc32c_portable(buf.data() + off, len), want)
+          << "offset " << off << " length " << len;
+    }
   for (const std::size_t len : {std::size_t{98308}, std::size_t{81924}}) {
     std::string big(len, '\0');
     for (char& c : big) c = static_cast<char>(rng());
-    EXPECT_EQ(util::crc32c(big.data(), big.size()),
-              util::crc32c_portable(big.data(), big.size()))
+    const std::uint32_t want = crc32c_bytewise(big.data(), big.size());
+    EXPECT_EQ(util::crc32c(big.data(), big.size()), want) << "length " << len;
+    EXPECT_EQ(util::crc32c_portable(big.data(), big.size()), want)
         << "length " << len;
   }
 }
